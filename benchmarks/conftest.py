@@ -41,8 +41,12 @@ def bench_scale() -> float:
 
 @pytest.fixture(scope="session")
 def world():
-    """The simulated 2015 world (built once)."""
-    return paper_world(scale=bench_scale())
+    """The simulated 2015 world (built once).
+
+    Called exactly as :func:`paper_results` calls it, so the two share
+    one ``lru_cache`` entry instead of simulating the world twice.
+    """
+    return paper_world(scale=bench_scale(), seed=2015)
 
 
 @pytest.fixture(scope="session")

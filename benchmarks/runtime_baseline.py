@@ -96,14 +96,13 @@ def _timed_dist_run(bundle, workers: int = 2):
     from repro.dist.coordinator import DistConfig, dist_runner_for_bundle
     from repro.dist.loopback import run_loopback
     from repro.runtime.workers import WorkerContext
-    from repro.util.colpack import HAVE_NUMPY
 
     started = time.perf_counter()
     runner = dist_runner_for_bundle(bundle, DistConfig(workers=workers))
     context = WorkerContext(
         connlog=bundle.connlog, archive=bundle.archive,
         ip2as=bundle.ip2as, kroot=bundle.kroot, uptime=bundle.uptime,
-        min_connected=runner._min_connected, columnar=HAVE_NUMPY)
+        min_connected=runner._min_connected)
     run = run_loopback(runner, context, worker_count=workers)
     if run.worker_errors:
         raise AssertionError("distributed bench workers died: %r"

@@ -15,32 +15,19 @@ Invariants (DESIGN.md §16):
 * ``addrs[k]`` is the IPv4 address as a host-order ``uint32`` and is 0
   where ``v6[k]`` is set — IPv6 payloads (textual addresses) stay in
   the record containers, the kernels only need the *flag*.
-
-Everything here is gated on numpy being importable
-(:data:`repro.util.colpack.HAVE_NUMPY`); the legacy record kernels
-remain the fallback (and the differential-testing oracle).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.util import colpack
-from repro.util.colpack import HAVE_NUMPY
+import numpy as np
 
-if HAVE_NUMPY:
-    import numpy as np
+from repro.util import colpack
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.atlas.connlog import ConnectionLog
     from repro.atlas.sosuptime import UptimeDataset
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError("columnar datasets require numpy; gate callers "
-                           "on repro.util.colpack.HAVE_NUMPY")
-
 
 class _ProbeIndexed:
     """Shared CSR plumbing: sorted probe ids + offsets into flat columns."""
@@ -70,7 +57,6 @@ class ColumnarConnlog(_ProbeIndexed):
     __columnar__ = "connlog-columnar"
 
     def __init__(self, probe_ids, offsets, starts, ends, addrs, v6) -> None:
-        _require_numpy()
         super().__init__(probe_ids, offsets)
         self.starts = starts
         self.ends = ends
@@ -83,7 +69,6 @@ class ColumnarConnlog(_ProbeIndexed):
     @classmethod
     def from_connlog(cls, connlog: "ConnectionLog") -> "ColumnarConnlog":
         """Build the columnar view (one pass over the record container)."""
-        _require_numpy()
         probe_ids = connlog.probe_ids()
         offsets = [0]
         starts: list[float] = []
@@ -165,14 +150,12 @@ class ColumnarUptime(_ProbeIndexed):
     __columnar__ = "uptime-columnar"
 
     def __init__(self, probe_ids, offsets, timestamps, uptimes) -> None:
-        _require_numpy()
         super().__init__(probe_ids, offsets)
         self.timestamps = timestamps
         self.uptimes = uptimes
 
     @classmethod
     def from_uptime(cls, uptime: "UptimeDataset") -> "ColumnarUptime":
-        _require_numpy()
         probe_ids = uptime.probe_ids()
         offsets = [0]
         timestamps: list[float] = []

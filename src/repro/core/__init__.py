@@ -17,13 +17,7 @@ from repro.core.conditional import (
     outage_renumbering_table,
     probe_outage_stats,
 )
-from repro.core.filtering import (
-    FilterReport,
-    ProbeCategory,
-    ProbeFilter,
-    ProbeVerdict,
-    looks_multihomed,
-)
+from repro.core.filtering import FilterReport, ProbeCategory, ProbeVerdict
 from repro.core.geography import (
     GroupDurations,
     country_as_breakdown,
@@ -97,7 +91,6 @@ __all__ = [
     "PrefixChangeRow",
     "PrefixComparison",
     "ProbeCategory",
-    "ProbeFilter",
     "ProbeOutageStats",
     "ProbePeriodicity",
     "ProbeVerdict",
@@ -128,7 +121,6 @@ __all__ = [
     "hour_histogram",
     "is_harmonic",
     "known_durations",
-    "looks_multihomed",
     "max_within",
     "outage_renumbering_table",
     "periodic_change_hours",

@@ -12,22 +12,21 @@ pickle graphs.
 Round-trip contract: ``decode(encode(value))`` reproduces the original
 exactly — same dict order, equal field values, and (for the filter
 artifact) ``within_as_changes`` items that are the *same objects* as the
-matching ``changes`` items (as both kernels construct them).  Verdict
-entry lists are dropped (they are a pure function of the connection log;
-:func:`repro.core.filtering.restore_entries` rebuilds them on demand).
+matching ``changes`` items (as the classifier constructs them).
+Verdict entry lists are dropped: they are a pure function of the
+connection log, and the spans and gaps kernels read the columnar view
+instead.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from repro.core.association import GapCause, GapEvent
 from repro.core.changes import AddressChange, AddressSpan
 from repro.core.filtering import FilterReport, ProbeCategory, ProbeVerdict
 from repro.net.ipv4 import IPv4Address
 from repro.util import colpack
-from repro.util.colpack import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as np
 
 
 def _address_memo():
@@ -86,9 +85,6 @@ class ColumnarFilterArtifact:
     @classmethod
     def from_report(cls, report: FilterReport) -> "ColumnarFilterArtifact":
         """Encode a (fat or slim) report; entry lists are dropped."""
-        if not HAVE_NUMPY:
-            raise RuntimeError("ColumnarFilterArtifact requires numpy; "
-                               "gate callers on colpack.HAVE_NUMPY")
         code_of = {category: code
                    for code, category in enumerate(ProbeCategory)}
         pids: list[int] = []
@@ -119,7 +115,7 @@ class ColumnarFilterArtifact:
                     position += 1
                 within.append(1 if matched else 0)
             if position != len(pending):
-                # Both kernels build within_as_changes as an ordered
+                # The classifier builds within_as_changes as an ordered
                 # subset of changes; anything else cannot be encoded as
                 # per-change flags.
                 raise ValueError(
@@ -175,9 +171,7 @@ class ColumnarFilterArtifact:
                                    if within_flags[index]],
                 multi_as=bool(multi[row]),
                 asn=None if asns[row] < 0 else asns[row])
-        report = FilterReport(verdicts=verdicts, total=self.meta["total"])
-        report.entries_stripped = True  # type: ignore[attr-defined]
-        return report
+        return FilterReport(verdicts=verdicts, total=self.meta["total"])
 
 
 class _ColumnarMapBase:
@@ -199,12 +193,6 @@ class _ColumnarMapBase:
     def from_columns(cls, meta, columns):
         return cls(meta, columns)
 
-    @classmethod
-    def _require_numpy(cls) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("%s requires numpy; gate callers on "
-                               "colpack.HAVE_NUMPY" % (cls.__name__,))
-
 
 @colpack.register
 class ColumnarSpanMap(_ColumnarMapBase):
@@ -219,7 +207,6 @@ class ColumnarSpanMap(_ColumnarMapBase):
 
     @classmethod
     def from_map(cls, spans_by_probe: dict) -> "ColumnarSpanMap":
-        cls._require_numpy()
         pids: list[int] = []
         offsets: list[int] = [0]
         addrs: list[int] = []
@@ -284,7 +271,6 @@ class ColumnarFloatMap(_ColumnarMapBase):
 
     @classmethod
     def from_map(cls, values_by_probe: dict) -> "ColumnarFloatMap":
-        cls._require_numpy()
         pids = list(values_by_probe)
         offsets: list[int] = [0]
         flat: list[float] = []
@@ -320,7 +306,6 @@ class ColumnarGapEventMap(_ColumnarMapBase):
 
     @classmethod
     def from_map(cls, events_by_probe: dict) -> "ColumnarGapEventMap":
-        cls._require_numpy()
         code_of = {cause: code for code, cause in enumerate(GapCause)}
         pids: list[int] = []
         offsets: list[int] = [0]
@@ -377,8 +362,7 @@ class ColumnarGapEventMap(_ColumnarMapBase):
 def decode_value(value: object) -> object:
     """Decode one cached artifact value; non-columnar values pass through.
 
-    The single dispatch point the executor's cache-revive path uses, so
-    runs in either kernel mode can read artifacts the other mode stored.
+    The single dispatch point the executor's cache-revive path uses.
     """
     if isinstance(value, ColumnarFilterArtifact):
         return value.to_report()

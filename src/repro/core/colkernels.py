@@ -1,20 +1,20 @@
 """Vectorized stage kernels over the columnar Atlas views.
 
-Array-backed replacements for the hot per-probe kernels in
-:mod:`repro.core.pipeline`: probe classification (stage ``filter``,
-including change extraction and the batched IP-to-AS lookups), span
-extraction (stage ``spans``), uptime-reset detection (stage ``reboots``)
-and gap association (stage ``gaps``).  Each function is a drop-in for
-the corresponding record-kernel and must produce **bit-identical**
-objects — the ``results_digest`` equivalence suite and the differential
-tests in ``tests/runtime`` pin this, and the legacy kernels remain
-available (``--legacy-kernels``) as the oracle.
+The hot per-probe kernels of the analysis: probe classification (stage
+``filter``, including change extraction and the batched IP-to-AS
+lookups), span extraction (stage ``spans``), uptime-reset detection
+(stage ``reboots``) and gap association (stage ``gaps``).  Each must
+produce objects **bit-identical** to the per-record reference kernels
+built from :mod:`repro.core.changes`, :mod:`repro.core.reboots` and
+:mod:`repro.core.association` — the frozen oracle in ``tests/oracle.py``
+and the differential suites in ``tests/core`` and ``tests/runtime`` pin
+this.
 
 Exactness rules the implementations follow:
 
 * every float that reaches a result dataclass is taken from the
   columns via ``tolist()`` (bit-identical to the source records) or
-  computed with the same scalar IEEE operation the legacy kernel used
+  computed with the same scalar IEEE operation the record kernel used
   (elementwise float64 add/sub equals the CPython scalar op);
 * order-sensitive reductions (the 30-day connected-time threshold)
   use sequential ``sum`` over native floats, never pairwise numpy
@@ -28,12 +28,14 @@ The gap kernel avoids materializing ping records entirely: a
 probe's generative series (the overwhelming majority of gaps touch
 none, and classify as NONE straight from two ``searchsorted`` calls);
 the few gaps near an outage or reboot fall back to an exact per-gap
-path that reuses the legacy LTS-run rules and reboot bracketing.
+path that reuses the record path's LTS-run rules and reboot bracketing.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+import numpy as np
 
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.atlas.kroot import DEFAULT_CADENCE, HEALTHY_LTS, KRootSeries
@@ -49,18 +51,8 @@ from repro.core.reboots import Reboot
 from repro.net.ipv4 import TESTING_ADDRESS
 from repro.net.pfx2as import UNROUTED, IpToAsDataset, Pfx2AsSnapshot
 from repro.util import timeutil
-from repro.util.colpack import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as np
 
 _TESTING_VALUE = TESTING_ADDRESS.value
-
-
-def _require_numpy() -> None:
-    if not HAVE_NUMPY:
-        raise RuntimeError("columnar kernels require numpy; gate callers "
-                           "on repro.util.colpack.HAVE_NUMPY")
 
 
 def _strip_offset(col: ColumnarConnlog, lo: int, hi: int) -> int:
@@ -120,14 +112,13 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
                     ip2as: IpToAsDataset, min_connected: float,
                     probe_ids: Sequence[int] | None = None,
                     with_entries: bool = True) -> dict[int, ProbeVerdict]:
-    """Columnar :meth:`~repro.core.filtering.ProbeFilter.classify` over
-    many probes, in the same precedence order.
+    """Classify many probes (Table 2), in the precedence order documented
+    in :mod:`repro.core.filtering`.
 
     ``with_entries=False`` leaves ``verdict.entries`` empty (the slim
-    IPC/cache form); :func:`repro.core.filtering.restore_entries` can
-    rebuild them exactly from the connection log.
+    IPC form shard payloads use); the spans and gaps kernels read the
+    columns, never the entry lists.
     """
-    _require_numpy()
     if probe_ids is None:
         pids = col.probe_ids.tolist()
     else:
@@ -232,13 +223,12 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
 def probe_spans_col(col: ColumnarConnlog, connlog,
                     probe_ids: Sequence[int]
                     ) -> dict[int, tuple[list[AddressSpan], list[float]]]:
-    """Columnar :func:`~repro.core.pipeline.probe_spans` over a batch.
+    """Address spans and known durations for a batch of probes.
 
     Only valid for analyzable (pure-IPv4) probes: runs of equal
     addresses merge into spans, the first/last span of a probe has an
     unknown boundary, interior spans are the known durations.
     """
-    _require_numpy()
     run_starts = col.run_starts()
     starts = col.starts.tolist()
     ends = col.ends.tolist()
@@ -274,12 +264,11 @@ def probe_spans_col(col: ColumnarConnlog, connlog,
 def detect_reboots_col(colup: ColumnarUptime,
                        probe_ids: Sequence[int] | None = None
                        ) -> dict[int, list[Reboot]]:
-    """Columnar :func:`~repro.core.reboots.detect_reboots` over a batch.
+    """:func:`~repro.core.reboots.detect_reboots` over a batch of probes.
 
     Every requested probe gets a key (possibly an empty list), matching
     :func:`~repro.core.reboots.detect_all_reboots`.
     """
-    _require_numpy()
     if probe_ids is None:
         pids = colup.probe_ids.tolist()
     else:
@@ -405,8 +394,8 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
                                 changed, end - start)
         a = b
     for reboot in ordered_reboots[i0:i1]:
-        # The legacy round-bracketing scan stays the oracle for power
-        # outage durations; only ~a few thousand gaps reach it.
+        # The record path's round-bracketing scan stays the oracle for
+        # power outage durations; only ~a few thousand gaps reach it.
         missing, duration = association._missing_rounds_around(
             series, reboot.time)
         if missing:
@@ -418,14 +407,13 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
 def gap_events_col(col: ColumnarConnlog, kroot,
                    items: Sequence[tuple[int, list[Reboot]]]
                    ) -> dict[int, list[GapEvent]]:
-    """Columnar :func:`~repro.core.pipeline.probe_gap_events` over a batch.
+    """:func:`~repro.core.association.associate_probe_gaps` over a batch.
 
     ``items`` pairs each probe id with its firmware-filtered reboots,
     exactly like the gap shard payloads.  The fast path proves NONE for
     every gap whose corroboration window contains no all-lost tick and
     no reboot; the remainder go through :func:`_classify_slow`.
     """
-    _require_numpy()
     out: dict[int, list[GapEvent]] = {}
     for pid, reboots in items:
         pid = int(pid)

@@ -12,21 +12,18 @@ presentational; we document an explicit precedence:
 7. never changed;
 8. analyzable — split into single-AS (AS-level analysis) and multi-AS
    (geography only), using monthly IP-to-AS snapshots.
+
+This module holds the verdict and report types; the classifier itself is
+the vectorized :func:`repro.core.colkernels.classify_probes`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from repro.atlas.archive import ProbeArchive
-from repro.atlas.connlog import ConnectionLog
 from repro.atlas.types import ConnectionLogEntry
-from repro.core.changes import AddressChange, extract_changes, strip_testing_entry
-from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
-from repro.net.pfx2as import IpToAsDataset
-from repro.util.timeutil import DAY
+from repro.core.changes import AddressChange
 
 #: An address seen in this many separate runs marks a probe as alternating
 #: between concurrently held addresses (behavioural multihoming).  The
@@ -52,10 +49,8 @@ class ProbeCategory(enum.Enum):
 class ProbeVerdict:
     """Classification outcome for one probe.
 
-    Verdicts are pickled twice over: inside shard payloads crossing the
-    worker boundary, and (entry-stripped) inside the cached
-    ``FilterReport`` artifact — so the field layout is a wire contract
-    (RPR010).
+    Verdicts are pickled (entry-stripped) inside shard payloads crossing
+    the worker boundary, so the field layout is a wire contract (RPR010).
     """
 
     __wire_contract__ = "probe-verdict"
@@ -78,11 +73,9 @@ class ProbeVerdict:
 class FilterReport:
     """Aggregate filtering outcome, the reproduction of Table 2.
 
-    The slim (entry-stripped) form of this report is the cached filter
-    artifact, read back by later runs — a wire contract (RPR010).
+    The cache stores it as a
+    :class:`~repro.core.colartifact.ColumnarFilterArtifact`.
     """
-
-    __wire_contract__ = "filter-artifact"
 
     verdicts: dict[int, ProbeVerdict]
     total: int
@@ -136,123 +129,9 @@ def report_from_verdicts(verdicts: dict[int, ProbeVerdict]) -> FilterReport:
     """Assemble the Table 2 report from per-probe verdicts.
 
     The total excludes short-lived probes, matching the paper's Table 2
-    denominator.  Split out from :meth:`ProbeFilter.run` so a sharded
-    executor can merge per-shard verdict maps into the identical report.
+    denominator.  A sharded executor merges per-shard verdict maps and
+    assembles the identical report through here.
     """
     total = sum(1 for v in verdicts.values()
                 if v.category is not ProbeCategory.SHORT_LIVED)
     return FilterReport(verdicts=verdicts, total=total)
-
-
-#: Categories whose verdicts carry (stripped) entry lists; every other
-#: category stores ``entries=[]`` by construction, so these are the only
-#: ones a slim artifact actually dropped anything from.
-_ENTRY_CATEGORIES = (ProbeCategory.TESTING_ONLY, ProbeCategory.NEVER_CHANGED,
-                     ProbeCategory.ANALYZABLE)
-
-
-def restore_entries(report: FilterReport,
-                    connlog: ConnectionLog) -> FilterReport:
-    """Rebuild the entry lists a slim (entry-stripped) report dropped.
-
-    A verdict's entries are always ``strip_testing_entry`` of the
-    probe's connection-log entries — a pure function of the log — so a
-    slim cached/IPC report plus the log reconstructs the fat report
-    without re-running classification.  Mutates ``report`` in place and
-    returns it.
-    """
-    for verdict in report.verdicts.values():
-        if verdict.category in _ENTRY_CATEGORIES and not verdict.entries:
-            verdict.entries, _ = strip_testing_entry(
-                connlog.entries(verdict.probe_id), TESTING_ADDRESS)
-    if getattr(report, "entries_stripped", False):
-        report.entries_stripped = False  # type: ignore[attr-defined]
-    return report
-
-
-def looks_multihomed(addresses: Sequence[IPv4Address],
-                     min_runs: int = MULTIHOMED_MIN_RUNS) -> bool:
-    """Heuristic from Section 3.2: one address recurs in many separate runs.
-
-    A probe alternating between a fixed and a changing address produces a
-    run of the fixed address between every pair of dynamic connections.
-    """
-    runs: dict[int, int] = {}
-    previous: int | None = None
-    for address in addresses:
-        if address.value != previous:
-            runs[address.value] = runs.get(address.value, 0) + 1
-            previous = address.value
-    return bool(runs) and max(runs.values()) >= min_runs
-
-
-class ProbeFilter:
-    """Runs the classification over a connection log."""
-
-    def __init__(self, connlog: ConnectionLog, archive: ProbeArchive,
-                 ip2as: IpToAsDataset,
-                 min_connected: float = 30 * DAY) -> None:
-        self._connlog = connlog
-        self._archive = archive
-        self._ip2as = ip2as
-        self._min_connected = min_connected
-
-    def run(self) -> FilterReport:
-        """Classify every probe in the log."""
-        verdicts = {probe_id: self.classify(probe_id)
-                    for probe_id in self._connlog.probe_ids()}
-        return report_from_verdicts(verdicts)
-
-    def classify(self, probe_id: int) -> ProbeVerdict:
-        """Classify one probe; pure per-probe kernel, shard-safe."""
-        entries = self._connlog.entries(probe_id)
-        if self._connlog.total_connected_time(probe_id) < self._min_connected:
-            return ProbeVerdict(probe_id, ProbeCategory.SHORT_LIVED)
-
-        has_v6 = any(e.is_ipv6 for e in entries)
-        has_v4 = any(not e.is_ipv6 for e in entries)
-        if has_v6 and not has_v4:
-            return ProbeVerdict(probe_id, ProbeCategory.IPV6_ONLY)
-        if has_v6:
-            return ProbeVerdict(probe_id, ProbeCategory.DUAL_STACK)
-
-        if (self._archive.has_probe(probe_id)
-                and self._archive.get(probe_id).has_filtered_tag):
-            return ProbeVerdict(probe_id, ProbeCategory.TAGGED)
-
-        if looks_multihomed([e.address for e in entries]):
-            return ProbeVerdict(probe_id, ProbeCategory.MULTIHOMED)
-
-        entries, had_testing = strip_testing_entry(entries, TESTING_ADDRESS)
-        changes = extract_changes(entries)
-        if not changes:
-            category = (ProbeCategory.TESTING_ONLY if had_testing
-                        else ProbeCategory.NEVER_CHANGED)
-            return ProbeVerdict(probe_id, category, entries=entries)
-
-        within, multi_as, asn = self._split_by_as(changes, entries)
-        return ProbeVerdict(
-            probe_id, ProbeCategory.ANALYZABLE, entries=entries,
-            changes=changes, within_as_changes=within, multi_as=multi_as,
-            asn=asn)
-
-    def _split_by_as(self, changes: list[AddressChange],
-                     entries: list[ConnectionLogEntry]
-                     ) -> tuple[list[AddressChange], bool, int | None]:
-        """Partition changes into within-AS and cross-AS (Section 3.3)."""
-        within: list[AddressChange] = []
-        multi_as = False
-        for change in changes:
-            old_asn = self._ip2as.origin_asn(change.old_address, change.time)
-            new_asn = self._ip2as.origin_asn(change.new_address, change.time)
-            if old_asn is not None and new_asn is not None \
-                    and old_asn != new_asn:
-                multi_as = True
-            else:
-                within.append(change)
-        asn: int | None = None
-        if not multi_as:
-            first_v4 = next((e for e in entries if not e.is_ipv6), None)
-            if first_v4 is not None:
-                asn = self._ip2as.origin_asn(first_v4.address, first_v4.start)
-        return within, multi_as, asn

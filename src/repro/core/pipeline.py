@@ -6,14 +6,16 @@ associate gaps with outages, and compute per-probe outage statistics.
 :class:`AnalysisResults` then exposes one method per table/figure, which
 the experiment drivers and benchmarks call.
 
-Each stage is a named, module-level pure function (``stage_filter``,
-``stage_spans``, ``stage_changes``, ``stage_reboots``, ``stage_gaps``,
-``stage_stats``, ``stage_v3``) of its declared inputs only, plus per-probe
-kernels (``probe_spans``, ``probe_gap_events``) for the stages that are
-embarrassingly parallel across probes.  :class:`AnalysisPipeline` chains
-them serially; :mod:`repro.runtime` wires the same functions into a stage
-graph and fans the per-probe kernels out over shards, so the two paths
-cannot drift apart.
+Each stage is a named, module-level pure function (``stage_filter_col``,
+``stage_spans_col``, ``stage_changes``, ``stage_reboots_col``,
+``stage_gaps_col``, ``stage_stats``, ``stage_v3``) of its declared inputs
+only.  The four hot stages run the vectorized kernels of
+:mod:`repro.core.colkernels` over the columnar views of
+:mod:`repro.atlas.columnar`, which are embarrassingly parallel across
+probes.  :class:`AnalysisPipeline` chains the stages serially;
+:mod:`repro.runtime` wires the same functions into a stage graph and fans
+the per-probe kernels out over shards, so the two paths cannot drift
+apart.
 """
 
 from __future__ import annotations
@@ -28,13 +30,8 @@ from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ProbeVersion
 from repro.core import colkernels, geography
-from repro.core.association import GapEvent, associate_probe_gaps
-from repro.core.changes import (
-    AddressChange,
-    AddressSpan,
-    extract_spans,
-    known_durations,
-)
+from repro.core.association import GapEvent
+from repro.core.changes import AddressChange, AddressSpan
 from repro.core.conditional import (
     OutageRenumberingRow,
     ProbeOutageStats,
@@ -44,11 +41,7 @@ from repro.core.conditional import (
     probe_outage_stats,
     stats_for_asn,
 )
-from repro.core.filtering import (
-    FilterReport,
-    ProbeFilter,
-    report_from_verdicts,
-)
+from repro.core.filtering import FilterReport, report_from_verdicts
 from repro.core.hourofday import hour_histogram, periodic_change_hours
 from repro.core.outage_buckets import DurationBucket, bucket_outages
 from repro.core.periodicity import (
@@ -59,7 +52,6 @@ from repro.core.periodicity import (
 )
 from repro.core.prefixes import PrefixChangeRow, prefix_change_table
 from repro.core.reboots import (
-    detect_all_reboots,
     detect_firmware_days,
     firmware_filtered_reboots,
     reboots_per_day,
@@ -67,7 +59,6 @@ from repro.core.reboots import (
 from repro.core.timefraction import DEFAULT_BIN
 from repro.net.pfx2as import IpToAsDataset
 from repro.util import timeutil
-from repro.util.colpack import HAVE_NUMPY
 from repro.util.ordering import ordered, ordered_items
 from repro.util.stats import CdfPoint
 
@@ -252,30 +243,28 @@ class AnalysisResults:
 # its arguments, so results are a pure function of the input datasets; the
 # per-probe kernels are additionally independent across probes, which is
 # what makes shard-parallel execution (repro.runtime) bit-identical to the
-# serial path.
+# serial path.  The hot stages take the columnar views (DESIGN.md §16) next
+# to the record containers they were derived from.
 
-def stage_filter(connlog: ConnectionLog, archive: ProbeArchive,
-                 ip2as: IpToAsDataset,
-                 min_connected: float = 30 * timeutil.DAY) -> FilterReport:
+def stage_filter_col(col: ColumnarConnlog, connlog: ConnectionLog,
+                     archive: ProbeArchive, ip2as: IpToAsDataset,
+                     min_connected: float = 30 * timeutil.DAY
+                     ) -> FilterReport:
     """Stage ``filter``: classify every probe (Table 2)."""
-    return ProbeFilter(connlog, archive, ip2as,
-                       min_connected=min_connected).run()
+    return report_from_verdicts(colkernels.classify_probes(
+        col, connlog, archive, ip2as, min_connected))
 
 
-def probe_spans(entries) -> tuple[list[AddressSpan], list[float]]:
-    """Per-probe kernel for stage ``spans``: spans and known durations."""
-    spans = extract_spans(entries)
-    return spans, known_durations(spans)
-
-
-def stage_spans(filter_report: FilterReport
-                ) -> tuple[dict[int, list[AddressSpan]],
-                           dict[int, list[float]]]:
+def stage_spans_col(col: ColumnarConnlog, connlog: ConnectionLog,
+                    filter_report: FilterReport
+                    ) -> tuple[dict[int, list[AddressSpan]],
+                               dict[int, list[float]]]:
     """Stage ``spans``: address spans/durations per geography probe."""
+    payload = colkernels.probe_spans_col(col, connlog,
+                                         filter_report.analyzable_geo())
     spans_by_probe: dict[int, list[AddressSpan]] = {}
     durations_by_probe: dict[int, list[float]] = {}
-    for probe_id in filter_report.analyzable_geo():
-        spans, durations = probe_spans(filter_report.verdicts[probe_id].entries)
+    for probe_id, (spans, durations) in payload.items():
         spans_by_probe[probe_id] = spans
         if durations:
             durations_by_probe[probe_id] = durations
@@ -312,31 +301,23 @@ def aggregate_reboots(raw_reboots: Mapping[int, list]
     return day_counts, firmware_days, filtered
 
 
-def stage_reboots(uptime: UptimeDataset
-                  ) -> tuple[dict[int, int], list[int], dict[int, list]]:
+def stage_reboots_col(colup: ColumnarUptime
+                      ) -> tuple[dict[int, int], list[int], dict[int, list]]:
     """Stage ``reboots``: day counts, firmware days, filtered reboots."""
-    return aggregate_reboots(detect_all_reboots(uptime))
+    return aggregate_reboots(colkernels.detect_reboots_col(colup))
 
 
-def probe_gap_events(entries, series, reboots) -> list[GapEvent]:
-    """Per-probe kernel for stage ``gaps``: classify one probe's gaps."""
-    return associate_probe_gaps(entries, series, reboots)
-
-
-def stage_gaps(filter_report: FilterReport, kroot: KRootDataset,
-               filtered_reboots: Mapping[int, list]
-               ) -> dict[int, list[GapEvent]]:
+def stage_gaps_col(col: ColumnarConnlog, kroot: KRootDataset,
+                   filter_report: FilterReport,
+                   filtered_reboots: Mapping[int, list]
+                   ) -> dict[int, list[GapEvent]]:
     """Stage ``gaps``: associate connection gaps with observed outages."""
-    gap_events_by_probe: dict[int, list[GapEvent]] = {}
     # analyzable_as() is sorted already; the explicit barrier lets
     # RPR009 prove the output's key order without trusting that.
-    for probe_id in ordered(filter_report.analyzable_as()):
-        if not kroot.has_probe(probe_id):
-            continue
-        gap_events_by_probe[probe_id] = probe_gap_events(
-            filter_report.verdicts[probe_id].entries, kroot.series(probe_id),
-            filtered_reboots.get(probe_id, []))
-    return gap_events_by_probe
+    items = [(probe_id, filtered_reboots.get(probe_id, []))
+             for probe_id in ordered(filter_report.analyzable_as())
+             if kroot.has_probe(probe_id)]
+    return colkernels.gap_events_col(col, kroot, items)
 
 
 def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
@@ -344,9 +325,9 @@ def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
     """Stage ``stats``: per-probe conditional outage statistics.
 
     Iterates in sorted-key order rather than insertion order: the input
-    mapping is sorted however it was produced (serial loop, shard
-    merge, columnar kernel), but this stage's output feeds the digest,
-    so its order must not *depend* on that (RPR009).
+    mapping is sorted however it was produced (serial kernel or shard
+    merge), but this stage's output feeds the digest, so its order must
+    not *depend* on that (RPR009).
     """
     return {probe_id: probe_outage_stats(probe_id, events)
             for probe_id, events in ordered_items(gap_events_by_probe)}
@@ -367,56 +348,6 @@ def stage_v3(asn_by_probe: Mapping[int, int],
     ))
 
 
-# -- columnar stage variants --------------------------------------------------
-#
-# Vectorized drop-ins for the four hot stages, over the array-backed views
-# (DESIGN.md §16).  Both execution tiers (AnalysisPipeline below and the
-# sharded runtime executor) call these same wrappers, and each is pinned
-# bit-identical to its record-kernel twin by the differential suite; the
-# legacy functions above remain the oracle (``--legacy-kernels``).
-
-def stage_filter_col(col: ColumnarConnlog, connlog: ConnectionLog,
-                     archive: ProbeArchive, ip2as: IpToAsDataset,
-                     min_connected: float = 30 * timeutil.DAY
-                     ) -> FilterReport:
-    """Columnar :func:`stage_filter`."""
-    return report_from_verdicts(colkernels.classify_probes(
-        col, connlog, archive, ip2as, min_connected))
-
-
-def stage_spans_col(col: ColumnarConnlog, connlog: ConnectionLog,
-                    filter_report: FilterReport
-                    ) -> tuple[dict[int, list[AddressSpan]],
-                               dict[int, list[float]]]:
-    """Columnar :func:`stage_spans`."""
-    payload = colkernels.probe_spans_col(col, connlog,
-                                         filter_report.analyzable_geo())
-    spans_by_probe: dict[int, list[AddressSpan]] = {}
-    durations_by_probe: dict[int, list[float]] = {}
-    for probe_id, (spans, durations) in payload.items():
-        spans_by_probe[probe_id] = spans
-        if durations:
-            durations_by_probe[probe_id] = durations
-    return spans_by_probe, durations_by_probe
-
-
-def stage_reboots_col(colup: ColumnarUptime
-                      ) -> tuple[dict[int, int], list[int], dict[int, list]]:
-    """Columnar :func:`stage_reboots`."""
-    return aggregate_reboots(colkernels.detect_reboots_col(colup))
-
-
-def stage_gaps_col(col: ColumnarConnlog, kroot: KRootDataset,
-                   filter_report: FilterReport,
-                   filtered_reboots: Mapping[int, list]
-                   ) -> dict[int, list[GapEvent]]:
-    """Columnar :func:`stage_gaps`."""
-    items = [(probe_id, filtered_reboots.get(probe_id, []))
-             for probe_id in ordered(filter_report.analyzable_as())
-             if kroot.has_probe(probe_id)]
-    return colkernels.gap_events_col(col, kroot, items)
-
-
 class AnalysisPipeline:
     """Runs the full analysis over one set of input datasets.
 
@@ -427,12 +358,6 @@ class AnalysisPipeline:
     absent from SOS-uptime simply has no reboots; a probe absent from
     the archive is skipped by geography and the v3 power analysis.
     Only the connection log decides which probes exist at all.
-
-    ``columnar`` selects the vectorized kernels: ``None`` (the default)
-    auto-enables them when numpy is importable, ``False`` forces the
-    legacy record kernels (the differential oracle), ``True`` insists —
-    and still degrades to legacy on a numpy-free host.  Both paths are
-    bit-identical by contract.
     """
 
     def __init__(self, connlog: ConnectionLog, archive: ProbeArchive,
@@ -440,8 +365,7 @@ class AnalysisPipeline:
                  ip2as: IpToAsDataset,
                  as_names: Mapping[int, str] | None = None,
                  as_countries: Mapping[int, str] | None = None,
-                 min_connected: float = 30 * timeutil.DAY,
-                 columnar: bool | None = None) -> None:
+                 min_connected: float = 30 * timeutil.DAY) -> None:
         self._connlog = connlog
         self._archive = archive
         self._kroot = kroot
@@ -450,33 +374,20 @@ class AnalysisPipeline:
         self._as_names = dict(as_names or {})
         self._as_countries = dict(as_countries or {})
         self._min_connected = min_connected
-        self._columnar = (HAVE_NUMPY if columnar is None
-                          else columnar and HAVE_NUMPY)
 
     def run(self) -> AnalysisResults:
         """Execute all stages serially and return the results object."""
-        if self._columnar:
-            col = ColumnarConnlog.from_connlog(self._connlog)
-            filter_report = stage_filter_col(
-                col, self._connlog, self._archive, self._ip2as,
-                min_connected=self._min_connected)
-            spans_by_probe, durations_by_probe = stage_spans_col(
-                col, self._connlog, filter_report)
-            changes_by_probe, asn_by_probe = stage_changes(filter_report)
-            day_counts, firmware_days, filtered_reboots = stage_reboots_col(
-                ColumnarUptime.from_uptime(self._uptime))
-            gap_events_by_probe = stage_gaps_col(
-                col, self._kroot, filter_report, filtered_reboots)
-        else:
-            filter_report = stage_filter(self._connlog, self._archive,
-                                         self._ip2as,
-                                         min_connected=self._min_connected)
-            spans_by_probe, durations_by_probe = stage_spans(filter_report)
-            changes_by_probe, asn_by_probe = stage_changes(filter_report)
-            day_counts, firmware_days, filtered_reboots = stage_reboots(
-                self._uptime)
-            gap_events_by_probe = stage_gaps(filter_report, self._kroot,
-                                             filtered_reboots)
+        col = ColumnarConnlog.from_connlog(self._connlog)
+        filter_report = stage_filter_col(
+            col, self._connlog, self._archive, self._ip2as,
+            min_connected=self._min_connected)
+        spans_by_probe, durations_by_probe = stage_spans_col(
+            col, self._connlog, filter_report)
+        changes_by_probe, asn_by_probe = stage_changes(filter_report)
+        day_counts, firmware_days, filtered_reboots = stage_reboots_col(
+            ColumnarUptime.from_uptime(self._uptime))
+        gap_events_by_probe = stage_gaps_col(
+            col, self._kroot, filter_report, filtered_reboots)
         stats_by_probe = stage_stats(gap_events_by_probe)
         v3_probes = stage_v3(asn_by_probe, self._archive)
 
@@ -498,24 +409,42 @@ class AnalysisPipeline:
         )
 
 
+def default_min_connected(start: float, end: float) -> float:
+    """The paper's 30-day connected-time threshold for a window.
+
+    Capped at a tenth of the observation window so short test scenarios
+    keep their probes.
+    """
+    return min(30 * timeutil.DAY, (end - start) / 10)
+
+
+def scenario_as_labels(config) -> tuple[dict[int, str], dict[int, str]]:
+    """AS names and countries from a scenario's ISP specs.
+
+    This mirrors how the paper labels its tables; bundles carry the same
+    two maps in their ``meta.json``.
+    """
+    as_names: dict[int, str] = {}
+    as_countries: dict[int, str] = {}
+    for profile in config.profiles:
+        as_names[profile.spec.asn] = profile.spec.name
+        as_countries[profile.spec.asn] = profile.spec.country
+    return as_names, as_countries
+
+
 def pipeline_for_world(world,
                        min_connected: float | None = None
                        ) -> AnalysisPipeline:
     """Convenience: build a pipeline from a simulated WorldData.
 
-    AS names and countries come from the scenario's ISP specs, mirroring
-    how the paper labels its tables.  ``min_connected`` defaults to the
-    paper's 30 days, capped at a tenth of the scenario window so short
-    test scenarios keep their probes.
+    AS names and countries come from :func:`scenario_as_labels`;
+    ``min_connected`` defaults to :func:`default_min_connected` over the
+    scenario window.
     """
-    as_names: dict[int, str] = {}
-    as_countries: dict[int, str] = {}
-    for profile in world.config.profiles:
-        as_names[profile.spec.asn] = profile.spec.name
-        as_countries[profile.spec.asn] = profile.spec.country
+    as_names, as_countries = scenario_as_labels(world.config)
     if min_connected is None:
-        window = world.config.end - world.config.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+        min_connected = default_min_connected(world.config.start,
+                                              world.config.end)
     return AnalysisPipeline(world.connlog, world.archive, world.kroot,
                             world.uptime, world.ip2as,
                             as_names=as_names, as_countries=as_countries,
@@ -534,8 +463,7 @@ def pipeline_for_bundle(bundle,
     analysis pipeline is a core-layer concern — sim must not import core.
     """
     if min_connected is None:
-        window = bundle.end - bundle.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+        min_connected = default_min_connected(bundle.start, bundle.end)
     return AnalysisPipeline(
         bundle.connlog, bundle.archive, bundle.kroot, bundle.uptime,
         bundle.ip2as, as_names=bundle.as_names,

@@ -37,7 +37,6 @@ from repro.dist.worker import DistWorker
 from repro.errors import ReproError
 from repro.runtime.digest import results_digest
 from repro.runtime.workers import WorkerContext
-from repro.util.colpack import HAVE_NUMPY
 from repro.util import fingerprint as fp
 from repro.util import timeutil
 
@@ -247,8 +246,7 @@ def _run_coordinator(args: argparse.Namespace) -> int:
                 ip2as=context_source.ip2as,
                 kroot=context_source.kroot,
                 uptime=context_source.uptime,
-                min_connected=runner._min_connected,
-                columnar=HAVE_NUMPY)
+                min_connected=runner._min_connected)
             plans = None
             if plan is not None:
                 # One plan shared by every loopback worker: draws key on
@@ -322,8 +320,7 @@ def _run_worker(args: argparse.Namespace) -> int:
             worker_runtime.init_worker(WorkerContext(
                 connlog=bundle.connlog, archive=bundle.archive,
                 ip2as=bundle.ip2as, kroot=bundle.kroot,
-                uptime=bundle.uptime, min_connected=min_connected,
-                columnar=HAVE_NUMPY))
+                uptime=bundle.uptime, min_connected=min_connected))
 
         worker = DistWorker(
             host=host, port=int(port_text),

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import obs
+from repro.core.pipeline import default_min_connected, scenario_as_labels
 from repro.dist import protocol
 from repro.dist.board import LeaseBoard
 from repro.dist.transport import Channel
@@ -99,14 +100,14 @@ class DistConfig:
         """The executor config a :class:`DistRunner` runs under.
 
         ``jobs`` must exceed 1 for the executor to take the sharded
-        path at all; ``supervise`` is off because the lease server *is*
-        the supervisor on this path.
+        path at all; :class:`DistRunner` then serves every fan-out stage
+        through the lease server instead of a local pool.
         """
         return RuntimeConfig(
             jobs=max(2, self.workers), shards=self.shards,
             cache_dir=self.cache_dir,
             max_cache_bytes=self.max_cache_bytes,
-            supervise=False, resume=self.resume,
+            resume=self.resume,
             max_retries=self.max_retries,
             shard_deadline_s=self.lease_deadline_s,
             backoff_base_s=self.backoff_base_s)
@@ -567,8 +568,7 @@ def dist_runner_for_bundle(bundle, config: DistConfig,
     if server is None:
         server = LeaseServer(config)
     if min_connected is None:
-        window = bundle.end - bundle.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+        min_connected = default_min_connected(bundle.start, bundle.end)
     return DistRunner(
         server, bundle.connlog, bundle.archive, bundle.kroot,
         bundle.uptime, bundle.ip2as, as_names=bundle.as_names,
@@ -585,14 +585,10 @@ def dist_runner_for_world(world, config: DistConfig,
     from repro.runtime.executor import world_fingerprint
     if server is None:
         server = LeaseServer(config)
-    as_names: dict[int, str] = {}
-    as_countries: dict[int, str] = {}
-    for profile in world.config.profiles:
-        as_names[profile.spec.asn] = profile.spec.name
-        as_countries[profile.spec.asn] = profile.spec.country
+    as_names, as_countries = scenario_as_labels(world.config)
     if min_connected is None:
-        window = world.config.end - world.config.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+        min_connected = default_min_connected(world.config.start,
+                                              world.config.end)
     return DistRunner(
         server, world.connlog, world.archive, world.kroot, world.uptime,
         world.ip2as, as_names=as_names, as_countries=as_countries,

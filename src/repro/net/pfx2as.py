@@ -14,14 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
 
+import numpy as np
+
 from repro.errors import DatasetError, ParseError
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.net.trie import PrefixTrie
 from repro.util import timeutil
-from repro.util.colpack import HAVE_NUMPY
-
-if HAVE_NUMPY:
-    import numpy as np
 from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
@@ -141,9 +139,6 @@ class Pfx2AsSnapshot:
         memoized next to the table itself and invalidated by the same
         :meth:`add` — a mutated snapshot can never serve stale arrays.
         """
-        if not HAVE_NUMPY:
-            raise RuntimeError("stab_arrays requires numpy; gate callers "
-                               "on repro.util.colpack.HAVE_NUMPY")
         if self._stab_arrays is None:
             bounds, asns = self.stab_table()
             self._stab_arrays = (np.asarray(bounds, dtype=np.int64),

@@ -206,7 +206,7 @@ class ArtifactCache:
         """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if colpack.HAVE_NUMPY and isinstance(value, dict):
+        if isinstance(value, dict):
             slim = None
             for name, item in value.items():
                 if colpack.schema_of(item) is not None:

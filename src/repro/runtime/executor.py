@@ -6,7 +6,7 @@ fingerprint, stage name, code version and parameters — never on ``jobs``,
 because outputs are guaranteed identical across job counts); on a miss it
 either runs the stage function inline or, for per-probe stages with
 ``jobs > 1``, partitions the probe ids into deterministic shards and fans
-them out over a :class:`~concurrent.futures.ProcessPoolExecutor`.
+them out through a :class:`~repro.runtime.supervisor.ShardSupervisor`.
 
 Equivalence guarantee: shards are contiguous chunks of the sorted probe
 ids, shard results are merged in shard order, and every kernel is a pure
@@ -21,8 +21,7 @@ import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping
 
@@ -35,18 +34,12 @@ from repro.core.colartifact import (
     ColumnarGapEventMap,
     ColumnarSpanMap,
 )
+from repro.core.filtering import report_from_verdicts
 from repro.core.pipeline import (
     AnalysisResults,
     aggregate_reboots,
-    stage_filter_col,
-    stage_gaps_col,
-    stage_reboots_col,
-    stage_spans_col,
-)
-from repro.core.filtering import (
-    FilterReport,
-    report_from_verdicts,
-    restore_entries,
+    default_min_connected,
+    scenario_as_labels,
 )
 from repro.runtime import workers
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
@@ -56,8 +49,7 @@ from repro.runtime.supervisor import (
     StageResilience,
     SupervisionPolicy,
 )
-from repro.runtime.stages import STAGES, StageSpec, topological_order
-from repro.util import colpack
+from repro.runtime.stages import VIEW_ARTIFACTS, StageSpec, topological_order
 from repro.util import fingerprint as fp
 from repro.util import timeutil
 from repro.util.ordering import ordered_merge
@@ -101,10 +93,6 @@ class RuntimeConfig:
     #: Pool start method: ``"fork"``, ``"spawn"`` or ``None`` for
     #: platform auto-detection (:func:`resolve_start_method`).
     start_method: str | None = None
-    #: Run fan-out stages under the fault-tolerant
-    #: :class:`~repro.runtime.supervisor.ShardSupervisor` (crash/hang
-    #: recovery, retries, checkpoints).  Off = legacy ``pool.map``.
-    supervise: bool = True
     #: Failed attempts per shard before its probes are quarantined.
     max_retries: int = timeutil.MAX_SHARD_RETRIES
     #: Per-shard wall-clock deadline before the shard counts as hung.
@@ -117,14 +105,8 @@ class RuntimeConfig:
     resume: bool = False
     #: Process-fault plan (``fault_at(stage, shard, attempt)`` duck
     #: type, e.g. :class:`repro.faults.process.ProcessFaultPlan`),
-    #: installed into supervised workers.  ``None`` = no injection.
+    #: installed into the pool workers.  ``None`` = no injection.
     fault_plan: object | None = None
-    #: Vectorized columnar kernels and columnar cache artifacts
-    #: (DESIGN.md §16).  Auto-disabled on numpy-free hosts; ``False``
-    #: (``repro-run --legacy-kernels``) forces the record kernels — the
-    #: differential-testing oracle.  Outputs are bit-identical either
-    #: way.
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -143,9 +125,6 @@ class RuntimeConfig:
         if self.backoff_base_s < 0:
             raise ValueError("backoff_base_s must be >= 0, got %r"
                              % (self.backoff_base_s,))
-        if self.fault_plan is not None and not self.supervise:
-            raise ValueError("fault_plan requires supervise=True: the "
-                             "legacy pool has no recovery path")
 
     def policy(self) -> SupervisionPolicy:
         """The supervision knobs as a :class:`SupervisionPolicy`."""
@@ -183,7 +162,7 @@ class RunReport:
     cpu_count: int = 0
     oversubscribed: bool = False
     start_method: str | None = None
-    #: Per-stage supervision accounts (supervised fan-out stages only).
+    #: Per-stage supervision accounts (sharded fan-out stages only).
     resilience: list[StageResilience] = field(default_factory=list)
 
     @property
@@ -296,13 +275,11 @@ class ShardedRunner:
                 self.config.cache_dir,
                 max_bytes=self.config.max_cache_bytes)
         self.report = self._new_report()
-        self._pool: ProcessPoolExecutor | None = None
         self._supervisor: ShardSupervisor | None = None
         self._version = ""
         self._params = ""
-        self._use_columnar = self.config.columnar and colpack.HAVE_NUMPY
-        self._colconn: ColumnarConnlog | None = None
-        self._colup: ColumnarUptime | None = None
+        #: The columnar views (DESIGN.md §16) built so far, by name.
+        self._views: dict[str, object] = {}
 
     def _new_report(self) -> RunReport:
         cpus = os.cpu_count() or 1
@@ -342,10 +319,6 @@ class ShardedRunner:
                         spec.name, time.perf_counter() - started, cached,
                         sharded))
         finally:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
-                workers.reset_worker()
             if self._supervisor is not None:
                 self._supervisor.shutdown()
                 self._supervisor = None
@@ -383,17 +356,11 @@ class ShardedRunner:
             if hit:
                 return self._revive(value), True, False
         sharded = self.config.jobs > 1 and spec.fan_out
-        if not sharded and not self._use_columnar \
-                and spec.name in ("spans", "gaps"):
-            # Only the legacy record kernels read verdict entries; the
-            # columnar kernels work off the array views directly.
-            self._ensure_full_filter_report(artifacts)
         if sharded:
             outputs = self._compute_sharded(spec, artifacts)
-        elif self._use_columnar and spec.fan_out:
-            outputs = self._compute_columnar(spec, artifacts)
         else:
-            result = spec.func(*(artifacts[name] for name in spec.inputs))
+            result = spec.func(*(self._input(name, artifacts)
+                                 for name in spec.inputs))
             values = result if len(spec.outputs) > 1 else (result,)
             outputs = dict(zip(spec.outputs, values))
         if key is not None and not self.report.degraded:
@@ -406,87 +373,44 @@ class ShardedRunner:
             self.cache.store(key, self._cacheable(spec, outputs))
         return outputs, False, sharded
 
-    def _columnar_connlog(self) -> ColumnarConnlog:
-        """The connlog's array view, built once per runner."""
-        if self._colconn is None:
-            self._colconn = ColumnarConnlog.from_connlog(self._connlog)
-        return self._colconn
+    def _input(self, name: str, artifacts: dict) -> object:
+        """One stage input; a columnar view is built on its first use."""
+        if name not in VIEW_ARTIFACTS:
+            return artifacts[name]
+        if name not in self._views:
+            if name == "colconn":
+                view = ColumnarConnlog.from_connlog(self._connlog)
+            else:
+                view = ColumnarUptime.from_uptime(self._uptime)
+            self._views[name] = view
+        return self._views[name]
 
-    def _columnar_uptime(self) -> ColumnarUptime:
-        if self._colup is None:
-            self._colup = ColumnarUptime.from_uptime(self._uptime)
-        return self._colup
-
-    def _compute_columnar(self, spec: StageSpec, artifacts: dict) -> dict:
-        """Run one hot stage through the vectorized kernels, inline."""
-        if spec.name == "filter":
-            return {"filter_report": stage_filter_col(
-                self._columnar_connlog(), self._connlog, self._archive,
-                self._ip2as, self._min_connected)}
-        if spec.name == "spans":
-            spans_by_probe, durations_by_probe = stage_spans_col(
-                self._columnar_connlog(), self._connlog,
-                artifacts["filter_report"])
-            return {"spans_by_probe": spans_by_probe,
-                    "durations_by_probe": durations_by_probe}
-        if spec.name == "reboots":
-            day_counts, firmware_days, filtered = stage_reboots_col(
-                self._columnar_uptime())
-            return {"reboot_day_counts": day_counts,
-                    "firmware_days": firmware_days,
-                    "filtered_reboots": filtered}
-        if spec.name == "gaps":
-            return {"gap_events_by_probe": stage_gaps_col(
-                self._columnar_connlog(), self._kroot,
-                artifacts["filter_report"],
-                artifacts["filtered_reboots"])}
-        raise ValueError("stage %r has no columnar kernel" % (spec.name,))
-
-    def _cacheable(self, spec: StageSpec, outputs: dict) -> dict:
+    @staticmethod
+    def _cacheable(spec: StageSpec, outputs: dict) -> dict:
         """What actually goes to disk for one stage's outputs.
 
-        The filter report's per-probe connlog entries are a pure
-        intermediate — several times larger than every derived result
-        combined, and only consumed by later *compute* paths (which
-        re-derive them from the raw datasets anyway when sharded).
-        Stripping them keeps warm-cache loads fast; the serial compute
-        path restores them on demand via
-        :meth:`_ensure_full_filter_report`.  In columnar mode the fat
-        object-graph artifacts (filter report, span/duration and
-        gap-event maps) are stored in their columnar forms — the cache
+        The fat object-graph artifacts (filter report, span/duration and
+        gap-event maps) are stored in their columnar forms: the cache
         writes each to a memory-mappable ``.col`` sidecar instead of a
-        pickle graph.
+        pickle graph.  Verdict entry lists are dropped on the way — no
+        stage reads them.
         """
         if spec.name == "filter":
-            report: FilterReport = outputs["filter_report"]
-            if self._use_columnar:
-                return {"filter_report":
-                        ColumnarFilterArtifact.from_report(report)}
-            slim = FilterReport(
-                verdicts={pid: replace(verdict, entries=[])
-                          for pid, verdict in report.verdicts.items()},
-                total=report.total)
-            slim.entries_stripped = True  # type: ignore[attr-defined]
-            return {"filter_report": slim}
-        if spec.name == "spans" and self._use_columnar:
+            return {"filter_report": ColumnarFilterArtifact.from_report(
+                outputs["filter_report"])}
+        if spec.name == "spans":
             return {"spans_by_probe":
                     ColumnarSpanMap.from_map(outputs["spans_by_probe"]),
                     "durations_by_probe":
                     ColumnarFloatMap.from_map(outputs["durations_by_probe"])}
-        if spec.name == "gaps" and self._use_columnar:
+        if spec.name == "gaps":
             return {"gap_events_by_probe": ColumnarGapEventMap.from_map(
                 outputs["gap_events_by_probe"])}
         return outputs
 
     @staticmethod
     def _revive(outputs: object) -> object:
-        """Decode columnar cache artifacts back into stage outputs.
-
-        Decoding is by value type, not by the runner's own kernel mode:
-        a legacy-kernel run can warm from a columnar-mode cache and vice
-        versa (stage keys don't encode the mode — the kernels are
-        digest-identical).
-        """
+        """Decode columnar cache artifacts back into stage outputs."""
         if isinstance(outputs, dict):
             revived = None
             for name, item in outputs.items():
@@ -499,63 +423,6 @@ class ShardedRunner:
                 return revived
         return outputs
 
-    def _ensure_full_filter_report(self, artifacts: dict) -> None:
-        """Restore verdict entries when a cached slim report is about
-        to feed a serial per-probe record kernel that needs them.
-
-        Only reachable on a *partial* cache hit (filter cached, a later
-        stage evicted or corrupted): all stage keys share the same
-        fingerprint/version/params, so a normal warm run hits every
-        stage and never lands here.  Entries are a pure function of the
-        connection log, so :func:`restore_entries` rebuilds the fat
-        report without re-running classification.
-        """
-        report = artifacts.get("filter_report")
-        if report is not None and getattr(report, "entries_stripped",
-                                          False):
-            restore_entries(report, self._connlog)
-
-    def _start_pool(self) -> None:
-        """Create the worker pool under the resolved start method."""
-        context = workers.WorkerContext(
-            connlog=self._connlog, archive=self._archive,
-            ip2as=self._ip2as, kroot=self._kroot, uptime=self._uptime,
-            min_connected=self._min_connected,
-            columnar=self._use_columnar)
-        mp_context = multiprocessing.get_context(self.start_method)
-        if self.start_method == "fork":
-            # Install the context parent-side: forked workers inherit
-            # it for free instead of unpickling it once per process.
-            workers.init_worker(context)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs, mp_context=mp_context)
-        else:
-            # Under spawn the initializer ships the context exactly once
-            # per worker process, never per task.
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.config.jobs, mp_context=mp_context,
-                initializer=workers.init_worker, initargs=(context,))
-
-    def _map_shards(self, task, shards: list) -> list:
-        """Run one task per shard on the pool, payloads in shard order.
-
-        Spans and metrics the workers shipped with their results are
-        absorbed here, tagged with the shard index, in shard order —
-        the merge is deterministic even though worker timing is not.
-        This is the legacy unsupervised path: a seal failure here is
-        fatal (there is no retry machinery), which is exactly the
-        behavior ``supervise=False`` opts into.
-        """
-        if self._pool is None:
-            self._start_pool()
-        payloads = []
-        for index, result in enumerate(self._pool.map(task, shards)):
-            obs.absorb_spans(span.with_attrs(shard=index)
-                             for span in result.spans)
-            obs.metrics().absorb(result.metrics)
-            payloads.append(result.open_payload())
-        return payloads
-
     def _ensure_supervisor(self) -> ShardSupervisor:
         """The run's fault-tolerant dispatcher, created on first fan-out."""
         if self._supervisor is None:
@@ -563,8 +430,7 @@ class ShardedRunner:
                 connlog=self._connlog, archive=self._archive,
                 ip2as=self._ip2as, kroot=self._kroot, uptime=self._uptime,
                 min_connected=self._min_connected,
-                fault_plan=self.config.fault_plan,
-                columnar=self._use_columnar)
+                fault_plan=self.config.fault_plan)
             self._supervisor = ShardSupervisor(
                 context, jobs=self.config.jobs,
                 start_method=self.start_method,
@@ -577,26 +443,18 @@ class ShardedRunner:
                         probe_of=lambda item: item) -> list:
         """Shard payloads for one fan-out stage, in shard order.
 
-        Supervised runs go through :class:`ShardSupervisor` (recovery,
+        Dispatch goes through :class:`ShardSupervisor` (recovery,
         checkpoints, quarantine — abandoned shards are dropped from the
-        merge and accounted in the report); unsupervised runs keep the
-        legacy ``pool.map`` fast path.
+        merge and accounted in the report).
         """
-        if self.config.supervise:
-            # A stage downstream of a degraded one runs on inputs that
-            # are missing quarantined work: taint it so the supervisor
-            # neither stores nor resumes its shard checkpoints.
-            outcome = self._ensure_supervisor().run_stage(
-                stage, stage, shards, probe_of,
-                tainted=self.report.degraded)
-            self.report.resilience.append(outcome.resilience)
-            return [payload for payload in outcome.payloads
-                    if payload is not None]
-        task = {"filter": workers.shard_filter,
-                "spans": workers.shard_spans,
-                "reboots": workers.shard_reboots,
-                "gaps": workers.shard_gaps}[stage]
-        return self._map_shards(task, shards)
+        # A stage downstream of a degraded one runs on inputs that are
+        # missing quarantined work: taint it so the supervisor neither
+        # stores nor resumes its shard checkpoints.
+        outcome = self._ensure_supervisor().run_stage(
+            stage, stage, shards, probe_of, tainted=self.report.degraded)
+        self.report.resilience.append(outcome.resilience)
+        return [payload for payload in outcome.payloads
+                if payload is not None]
 
     def _shards_of(self, probe_ids: list) -> list[list]:
         return partition(probe_ids, shard_count(
@@ -691,11 +549,10 @@ def runner_for_bundle(bundle, config: RuntimeConfig | None = None,
     """Build a runner from a loaded on-disk bundle.
 
     Mirrors :func:`repro.core.pipeline.pipeline_for_bundle`, including the
-    ``min_connected`` default (30 days, capped at a tenth of the window).
+    ``min_connected`` default.
     """
     if min_connected is None:
-        window = bundle.end - bundle.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+        min_connected = default_min_connected(bundle.start, bundle.end)
     return ShardedRunner(
         bundle.connlog, bundle.archive, bundle.kroot, bundle.uptime,
         bundle.ip2as, as_names=bundle.as_names,
@@ -709,14 +566,10 @@ def runner_for_world(world, config: RuntimeConfig | None = None,
 
     Mirrors :func:`repro.core.pipeline.pipeline_for_world`.
     """
-    as_names: dict[int, str] = {}
-    as_countries: dict[int, str] = {}
-    for profile in world.config.profiles:
-        as_names[profile.spec.asn] = profile.spec.name
-        as_countries[profile.spec.asn] = profile.spec.country
+    as_names, as_countries = scenario_as_labels(world.config)
     if min_connected is None:
-        window = world.config.end - world.config.start
-        min_connected = min(30 * timeutil.DAY, window / 10)
+        min_connected = default_min_connected(world.config.start,
+                                              world.config.end)
     return ShardedRunner(
         world.connlog, world.archive, world.kroot, world.uptime,
         world.ip2as, as_names=as_names, as_countries=as_countries,

@@ -8,6 +8,10 @@ on its name; and :func:`validate_graph` keeps the declarations honest
 (every input is either a source dataset, a parameter, or the output of
 an earlier stage — and no two stages produce the same artifact).
 
+The hot stages read the columnar views of the source datasets
+(:data:`VIEW_ARTIFACTS`).  The executor builds a view on first use by a
+computing stage, so a run served wholly from the cache never builds one.
+
 The graph intentionally lives apart from the stage *implementations*
 (which stay in ``core`` so the serial pipeline keeps working without this
 package): ``runtime`` ranks above ``core`` in the layer DAG and may
@@ -21,10 +25,15 @@ from typing import Callable
 
 from repro.core import pipeline as _pipeline
 
-#: Artifacts that exist before any stage runs: the loaded datasets.
+#: Array views of the record datasets (DESIGN.md §16): ``colconn`` of
+#: ``connlog``, ``colup`` of ``uptime``.
+VIEW_ARTIFACTS = frozenset({"colconn", "colup"})
+
+#: Artifacts that exist before any stage runs: the loaded datasets and
+#: their (lazily built) views.
 SOURCE_ARTIFACTS = frozenset({
     "connlog", "archive", "ip2as", "uptime", "kroot",
-})
+}) | VIEW_ARTIFACTS
 
 #: Scalar knobs that parameterize stages (part of every cache key).
 PARAMETERS = frozenset({"min_connected"})
@@ -57,17 +66,17 @@ class StageSpec:
 STAGES: tuple[StageSpec, ...] = (
     StageSpec(
         name="filter",
-        inputs=("connlog", "archive", "ip2as", "min_connected"),
+        inputs=("colconn", "connlog", "archive", "ip2as", "min_connected"),
         outputs=("filter_report",),
         fan_out=True,
-        func=_pipeline.stage_filter,
+        func=_pipeline.stage_filter_col,
     ),
     StageSpec(
         name="spans",
-        inputs=("filter_report",),
+        inputs=("colconn", "connlog", "filter_report"),
         outputs=("spans_by_probe", "durations_by_probe"),
         fan_out=True,
-        func=_pipeline.stage_spans,
+        func=_pipeline.stage_spans_col,
     ),
     StageSpec(
         name="changes",
@@ -82,17 +91,17 @@ STAGES: tuple[StageSpec, ...] = (
     ),
     StageSpec(
         name="reboots",
-        inputs=("uptime",),
+        inputs=("colup",),
         outputs=("reboot_day_counts", "firmware_days", "filtered_reboots"),
         fan_out=True,
-        func=_pipeline.stage_reboots,
+        func=_pipeline.stage_reboots_col,
     ),
     StageSpec(
         name="gaps",
-        inputs=("filter_report", "kroot", "filtered_reboots"),
+        inputs=("colconn", "kroot", "filter_report", "filtered_reboots"),
         outputs=("gap_events_by_probe",),
         fan_out=True,
-        func=_pipeline.stage_gaps,
+        func=_pipeline.stage_gaps_col,
     ),
     StageSpec(
         name="stats",

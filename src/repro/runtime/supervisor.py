@@ -314,9 +314,9 @@ class ShardSupervisor:
     def _start_pool(self) -> None:
         """Create a worker pool generation under the resolved start method.
 
-        Mirrors the executor's unsupervised pool setup (fork installs the
-        context parent-side for copy-on-write inheritance; spawn ships it
-        once per worker via the initializer), plus the heartbeat spool.
+        Fork installs the context parent-side for copy-on-write
+        inheritance; spawn ships it once per worker via the initializer.
+        Each generation gets a fresh heartbeat spool directory.
         """
         self._generation += 1
         context = replace(self._context,

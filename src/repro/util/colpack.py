@@ -26,9 +26,6 @@ Object round-tripping goes through a registry keyed by schema name:
 classes declare ``__columnar__`` plus ``to_columns()`` /
 ``from_columns()`` and call :func:`register`.  Loading never imports
 arbitrary classes — only registered schemas resolve.
-
-Everything degrades gracefully without numpy: :data:`HAVE_NUMPY` is the
-gate callers check before choosing the columnar path.
 """
 
 from __future__ import annotations
@@ -38,18 +35,13 @@ import mmap as _mmap
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
-try:  # numpy is an accelerator, not a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free hosts
-    _np = None
+import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover
-    import numpy as np
-
-#: Whether the columnar fast paths are available at all.
-HAVE_NUMPY = _np is not None
+#: Always True: numpy is a hard dependency.  Kept because callers written
+#: when numpy was optional (the end-to-end benchmark harness) import it.
+HAVE_NUMPY = True
 
 MAGIC = b"RCOL"
 
@@ -72,13 +64,6 @@ class ColpackError(ValueError):
     """A blob or file that is not a valid colpack container."""
 
 
-def _require_numpy() -> None:
-    if _np is None:
-        raise RuntimeError(
-            "repro.util.colpack requires numpy; gate callers on "
-            "colpack.HAVE_NUMPY")
-
-
 def _pad(length: int) -> int:
     """Bytes needed to advance ``length`` to the next aligned boundary."""
     return (ALIGNMENT - length % ALIGNMENT) % ALIGNMENT
@@ -90,9 +75,9 @@ class Columnar:
 
     schema: str
     meta: dict
-    columns: "dict[str, np.ndarray]"
+    columns: dict[str, np.ndarray]
 
-    def column(self, name: str) -> "np.ndarray":
+    def column(self, name: str) -> np.ndarray:
         try:
             return self.columns[name]
         except KeyError:
@@ -101,8 +86,8 @@ class Columnar:
                                   ", ".join(sorted(self.columns)))) from None
 
 
-def _check_column(name: str, array: "np.ndarray") -> None:
-    if not isinstance(array, _np.ndarray):
+def _check_column(name: str, array: np.ndarray) -> None:
+    if not isinstance(array, np.ndarray):
         raise ColpackError("column %r is not an ndarray" % (name,))
     if array.dtype.kind not in ALLOWED_KINDS:
         raise ColpackError("column %r dtype %s not allowed (kinds: %s)"
@@ -111,7 +96,7 @@ def _check_column(name: str, array: "np.ndarray") -> None:
         raise ColpackError("column %r must be little/native endian" % (name,))
 
 
-def pack(schema: str, meta: Mapping, columns: "Mapping[str, np.ndarray]"
+def pack(schema: str, meta: Mapping, columns: Mapping[str, np.ndarray]
          ) -> bytes:
     """Encode columns into one deterministic byte blob.
 
@@ -119,13 +104,12 @@ def pack(schema: str, meta: Mapping, columns: "Mapping[str, np.ndarray]"
     sorted keys, so identical inputs produce identical bytes regardless
     of the order the caller assembled its dict in (RPR009).
     """
-    _require_numpy()
     names = sorted(columns)
     payloads: list[bytes] = []
     table: list[dict] = []
     offset = 0  # relative to the payload region
     for name in names:
-        array = _np.ascontiguousarray(columns[name])
+        array = np.ascontiguousarray(columns[name])
         _check_column(name, array)
         blob = array.astype(array.dtype.newbyteorder("<"),
                             copy=False).tobytes()
@@ -162,7 +146,6 @@ def unpack(buf) -> Columnar:
     buffer alive as long as the arrays are used (numpy holds a reference
     via ``.base``, so ordinary usage is safe).
     """
-    _require_numpy()
     view = memoryview(buf)
     if len(view) < 16 or bytes(view[:4]) != MAGIC:
         raise ColpackError("not a colpack container (bad magic)")
@@ -182,7 +165,7 @@ def unpack(buf) -> Columnar:
     payload_base += _pad(payload_base)
     columns: dict = {}
     for spec in header["columns"]:
-        dtype = _np.dtype(spec["dtype"])
+        dtype = np.dtype(spec["dtype"])
         if dtype.kind not in ALLOWED_KINDS:
             raise ColpackError("column %r dtype %s not allowed"
                                % (spec["name"], dtype))
@@ -190,14 +173,14 @@ def unpack(buf) -> Columnar:
         end = start + spec["nbytes"]
         if end > len(view):
             raise ColpackError("truncated column %r" % (spec["name"],))
-        array = _np.frombuffer(view[start:end], dtype=dtype)
+        array = np.frombuffer(view[start:end], dtype=dtype)
         columns[spec["name"]] = array.reshape(spec["shape"])
     return Columnar(schema=header["schema"], meta=header["meta"],
                     columns=columns)
 
 
 def write(path: str | Path, schema: str, meta: Mapping,
-          columns: "Mapping[str, np.ndarray]") -> int:
+          columns: Mapping[str, np.ndarray]) -> int:
     """Atomically write a container file; returns bytes written."""
     blob = pack(schema, meta, columns)
     path = Path(path)
@@ -215,7 +198,6 @@ def load(path: str | Path, use_mmap: bool = True) -> Columnar:
     never reads the rest.  The map is closed by the garbage collector
     once no column view references it.
     """
-    _require_numpy()
     if not use_mmap:
         return unpack(Path(path).read_bytes())
     with open(path, "rb") as stream:

@@ -4,32 +4,29 @@ Round-trip contract under test: ``decode(encode(value))`` reproduces the
 original artifact exactly — same dict iteration order, equal values,
 ``within_as_changes`` aliasing the matching ``changes`` objects — both
 in memory and through a colpack file (the shape the artifact cache's
-sidecars store).  Entry lists are dropped by design and rebuilt with
-:func:`repro.core.filtering.restore_entries`.
+sidecars store).  Entry lists are dropped by design; the oracle's
+``restore_entries`` (``tests/oracle.py``) rebuilds them exactly.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.atlas.columnar import ColumnarConnlog
 from repro.core import pipeline
 from repro.core.association import GapCause, GapEvent
 from repro.core.changes import AddressSpan
+from repro.core.colartifact import (
+    ColumnarFilterArtifact,
+    ColumnarFloatMap,
+    ColumnarGapEventMap,
+    ColumnarSpanMap,
+    decode_value,
+)
 from repro.experiments.scenarios import small_world
 from repro.net.ipv4 import IPv4Address
 from repro.util import colpack, timeutil
-
-pytestmark = pytest.mark.skipif(not colpack.HAVE_NUMPY,
-                                reason="columnar artifacts require numpy")
-
-if colpack.HAVE_NUMPY:
-    from repro.core.colartifact import (
-        ColumnarFilterArtifact,
-        ColumnarFloatMap,
-        ColumnarGapEventMap,
-        ColumnarSpanMap,
-        decode_value,
-    )
+from tests.oracle import restore_entries
 
 MIN_CONNECTED = 4 * timeutil.DAY
 
@@ -41,8 +38,9 @@ def world():
 
 @pytest.fixture(scope="module")
 def report(world):
-    return pipeline.stage_filter(world.connlog, world.archive, world.ip2as,
-                                 min_connected=MIN_CONNECTED)
+    return pipeline.stage_filter_col(
+        ColumnarConnlog.from_connlog(world.connlog), world.connlog,
+        world.archive, world.ip2as, min_connected=MIN_CONNECTED)
 
 
 class TestFilterArtifact:
@@ -58,7 +56,6 @@ class TestFilterArtifact:
             assert got.within_as_changes == original.within_as_changes
             assert got.multi_as == original.multi_as
             assert got.asn == original.asn
-        assert back.entries_stripped
 
     def test_within_as_changes_alias_changes_objects(self, report):
         back = ColumnarFilterArtifact.from_report(report).to_report()
@@ -73,7 +70,6 @@ class TestFilterArtifact:
     def test_restore_entries_round_trips_through_artifact(self, world,
                                                           report):
         back = ColumnarFilterArtifact.from_report(report).to_report()
-        from repro.core.filtering import restore_entries
         restore_entries(back, world.connlog)
         for pid, original in report.verdicts.items():
             assert back.verdicts[pid].entries == original.entries, pid

@@ -1,20 +1,25 @@
-"""Tests for repro.core.filtering."""
+"""Tests for the Table 2 probe classification.
+
+Every case runs the production classifier
+(:func:`repro.core.colkernels.classify_probes`, through
+``stage_filter_col``) and asserts the frozen record oracle
+(``tests/oracle.py``) returns the identical report, so each precedence
+case covers both.
+"""
 
 import pytest
 
 from repro.atlas.archive import ProbeArchive
+from repro.atlas.columnar import ColumnarConnlog
 from repro.atlas.connlog import ConnectionLog
 from repro.atlas.types import ConnectionLogEntry, ProbeMeta
-from repro.core.filtering import (
-    FilterReport,
-    ProbeCategory,
-    ProbeFilter,
-    looks_multihomed,
-)
+from repro.core.filtering import ProbeCategory
+from repro.core.pipeline import stage_filter_col
 from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address, IPv4Prefix
 from repro.net.pfx2as import AsMapping, IpToAsDataset, Pfx2AsSnapshot
 from repro.util import timeutil
 from repro.util.timeutil import DAY, HOUR
+from tests.oracle import ProbeFilter, looks_multihomed
 
 A = IPv4Address.parse("11.0.0.1")
 A2 = IPv4Address.parse("11.0.0.2")
@@ -44,11 +49,24 @@ def v6(probe, start, end):
                               ipv6_address="2001:db8::1")
 
 
+def classify(log, archive, ip2as, min_connected):
+    """The production classifier's report over one connection log."""
+    return stage_filter_col(ColumnarConnlog.from_connlog(log), log, archive,
+                            ip2as, min_connected=min_connected)
+
+
 def run_filter(entries, metas=(), min_connected=DAY):
+    """Classify with production; the oracle must agree field for field."""
     log = ConnectionLog(entries)
     archive = ProbeArchive(metas)
-    return ProbeFilter(log, archive, make_ip2as(),
-                       min_connected=min_connected).run()
+    ip2as = make_ip2as()
+    report = classify(log, archive, ip2as, min_connected)
+    oracle = ProbeFilter(log, archive, ip2as,
+                         min_connected=min_connected).run()
+    assert list(report.verdicts) == list(oracle.verdicts)
+    assert report.verdicts == oracle.verdicts
+    assert report.total == oracle.total
+    return report
 
 
 class TestLooksMultihomed:
@@ -167,10 +185,11 @@ class TestMissingPfx2asMonth:
         entries = [v4(1, 0, DAY, A),
                    v4(1, 35 * DAY, 38 * DAY, A2)]  # change lands in February
         log = ConnectionLog(entries)
-        probe_filter = ProbeFilter(log, ProbeArchive(), dataset,
-                                   min_connected=DAY)
         with pytest.raises(DatasetError):
-            probe_filter.run()
+            classify(log, ProbeArchive(), dataset, DAY)
+        with pytest.raises(DatasetError):
+            ProbeFilter(log, ProbeArchive(), dataset,
+                        min_connected=DAY).run()
 
 
 class TestReportAggregation:

@@ -1,0 +1,266 @@
+"""The frozen record-kernel oracle for the columnar stage kernels.
+
+These are the per-record implementations of the four hot stages
+(``filter``, ``spans``, ``reboots``, ``gaps``) the analysis ran before the
+vectorized kernels of :mod:`repro.core.colkernels` replaced them.  They
+walk the record containers one ``ConnectionLogEntry`` at a time and are
+deliberately simple, so they serve as the reference the production
+kernels are pinned bit-identical to: the differential suites compare
+verdicts, spans, reboots, gap events and whole-run digests.
+
+Nothing in ``src/`` imports this module.  Keep it frozen: a change here
+changes what "correct" means for the production kernels.
+"""
+
+from __future__ import annotations
+
+from typing import Mapping, Sequence
+
+from repro.atlas.archive import ProbeArchive
+from repro.atlas.connlog import ConnectionLog
+from repro.atlas.kroot import KRootDataset
+from repro.atlas.sosuptime import UptimeDataset
+from repro.atlas.types import ConnectionLogEntry
+from repro.core.association import GapEvent, associate_probe_gaps
+from repro.core.changes import (
+    AddressChange,
+    AddressSpan,
+    extract_changes,
+    extract_spans,
+    known_durations,
+    strip_testing_entry,
+)
+from repro.core.filtering import (
+    MULTIHOMED_MIN_RUNS,
+    FilterReport,
+    ProbeCategory,
+    ProbeVerdict,
+    report_from_verdicts,
+)
+from repro.core.pipeline import (
+    AnalysisResults,
+    aggregate_reboots,
+    default_min_connected,
+    stage_changes,
+    stage_stats,
+    stage_v3,
+)
+from repro.core.reboots import detect_all_reboots
+from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
+from repro.net.pfx2as import IpToAsDataset
+from repro.runtime.digest import results_digest
+from repro.util.ordering import ordered
+from repro.util.timeutil import DAY
+
+
+# -- stage ``filter`` ---------------------------------------------------------
+
+def looks_multihomed(addresses: Sequence[IPv4Address],
+                     min_runs: int = MULTIHOMED_MIN_RUNS) -> bool:
+    """Heuristic from Section 3.2: one address recurs in many separate runs.
+
+    A probe alternating between a fixed and a changing address produces a
+    run of the fixed address between every pair of dynamic connections.
+    """
+    runs: dict[int, int] = {}
+    previous: int | None = None
+    for address in addresses:
+        if address.value != previous:
+            runs[address.value] = runs.get(address.value, 0) + 1
+            previous = address.value
+    return bool(runs) and max(runs.values()) >= min_runs
+
+
+class ProbeFilter:
+    """Runs the Table 2 classification over a connection log."""
+
+    def __init__(self, connlog: ConnectionLog, archive: ProbeArchive,
+                 ip2as: IpToAsDataset,
+                 min_connected: float = 30 * DAY) -> None:
+        self._connlog = connlog
+        self._archive = archive
+        self._ip2as = ip2as
+        self._min_connected = min_connected
+
+    def run(self) -> FilterReport:
+        """Classify every probe in the log."""
+        verdicts = {probe_id: self.classify(probe_id)
+                    for probe_id in self._connlog.probe_ids()}
+        return report_from_verdicts(verdicts)
+
+    def classify(self, probe_id: int) -> ProbeVerdict:
+        """Classify one probe, in the precedence of repro.core.filtering."""
+        entries = self._connlog.entries(probe_id)
+        if self._connlog.total_connected_time(probe_id) < self._min_connected:
+            return ProbeVerdict(probe_id, ProbeCategory.SHORT_LIVED)
+
+        has_v6 = any(e.is_ipv6 for e in entries)
+        has_v4 = any(not e.is_ipv6 for e in entries)
+        if has_v6 and not has_v4:
+            return ProbeVerdict(probe_id, ProbeCategory.IPV6_ONLY)
+        if has_v6:
+            return ProbeVerdict(probe_id, ProbeCategory.DUAL_STACK)
+
+        if (self._archive.has_probe(probe_id)
+                and self._archive.get(probe_id).has_filtered_tag):
+            return ProbeVerdict(probe_id, ProbeCategory.TAGGED)
+
+        if looks_multihomed([e.address for e in entries]):
+            return ProbeVerdict(probe_id, ProbeCategory.MULTIHOMED)
+
+        entries, had_testing = strip_testing_entry(entries, TESTING_ADDRESS)
+        changes = extract_changes(entries)
+        if not changes:
+            category = (ProbeCategory.TESTING_ONLY if had_testing
+                        else ProbeCategory.NEVER_CHANGED)
+            return ProbeVerdict(probe_id, category, entries=entries)
+
+        within, multi_as, asn = self._split_by_as(changes, entries)
+        return ProbeVerdict(
+            probe_id, ProbeCategory.ANALYZABLE, entries=entries,
+            changes=changes, within_as_changes=within, multi_as=multi_as,
+            asn=asn)
+
+    def _split_by_as(self, changes: list[AddressChange],
+                     entries: list[ConnectionLogEntry]
+                     ) -> tuple[list[AddressChange], bool, int | None]:
+        """Partition changes into within-AS and cross-AS (Section 3.3)."""
+        within: list[AddressChange] = []
+        multi_as = False
+        for change in changes:
+            old_asn = self._ip2as.origin_asn(change.old_address, change.time)
+            new_asn = self._ip2as.origin_asn(change.new_address, change.time)
+            if old_asn is not None and new_asn is not None \
+                    and old_asn != new_asn:
+                multi_as = True
+            else:
+                within.append(change)
+        asn: int | None = None
+        if not multi_as:
+            first_v4 = next((e for e in entries if not e.is_ipv6), None)
+            if first_v4 is not None:
+                asn = self._ip2as.origin_asn(first_v4.address, first_v4.start)
+        return within, multi_as, asn
+
+
+#: Categories whose verdicts carry entry lists; every other category
+#: stores ``entries=[]`` by construction.
+_ENTRY_CATEGORIES = (ProbeCategory.TESTING_ONLY, ProbeCategory.NEVER_CHANGED,
+                     ProbeCategory.ANALYZABLE)
+
+
+def restore_entries(report: FilterReport,
+                    connlog: ConnectionLog) -> FilterReport:
+    """Rebuild the entry lists a slim (entry-stripped) report dropped.
+
+    A verdict's entries are always ``strip_testing_entry`` of the probe's
+    connection-log entries, so a slim report plus the log reconstructs
+    the fat report the record kernels read.  Mutates ``report`` in place
+    and returns it.
+    """
+    for verdict in report.verdicts.values():
+        if verdict.category in _ENTRY_CATEGORIES and not verdict.entries:
+            verdict.entries, _ = strip_testing_entry(
+                connlog.entries(verdict.probe_id), TESTING_ADDRESS)
+    return report
+
+
+def stage_filter(connlog: ConnectionLog, archive: ProbeArchive,
+                 ip2as: IpToAsDataset,
+                 min_connected: float = 30 * DAY) -> FilterReport:
+    """Stage ``filter``: classify every probe (Table 2)."""
+    return ProbeFilter(connlog, archive, ip2as,
+                       min_connected=min_connected).run()
+
+
+# -- stage ``spans`` ----------------------------------------------------------
+
+def probe_spans(entries) -> tuple[list[AddressSpan], list[float]]:
+    """Per-probe kernel for stage ``spans``: spans and known durations."""
+    spans = extract_spans(entries)
+    return spans, known_durations(spans)
+
+
+def stage_spans(filter_report: FilterReport
+                ) -> tuple[dict[int, list[AddressSpan]],
+                           dict[int, list[float]]]:
+    """Stage ``spans``: address spans/durations per geography probe."""
+    spans_by_probe: dict[int, list[AddressSpan]] = {}
+    durations_by_probe: dict[int, list[float]] = {}
+    for probe_id in filter_report.analyzable_geo():
+        spans, durations = probe_spans(filter_report.verdicts[probe_id].entries)
+        spans_by_probe[probe_id] = spans
+        if durations:
+            durations_by_probe[probe_id] = durations
+    return spans_by_probe, durations_by_probe
+
+
+# -- stage ``reboots`` --------------------------------------------------------
+
+def stage_reboots(uptime: UptimeDataset
+                  ) -> tuple[dict[int, int], list[int], dict[int, list]]:
+    """Stage ``reboots``: day counts, firmware days, filtered reboots."""
+    return aggregate_reboots(detect_all_reboots(uptime))
+
+
+# -- stage ``gaps`` -----------------------------------------------------------
+
+def probe_gap_events(entries, series, reboots) -> list[GapEvent]:
+    """Per-probe kernel for stage ``gaps``: classify one probe's gaps."""
+    return associate_probe_gaps(entries, series, reboots)
+
+
+def stage_gaps(filter_report: FilterReport, kroot: KRootDataset,
+               filtered_reboots: Mapping[int, list]
+               ) -> dict[int, list[GapEvent]]:
+    """Stage ``gaps``: associate connection gaps with observed outages."""
+    gap_events_by_probe: dict[int, list[GapEvent]] = {}
+    for probe_id in ordered(filter_report.analyzable_as()):
+        if not kroot.has_probe(probe_id):
+            continue
+        gap_events_by_probe[probe_id] = probe_gap_events(
+            filter_report.verdicts[probe_id].entries, kroot.series(probe_id),
+            filtered_reboots.get(probe_id, []))
+    return gap_events_by_probe
+
+
+# -- whole runs ---------------------------------------------------------------
+
+def oracle_results(bundle, min_connected: float | None = None
+                   ) -> AnalysisResults:
+    """The full analysis of a loaded bundle through the record kernels.
+
+    The non-hot stages (``changes``, ``stats``, ``v3``) are shared with
+    production: they have only one implementation.
+    """
+    if min_connected is None:
+        min_connected = default_min_connected(bundle.start, bundle.end)
+    filter_report = stage_filter(bundle.connlog, bundle.archive,
+                                 bundle.ip2as, min_connected=min_connected)
+    spans_by_probe, durations_by_probe = stage_spans(filter_report)
+    changes_by_probe, asn_by_probe = stage_changes(filter_report)
+    day_counts, firmware_days, filtered_reboots = stage_reboots(
+        bundle.uptime)
+    gap_events_by_probe = stage_gaps(filter_report, bundle.kroot,
+                                     filtered_reboots)
+    return AnalysisResults(
+        filter_report=filter_report,
+        archive=bundle.archive,
+        ip2as=bundle.ip2as,
+        as_names=dict(bundle.as_names),
+        as_countries=dict(bundle.as_countries),
+        spans_by_probe=spans_by_probe,
+        durations_by_probe=durations_by_probe,
+        changes_by_probe=changes_by_probe,
+        asn_by_probe=asn_by_probe,
+        gap_events_by_probe=gap_events_by_probe,
+        stats_by_probe=stage_stats(gap_events_by_probe),
+        reboot_day_counts=day_counts,
+        firmware_days=firmware_days,
+        _v3_probes=stage_v3(asn_by_probe, bundle.archive),
+    )
+
+
+def oracle_digest(bundle) -> str:
+    """``results_digest`` of :func:`oracle_results`."""
+    return results_digest(oracle_results(bundle))

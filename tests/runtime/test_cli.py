@@ -40,6 +40,16 @@ def test_run_rejects_missing_bundle(tmp_path, capsys):
     assert "meta.json" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--legacy-kernels", "--no-supervise"])
+def test_removed_execution_modes_rejected(flag, capsys):
+    # One kernel path and one fan-out path: the flags that selected the
+    # record kernels and the unsupervised pool are gone.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--list-stages", flag])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
 def test_clear_cache_requires_cache_dir(capsys):
     assert main(["--clear-cache"]) == 2
     assert "--cache-dir" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from repro.runtime import (
     runner_for_world,
 )
 from repro.runtime.stages import cacheable_stages
+from repro.runtime.workers import WorkerContext
 from repro.sim.io import load_bundle
 
 pytestmark = pytest.mark.runtime
@@ -128,3 +129,11 @@ def test_config_rejects_bad_values():
         RuntimeConfig(jobs=0)
     with pytest.raises(ValueError, match="shards"):
         RuntimeConfig(shards=0)
+
+
+def test_worker_context_rejects_record_kernels(bundle):
+    with pytest.raises(ValueError, match="columnar"):
+        WorkerContext(connlog=bundle.connlog, archive=bundle.archive,
+                      ip2as=bundle.ip2as, kroot=bundle.kroot,
+                      uptime=bundle.uptime, min_connected=0.0,
+                      columnar=False)

@@ -20,9 +20,6 @@ from hypothesis import strategies as st
 from repro.util import colpack
 from repro.util.colpack import ColpackError
 
-pytestmark = pytest.mark.skipif(not colpack.HAVE_NUMPY,
-                                reason="colpack requires numpy")
-
 #: Every dtype kind the format allows, at a few widths.
 DTYPES = ("int8", "int16", "int32", "int64",
           "uint8", "uint16", "uint32", "uint64",
