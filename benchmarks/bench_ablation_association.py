@@ -8,8 +8,10 @@ inflating the power count with events the network data already explains.
 """
 
 from repro.core.association import GapCause
+from repro.core.changes import strip_testing_entry
 from repro.core.outages import detect_network_outages
 from repro.core.association import WINDOW_MARGIN, _missing_rounds_around
+from repro.net.ipv4 import TESTING_ADDRESS
 
 
 def reboot_first_cause(entries, series, reboots):
@@ -53,10 +55,10 @@ def test_ablation_association_priority(world, results, benchmark):
     def run_naive():
         counts = {GapCause.NETWORK: 0, GapCause.POWER: 0, GapCause.NONE: 0}
         for pid in probe_ids:
-            verdict = results.filter_report.verdicts[pid]
+            entries, _ = strip_testing_entry(world.connlog.entries(pid),
+                                             TESTING_ADDRESS)
             causes = reboot_first_cause(
-                verdict.entries, world.kroot.series(pid),
-                filtered.get(pid, []))
+                entries, world.kroot.series(pid), filtered.get(pid, []))
             for cause in causes:
                 counts[cause] += 1
         return counts

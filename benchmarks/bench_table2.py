@@ -1,8 +1,8 @@
 """Table 2: probe filtering summary.
 
 Times the full filtering stage over the shared world — the production
-columnar classifier, including building the connection log's columnar
-view — and checks the population proportions track the paper's Table 2:
+columnar classifier over the connection log's columns — and checks
+the population proportions track the paper's Table 2:
 dual-stack is the largest filtered class, IPv6/tags/testing are small,
 and the AS-level population is the analyzable population minus the
 multi-AS probes.
@@ -16,7 +16,7 @@ from repro.core.report import render_table2
 def test_table2_probe_filtering(world, benchmark):
     def run_filter():
         return stage_filter_col(ColumnarConnlog.from_connlog(world.connlog),
-                                world.connlog, world.archive, world.ip2as)
+                                world.archive, world.ip2as)
 
     report = benchmark.pedantic(run_filter, rounds=1, iterations=1)
     rows = dict(report.table2_rows())

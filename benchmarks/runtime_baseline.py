@@ -13,7 +13,12 @@ end-to-end analysis wall time over the paper scenario for:
 * ``distributed`` — loopback coordinator plus 2 socket workers
   (``repro-dist``), recorded in its own section and tagged
   ``oversubscribed`` when the workers outnumber the cpus (the wall time
-  then measures protocol overhead plus time-slicing, not scale-out).
+  then measures protocol overhead plus time-slicing, not scale-out);
+* ``ingest``    — ``load_bundle`` of the written bundle (best of N), with
+  the records it presented per second.  Its ratio to the serial analysis
+  is gated by ``--ingest-ratio-limit`` (default 1.5): a ratio of two
+  timings on the same host, unlike raw seconds, survives noisy CI
+  runners.
 
 The ``jobs`` section records both the *requested* and the *effective*
 worker counts — the effective number is what every parallel/cache run
@@ -54,6 +59,7 @@ from repro.runtime.stages import STAGES
 from repro.sim.io import load_bundle, write_world
 from repro.sim.scenario import paper_scenario
 from repro.sim.world import build_world
+from repro.util.ingest import IngestReport
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,6 +95,27 @@ def _best_timed_run(bundle, make_config, repeat: int):
             best_s = seconds
         last_runner = runner
     return best_s, digest, last_runner
+
+
+def _best_timed_load(directory: Path, repeat: int):
+    """Best-of-``repeat`` ``load_bundle`` wall time, the bundle it
+    loaded and the number of records it presented."""
+    best_s, bundle, records = None, None, 0
+    for _ in range(max(1, repeat)):
+        report = IngestReport()
+        started = time.perf_counter()
+        bundle = load_bundle(directory, report=report)
+        seconds = time.perf_counter() - started
+        records = sum(row.total for row in report.datasets())
+        if best_s is None or seconds < best_s:
+            best_s = seconds
+    return best_s, bundle, records
+
+
+def _ingest_entry(seconds: float, records: int, serial_s: float) -> dict:
+    return {"seconds": round(seconds, 3), "records": records,
+            "records_per_sec": round(records / seconds, 1),
+            "vs_serial_ratio": round(seconds / serial_s, 2)}
 
 
 def _timed_dist_run(bundle, workers: int = 2):
@@ -131,6 +158,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="fail if cold-cache wall time exceeds this "
                              "multiple of serial (default %(default)s; "
                              "0 disables)")
+    parser.add_argument("--ingest-ratio-limit", type=float, default=1.5,
+                        help="fail if loading the bundle takes more than "
+                             "this multiple of the serial analysis "
+                             "(default %(default)s; 0 disables)")
     parser.add_argument("--min-serial-rps", type=float, default=None,
                         help="fail if serial records/sec falls below this "
                              "floor (default: no floor)")
@@ -160,7 +191,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as tmp:
         write_world(world, Path(tmp) / "bundle")
-        bundle = load_bundle(Path(tmp) / "bundle")
+        print("timing ingest (load_bundle, best of %d)..." % args.repeat,
+              file=sys.stderr)
+        ingest_s, bundle, ingest_records = _best_timed_load(
+            Path(tmp) / "bundle", args.repeat)
 
         print("timing serial (jobs=1, best of %d)..." % args.repeat,
               file=sys.stderr)
@@ -176,6 +210,14 @@ def main(argv: list[str] | None = None) -> int:
             raise AssertionError(
                 "serial throughput regressed: %.1f records/sec < floor %.1f"
                 % (serial_rps, args.min_serial_rps))
+        ingest = _ingest_entry(ingest_s, ingest_records, serial_s)
+        if (args.ingest_ratio_limit
+                and ingest["vs_serial_ratio"] > args.ingest_ratio_limit):
+            raise AssertionError(
+                "ingest regressed: loading the bundle took %.3fs, %.2fx the "
+                "serial analysis (%.3fs); limit is %.2fx"
+                % (ingest_s, ingest["vs_serial_ratio"], serial_s,
+                   args.ingest_ratio_limit))
 
         if args.serial_only:
             payload = {
@@ -192,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
                 "seconds": {"serial": round(serial_s, 3)},
                 "records_per_sec": {"records": records,
                                     "serial": round(serial_rps, 1)},
+                "ingest": ingest,
             }
             Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
             print("wrote %s (serial %.3fs, %.1f records/sec)"
@@ -300,6 +343,7 @@ def main(argv: list[str] | None = None) -> int:
                 "cold_cache": round(records / cold_s, 1),
                 "warm_cache": round(records / warm_s, 1)},
             "cold_vs_serial_ratio": round(cold_s / serial_s, 2),
+            "ingest": ingest,
             "speedup_vs_serial": {
                 "parallel": (None if parallel_s is None
                              else round(serial_s / parallel_s, 2)),

@@ -14,9 +14,11 @@ Run with::
 """
 
 from repro.core.association import GapCause, associate_probe_gaps
+from repro.core.changes import strip_testing_entry
 from repro.core.pipeline import pipeline_for_world
 from repro.core.reboots import detect_reboots
 from repro.experiments.scenarios import small_world
+from repro.net.ipv4 import TESTING_ADDRESS
 from repro.util import timeutil
 
 
@@ -33,7 +35,9 @@ def main() -> None:
     truth = world.truth[probe_id]
     print("Probe %d (ISP: %s)\n" % (probe_id, truth.isp_names[0]))
 
-    entries = results.filter_report.verdicts[probe_id].entries
+    # The probe's connections, minus the RIPE testing entry (Section 3.3).
+    entries, _ = strip_testing_entry(world.connlog.entries(probe_id),
+                                     TESTING_ADDRESS)
     series = world.kroot.series(probe_id)
     reboots = detect_reboots(world.uptime.records(probe_id))
     events = associate_probe_gaps(entries, series, reboots)

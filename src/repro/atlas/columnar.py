@@ -1,11 +1,14 @@
-"""Columnar (structure-of-arrays) views of the hot Atlas datasets.
+"""Columnar (structure-of-arrays) storage of the hot Atlas datasets.
 
-The per-record dataclass containers (:class:`~repro.atlas.connlog
-.ConnectionLog`, :class:`~repro.atlas.sosuptime.UptimeDataset`) are the
-source of truth; these classes are derived, array-backed *views* the
-vectorized stage kernels (:mod:`repro.core.colkernels`) operate on.
-Layout is CSR-style: one row per probe in sorted-id order, with
-``offsets[i]:offsets[i+1]`` slicing the flat per-entry columns.
+These columns are the source of truth: the dataset containers
+(:class:`~repro.atlas.connlog.ConnectionLog`,
+:class:`~repro.atlas.sosuptime.UptimeDataset`) hold one of these, their
+readers parse text straight into it, and the vectorized stage kernels
+(:mod:`repro.core.colkernels`) operate on it.  Record objects
+(``ConnectionLogEntry``/``UptimeRecord``) are lazy views the containers
+build on demand.  Layout is CSR-style: one row per probe in sorted-id
+order, with ``offsets[i]:offsets[i+1]`` slicing the flat per-entry
+columns.
 
 Invariants (DESIGN.md §16):
 
@@ -14,7 +17,16 @@ Invariants (DESIGN.md §16):
 * within a probe's slice, entries keep the container's time order;
 * ``addrs[k]`` is the IPv4 address as a host-order ``uint32`` and is 0
   where ``v6[k]`` is set — IPv6 payloads (textual addresses) stay in
-  the record containers, the kernels only need the *flag*.
+  the connection log's row-to-text map, the kernels only need the
+  *flag*.
+
+The columns are never mutated once built; a container that receives
+new records builds a new instance.
+
+The module also holds the row-assembly steps both readers share: the
+STRICT and REPAIR groupings (:func:`strict_order`, :func:`repair_order`)
+and the CSR build over grouped rows (:meth:`_ProbeIndexed.from_grouped`,
+:func:`staged_probes`).
 """
 
 from __future__ import annotations
@@ -28,15 +40,83 @@ from repro.util import colpack
 if TYPE_CHECKING:  # pragma: no cover
     from repro.atlas.connlog import ConnectionLog
     from repro.atlas.sosuptime import UptimeDataset
+    from repro.util.ingest import IngestReport
+
+
+def group_heads(probe) -> np.ndarray:
+    """Indexes of the first row of each probe, over rows grouped by probe."""
+    head = np.ones(len(probe), dtype=bool)
+    head[1:] = probe[1:] != probe[:-1]
+    return np.flatnonzero(head)
+
+
+def staged_probes(staged: dict) -> np.ndarray:
+    """The probe id of every row staged per probe, probes in id order."""
+    probe_ids = sorted(staged)
+    return np.repeat(np.asarray(probe_ids, dtype=np.int64),
+                     np.asarray([len(staged[pid]) for pid in probe_ids],
+                                dtype=np.int64))
+
+
+def strict_order(probe, key, bound, report: "IngestReport", dataset: str,
+                 fail) -> np.ndarray:
+    """Group rows by probe in input order, as a line-by-line STRICT read.
+
+    A row whose ``key`` is below the ``bound`` of the previous row of its
+    probe is out of order.  The earliest such row (in input order) fails
+    the read: the rows before it were accepted and count as parsed, then
+    ``fail(row)`` is raised.  Otherwise every row counts as parsed and
+    the stable by-probe order is returned.
+    """
+    order = np.argsort(probe, kind="stable")
+    same = probe[order][1:] == probe[order][:-1]
+    bad = same & (key[order][1:] < bound[order][:-1])
+    if bad.any():
+        first = int(order[1:][bad].min())
+        if first:
+            report.parsed(dataset, first)
+        raise fail(first)
+    if len(order):
+        report.parsed(dataset, len(order))
+    return order
+
+
+def repair_order(probe, *keys) -> tuple[np.ndarray, np.ndarray]:
+    """REPAIR grouping: rows sorted by probe, then by ``keys`` in turn.
+
+    Ties keep input order.  Returns ``(order, displaced)``, where
+    ``displaced[k]`` is set when sorting moved a row to position ``k``:
+    the probe's input order and sorted order disagree there.
+    """
+    rank = np.arange(len(probe))
+    order = np.lexsort((rank,) + keys[::-1] + (probe,))
+    return order, order != np.argsort(probe, kind="stable")
+
 
 class _ProbeIndexed:
-    """Shared CSR plumbing: sorted probe ids + offsets into flat columns."""
+    """Shared CSR plumbing: sorted probe ids + offsets into flat columns.
+
+    Pickles as its columns only (worker contexts ship the containers to
+    spawned processes); derived and memoized state is rebuilt.
+    """
 
     def __init__(self, probe_ids, offsets) -> None:
         self.probe_ids = probe_ids
         self.offsets = offsets
         self._row: dict[int, int] = {
             int(pid): row for row, pid in enumerate(probe_ids.tolist())}
+
+    @classmethod
+    def from_grouped(cls, probe, **columns):
+        """An instance over rows grouped by ascending probe id.
+
+        ``probe`` holds each row's probe id; ``columns`` are the flat
+        per-row columns in the same order.
+        """
+        heads = group_heads(probe)
+        return cls(probe_ids=probe[heads].astype(np.int64),
+                   offsets=np.append(heads, len(probe)).astype(np.int64),
+                   **columns)
 
     def __len__(self) -> int:
         return len(self.probe_ids)
@@ -49,10 +129,16 @@ class _ProbeIndexed:
         row = self._row[probe_id]
         return int(self.offsets[row]), int(self.offsets[row + 1])
 
+    def __getstate__(self) -> dict:
+        return self.to_columns()[1]
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
 
 @colpack.register
 class ColumnarConnlog(_ProbeIndexed):
-    """Array-backed view of a :class:`ConnectionLog`."""
+    """The columns of a :class:`ConnectionLog`."""
 
     __columnar__ = "connlog-columnar"
 
@@ -68,31 +154,8 @@ class ColumnarConnlog(_ProbeIndexed):
 
     @classmethod
     def from_connlog(cls, connlog: "ConnectionLog") -> "ColumnarConnlog":
-        """Build the columnar view (one pass over the record container)."""
-        probe_ids = connlog.probe_ids()
-        offsets = [0]
-        starts: list[float] = []
-        ends: list[float] = []
-        addrs: list[int] = []
-        v6: list[int] = []
-        for probe_id in probe_ids:
-            for entry in connlog.entries(probe_id):
-                starts.append(entry.start)
-                ends.append(entry.end)
-                if entry.is_ipv6:
-                    addrs.append(0)
-                    v6.append(1)
-                else:
-                    addrs.append(entry.address.value)
-                    v6.append(0)
-            offsets.append(len(starts))
-        return cls(
-            probe_ids=np.asarray(probe_ids, dtype=np.int64),
-            offsets=np.asarray(offsets, dtype=np.int64),
-            starts=np.asarray(starts, dtype=np.float64),
-            ends=np.asarray(ends, dtype=np.float64),
-            addrs=np.asarray(addrs, dtype=np.uint32),
-            v6=np.asarray(v6, dtype=np.uint8))
+        """The log's sealed columns (no copy)."""
+        return connlog.columns()
 
     @property
     def entry_count(self) -> int:
@@ -145,7 +208,7 @@ class ColumnarConnlog(_ProbeIndexed):
 
 @colpack.register
 class ColumnarUptime(_ProbeIndexed):
-    """Array-backed view of an :class:`UptimeDataset`."""
+    """The columns of an :class:`UptimeDataset`."""
 
     __columnar__ = "uptime-columnar"
 
@@ -156,20 +219,8 @@ class ColumnarUptime(_ProbeIndexed):
 
     @classmethod
     def from_uptime(cls, uptime: "UptimeDataset") -> "ColumnarUptime":
-        probe_ids = uptime.probe_ids()
-        offsets = [0]
-        timestamps: list[float] = []
-        uptimes: list[float] = []
-        for probe_id in probe_ids:
-            for record in uptime.records(probe_id):
-                timestamps.append(record.timestamp)
-                uptimes.append(record.uptime)
-            offsets.append(len(timestamps))
-        return cls(
-            probe_ids=np.asarray(probe_ids, dtype=np.int64),
-            offsets=np.asarray(offsets, dtype=np.int64),
-            timestamps=np.asarray(timestamps, dtype=np.float64),
-            uptimes=np.asarray(uptimes, dtype=np.float64))
+        """The dataset's sealed columns (no copy)."""
+        return uptime.columns()
 
     def to_columns(self):
         return {}, {"probe_ids": self.probe_ids, "offsets": self.offsets,

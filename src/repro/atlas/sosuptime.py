@@ -4,19 +4,34 @@ Probes report their uptime counter — seconds since boot — every time they
 establish a new TCP connection to the controller.  A counter value smaller
 than the previous one means the probe rebooted; the reboot instant is the
 report timestamp minus the counter value (the paper's Table 4 example).
+
+:class:`UptimeDataset` holds the reports as columns
+(:class:`~repro.atlas.columnar.ColumnarUptime`) and builds
+:class:`~repro.atlas.types.UptimeRecord` objects only on demand.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, TextIO
 
+import numpy as np
+
+from repro.atlas.columnar import (
+    ColumnarUptime,
+    repair_order,
+    staged_probes,
+    strict_order,
+)
 from repro.atlas.types import UptimeRecord
 from repro.errors import DatasetError, ParseError
 from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
     format_line_error,
+    parse_finite,
+    parse_probe_id,
 )
+from repro.util.tsvscan import TsvScan
 
 #: Dataset label used in ingest accounting and diagnostics.
 DATASET_NAME = "uptime"
@@ -28,46 +43,84 @@ UPTIME_WRAP_MODULUS = float(2 ** 32)
 
 
 class UptimeDataset:
-    """Per-probe, time-ordered SOS-uptime records."""
+    """Per-probe, time-ordered SOS-uptime records, held as columns.
+
+    Staging, sealing and unsealing work as in
+    :class:`~repro.atlas.connlog.ConnectionLog`.
+    """
 
     def __init__(self, records: Iterable[UptimeRecord] = ()) -> None:
-        self._by_probe: dict[int, list[UptimeRecord]] = {}
+        self._columns: ColumnarUptime | None = None
+        #: Staged ``(timestamp, uptime)`` rows by probe.
+        self._staged: dict[int, list[tuple[float, float]]] = {}
         for record in records:
             self.add(record)
 
     def add(self, record: UptimeRecord) -> None:
         """Append a record, enforcing per-probe time order."""
-        log = self._by_probe.setdefault(record.probe_id, [])
-        if log and record.timestamp < log[-1].timestamp:
+        if self._columns is not None:
+            self._unseal()
+        log = self._staged.setdefault(record.probe_id, [])
+        if log and record.timestamp < log[-1][0]:
             raise DatasetError(
                 "probe %d: uptime record at %s out of order"
                 % (record.probe_id, record.timestamp)
             )
-        log.append(record)
+        log.append((record.timestamp, record.uptime))
+
+    def columns(self) -> ColumnarUptime:
+        """The sealed columns (sealing staged records first)."""
+        if self._columns is None:
+            rows = [row for pid in sorted(self._staged)
+                    for row in self._staged[pid]]
+            timestamps, uptimes = zip(*rows) if rows else ((), ())
+            self._columns = ColumnarUptime.from_grouped(
+                staged_probes(self._staged),
+                timestamps=np.asarray(timestamps, dtype=np.float64),
+                uptimes=np.asarray(uptimes, dtype=np.float64))
+            self._staged = {}
+        return self._columns
+
+    def _unseal(self) -> None:
+        col = self._columns
+        rows = list(zip(col.timestamps.tolist(), col.uptimes.tolist()))
+        offsets = col.offsets.tolist()
+        self._staged = {pid: rows[offsets[index]:offsets[index + 1]]
+                        for index, pid in enumerate(col.probe_ids.tolist())}
+        self._columns = None
 
     def probe_ids(self) -> list[int]:
         """All probe ids present, sorted."""
-        return sorted(self._by_probe)
+        return self.columns().probe_ids.tolist()
 
     def records(self, probe_id: int) -> list[UptimeRecord]:
-        """All records for a probe in time order."""
-        return list(self._by_probe.get(probe_id, ()))
+        """All records for a probe in time order (built on every call)."""
+        col = self.columns()
+        if not col.has_probe(probe_id):
+            return []
+        lo, hi = col.slice_of(probe_id)
+        return [UptimeRecord(probe_id, timestamp, uptime)
+                for timestamp, uptime in zip(col.timestamps[lo:hi].tolist(),
+                                             col.uptimes[lo:hi].tolist())]
 
     def records_in(self, probe_id: int, window_start: float,
                    window_end: float) -> list[UptimeRecord]:
         """Records with timestamps inside ``[window_start, window_end)``."""
-        return [r for r in self._by_probe.get(probe_id, ())
+        return [r for r in self.records(probe_id)
                 if window_start <= r.timestamp < window_end]
 
     def __iter__(self) -> Iterator[UptimeRecord]:
         for probe_id in self.probe_ids():
-            yield from self._by_probe[probe_id]
+            yield from self.records(probe_id)
 
     def write(self, stream: TextIO) -> None:
         """Serialize as ``probe_id<TAB>timestamp<TAB>uptime`` lines."""
-        for record in self:
-            stream.write("%d\t%.0f\t%.0f\n"
-                         % (record.probe_id, record.timestamp, record.uptime))
+        col = self.columns()
+        probe_of_row = np.repeat(col.probe_ids, np.diff(col.offsets))
+        for probe_id, timestamp, uptime in zip(probe_of_row.tolist(),
+                                               col.timestamps.tolist(),
+                                               col.uptimes.tolist()):
+            stream.write("%d\t%.0f\t%.0f\n" % (probe_id, timestamp, uptime))
 
     @staticmethod
     def _parse_line(text: str) -> UptimeRecord:
@@ -77,8 +130,9 @@ class UptimeDataset:
             raise ParseError("expected 3 fields, got %d" % len(fields))
         try:
             # UptimeRecord itself rejects negative counters (ParseError).
-            return UptimeRecord(int(fields[0]), float(fields[1]),
-                                float(fields[2]))
+            return UptimeRecord(parse_probe_id(fields[0]),
+                                parse_finite(fields[1]),
+                                parse_finite(fields[2]))
         except ValueError:
             raise ParseError("malformed numbers") from None
 
@@ -93,12 +147,27 @@ class UptimeDataset:
         out-of-order records; ``REPAIR`` quarantines garbage, unwraps
         counters modulo 2**32 and re-sorts per-probe timestamps,
         accounting every decision in ``report``.
+
+        Plain lines with in-range counters are converted a whole column
+        at a time (:class:`~repro.util.tsvscan.TsvScan`); every other
+        line goes through :meth:`_parse_line`, in file order.
         """
         source = source or getattr(stream, "name", "<uptime>")
         report = report if report is not None else IngestReport()
-        rows: list[tuple[int, UptimeRecord]] = []
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
+        scan = TsvScan(stream.read(), 3)
+        probe, ok = scan.decimal(0, 18)
+        stamp, stamp_ok = scan.decimal(1, 15)
+        uptime, uptime_ok = scan.decimal(2, 15)
+        ok &= stamp_ok & uptime_ok & (uptime < 2 ** 32)
+        # Per row: its line number, negated for a counter-wrap repair
+        # (already accounted, so assembly does not count it again).
+        lines = [scan.rows[ok] + 1]
+        columns = [(probe[ok], stamp[ok].astype(np.float64),
+                    uptime[ok].astype(np.float64))]
+        extra: list[tuple[int, UptimeRecord]] = []
+        for index in scan.other_lines(scan.rows[ok]).tolist():
+            line_number = index + 1
+            text = scan.line(index).strip()
             if not text or text.startswith("#"):
                 continue
             try:
@@ -121,49 +190,52 @@ class UptimeDataset:
                                       record.uptime % UPTIME_WRAP_MODULUS)
                 report.repaired(DATASET_NAME, source, line_number,
                                 "wrapped uptime counter reduced modulo 2**32")
-                rows.append((-line_number, record))
-                continue
-            rows.append((line_number, record))
+                line_number = -line_number
+            extra.append((line_number, record))
+        if extra:
+            lines.append(np.asarray([n for n, _ in extra], dtype=np.int64))
+            columns.append((
+                np.asarray([r.probe_id for _, r in extra], dtype=np.int64),
+                np.asarray([r.timestamp for _, r in extra], dtype=np.float64),
+                np.asarray([r.uptime for _, r in extra], dtype=np.float64)))
+        line = np.concatenate(lines)
+        by_line = np.argsort(np.abs(line), kind="stable")
+        line = line[by_line]
+        probe, stamp, uptime = (np.concatenate(column)[by_line]
+                                for column in zip(*columns))
         if policy is ReadPolicy.STRICT:
-            dataset = cls()
-            for line_number, record in rows:
-                try:
-                    dataset.add(record)
-                except DatasetError as error:
-                    raise DatasetError(
-                        format_line_error(source, line_number, error)
-                    ) from None
-                report.parsed(DATASET_NAME)
-            return dataset
-        return cls._assemble_repaired(rows, report, source)
+            order = strict_order(
+                probe, stamp, stamp, report, DATASET_NAME,
+                lambda row: DatasetError(format_line_error(
+                    source, int(line[row]),
+                    "probe %d: uptime record at %s out of order"
+                    % (int(probe[row]), float(stamp[row])))))
+        else:
+            order = cls._repair_order(line, probe, stamp, report, source)
+        dataset = cls()
+        dataset._columns = ColumnarUptime.from_grouped(
+            probe[order], timestamps=stamp[order], uptimes=uptime[order])
+        return dataset
 
-    @classmethod
-    def _assemble_repaired(cls, rows: list[tuple[int, UptimeRecord]],
-                           report: IngestReport,
-                           source: str) -> "UptimeDataset":
+    @staticmethod
+    def _repair_order(line, probe, stamp, report: IngestReport,
+                      source: str):
         """REPAIR assembly: sort timestamps per probe, count re-orderings.
 
+        A record is displaced (repaired) when sorting moved it: the
+        probe's file order and sorted order disagree at its position.
         Rows carrying a negative line number were already accounted as
         repaired (counter unwrap) and are not double-counted.
         """
-        by_probe: dict[int, list[tuple[int, UptimeRecord]]] = {}
-        for line_number, record in rows:
-            by_probe.setdefault(record.probe_id, []).append((line_number,
-                                                             record))
-        dataset = cls()
-        for probe_id in sorted(by_probe):
-            items = by_probe[probe_id]
-            ordered = sorted(items, key=lambda item: item[1].timestamp)
-            displaced = {ordered[i][0] for i in range(len(items))
-                         if ordered[i][0] != items[i][0]}
-            for line_number, record in ordered:
-                dataset.add(record)
-                if line_number < 0:
-                    continue  # already accounted as a counter-wrap repair
-                if line_number in displaced:
-                    report.repaired(
-                        DATASET_NAME, source, line_number,
-                        "probe %d: out-of-order record re-sorted" % probe_id)
-                else:
-                    report.parsed(DATASET_NAME)
-        return dataset
+        order, displaced = repair_order(probe, stamp)
+        counted = line[order] > 0
+        displaced &= counted
+        for at in np.flatnonzero(displaced).tolist():
+            report.repaired(
+                DATASET_NAME, source, int(line[order[at]]),
+                "probe %d: out-of-order record re-sorted"
+                % int(probe[order[at]]))
+        parsed = int(np.count_nonzero(counted & ~displaced))
+        if parsed:
+            report.parsed(DATASET_NAME, parsed)
+        return order

@@ -48,7 +48,7 @@ from repro.core.filtering import (
     ProbeVerdict,
 )
 from repro.core.reboots import Reboot
-from repro.net.ipv4 import TESTING_ADDRESS
+from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
 from repro.net.pfx2as import UNROUTED, IpToAsDataset, Pfx2AsSnapshot
 from repro.util import timeutil
 
@@ -108,16 +108,15 @@ def _batch_origin_asns(ip2as: IpToAsDataset, addr_values: Sequence[int],
 
 # -- stage ``filter`` ---------------------------------------------------------
 
-def classify_probes(col: ColumnarConnlog, connlog, archive,
-                    ip2as: IpToAsDataset, min_connected: float,
-                    probe_ids: Sequence[int] | None = None,
-                    with_entries: bool = True) -> dict[int, ProbeVerdict]:
+def classify_probes(col: ColumnarConnlog, archive, ip2as: IpToAsDataset,
+                    min_connected: float,
+                    probe_ids: Sequence[int] | None = None
+                    ) -> dict[int, ProbeVerdict]:
     """Classify many probes (Table 2), in the precedence order documented
     in :mod:`repro.core.filtering`.
 
-    ``with_entries=False`` leaves ``verdict.entries`` empty (the slim
-    IPC form shard payloads use); the spans and gaps kernels read the
-    columns, never the entry lists.
+    Verdicts are slim: ``verdict.entries`` stays empty.  Change endpoints
+    are built from the address column, one :class:`IPv4Address` per run.
     """
     if probe_ids is None:
         pids = col.probe_ids.tolist()
@@ -128,7 +127,7 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     v6_cumsum = np.concatenate((np.zeros(1, dtype=np.int64),
                                 np.cumsum(col.v6, dtype=np.int64)))
     verdicts: dict[int, ProbeVerdict] = {}
-    pending: list[tuple[int, list, list]] = []
+    pending: list[tuple[int, list, int]] = []
     lookup_addrs: list[int] = []
     lookup_times: list[float] = []
     for pid in pids:
@@ -154,30 +153,28 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
                 verdicts[pid] = ProbeVerdict(pid, ProbeCategory.MULTIHOMED)
                 continue
         slo = _strip_offset(col, lo, hi)
-        entries = connlog.entries(pid)
-        if slo > lo:
-            entries = entries[1:]
-        change_at = (np.nonzero(run_starts[slo + 1:hi])[0] + 1).tolist()
+        change_at = (np.nonzero(run_starts[slo + 1:hi])[0]
+                     + (slo + 1)).tolist()
         if not change_at:
             category = (ProbeCategory.TESTING_ONLY if slo > lo
                         else ProbeCategory.NEVER_CHANGED)
-            verdicts[pid] = ProbeVerdict(
-                pid, category, entries=entries if with_entries else [])
+            verdicts[pid] = ProbeVerdict(pid, category)
             continue
-        changes: list[AddressChange] = []
-        for at in change_at:
-            previous = entries[at - 1]
-            current = entries[at]
-            changes.append(AddressChange(pid, previous.address,
-                                         current.address, previous.end,
-                                         current.start))
-            lookup_addrs.append(previous.address.value)
-            lookup_times.append(current.start)
-            lookup_addrs.append(current.address.value)
-            lookup_times.append(current.start)
+        values = col.addrs[[slo] + change_at].tolist()
+        ends = col.ends[[at - 1 for at in change_at]].tolist()
+        starts = col.starts[change_at].tolist()
+        # Consecutive runs: each change's new address is the next one's old.
+        runs = [IPv4Address(value) for value in values]
+        changes = [AddressChange(pid, runs[k], runs[k + 1], ends[k],
+                                 starts[k]) for k in range(len(change_at))]
+        for k, start in enumerate(starts):
+            lookup_addrs.append(values[k])
+            lookup_times.append(start)
+            lookup_addrs.append(values[k + 1])
+            lookup_times.append(start)
         # Placeholder keeps dict order; the AS split fills it in below.
         verdicts[pid] = ProbeVerdict(pid, ProbeCategory.ANALYZABLE)
-        pending.append((pid, entries, changes))
+        pending.append((pid, changes, slo))
 
     if not pending:
         return verdicts
@@ -185,8 +182,8 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
     cursor = 0
     first_addrs: list[int] = []
     first_times: list[float] = []
-    resolved: list[tuple[int, list, list, list, bool]] = []
-    for pid, entries, changes in pending:
+    resolved: list[tuple[int, list, list, bool]] = []
+    for pid, changes, slo in pending:
         span = asns[cursor:cursor + 2 * len(changes)]
         cursor += 2 * len(changes)
         old_asns = span[0::2]
@@ -196,32 +193,29 @@ def classify_probes(col: ColumnarConnlog, connlog, archive,
         multi_as = bool(crossed.any())
         within = [change for change, crossing
                   in zip(changes, crossed.tolist()) if not crossing]
-        resolved.append((pid, entries, changes, within, multi_as))
+        resolved.append((pid, changes, within, multi_as))
         if not multi_as:
             # Analyzable probes are pure IPv4 here, so the first v4
-            # entry the record kernel scans for is simply entries[0].
-            first_addrs.append(entries[0].address.value)
-            first_times.append(entries[0].start)
+            # entry the record kernel scans for is simply row ``slo``.
+            first_addrs.append(int(col.addrs[slo]))
+            first_times.append(float(col.starts[slo]))
     first_asns = _batch_origin_asns(ip2as, first_addrs, first_times)
     first_cursor = 0
-    for pid, entries, changes, within, multi_as in resolved:
+    for pid, changes, within, multi_as in resolved:
         asn = None
         if not multi_as:
             value = int(first_asns[first_cursor])
             first_cursor += 1
             asn = None if value == UNROUTED else value
         verdicts[pid] = ProbeVerdict(
-            pid, ProbeCategory.ANALYZABLE,
-            entries=entries if with_entries else [],
-            changes=changes, within_as_changes=within,
-            multi_as=multi_as, asn=asn)
+            pid, ProbeCategory.ANALYZABLE, changes=changes,
+            within_as_changes=within, multi_as=multi_as, asn=asn)
     return verdicts
 
 
 # -- stage ``spans`` ----------------------------------------------------------
 
-def probe_spans_col(col: ColumnarConnlog, connlog,
-                    probe_ids: Sequence[int]
+def probe_spans_col(col: ColumnarConnlog, probe_ids: Sequence[int]
                     ) -> dict[int, tuple[list[AddressSpan], list[float]]]:
     """Address spans and known durations for a batch of probes.
 
@@ -240,16 +234,16 @@ def probe_spans_col(col: ColumnarConnlog, connlog,
         if slo >= hi:
             out[pid] = ([], [])
             continue
-        entries = connlog.entries(pid)
         heads = [slo] + (np.nonzero(run_starts[slo + 1:hi])[0]
                          + (slo + 1)).tolist()
+        values = col.addrs[heads].tolist()
         last = len(heads) - 1
         spans: list[AddressSpan] = []
         for position, head in enumerate(heads):
             tail = (heads[position + 1] if position < last else hi) - 1
             spans.append(AddressSpan(
                 probe_id=pid,
-                address=entries[head - lo].address,
+                address=IPv4Address(values[position]),
                 start=starts[head],
                 end=ends[tail],
                 complete_start=position > 0,

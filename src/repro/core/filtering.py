@@ -57,7 +57,8 @@ class ProbeVerdict:
 
     probe_id: int
     category: ProbeCategory
-    #: Entries after testing-entry removal (empty for filtered probes).
+    #: Entries after testing-entry removal.  The classifier leaves it
+    #: empty (the stages read the connlog columns instead).
     entries: list[ConnectionLogEntry] = field(default_factory=list)
     #: All observed changes (for analyzable probes).
     changes: list[AddressChange] = field(default_factory=list)

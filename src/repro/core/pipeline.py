@@ -59,6 +59,7 @@ from repro.core.reboots import (
 from repro.core.timefraction import DEFAULT_BIN
 from repro.net.pfx2as import IpToAsDataset
 from repro.util import timeutil
+from repro.util.heap import frozen_heap
 from repro.util.ordering import ordered, ordered_items
 from repro.util.stats import CdfPoint
 
@@ -243,25 +244,26 @@ class AnalysisResults:
 # its arguments, so results are a pure function of the input datasets; the
 # per-probe kernels are additionally independent across probes, which is
 # what makes shard-parallel execution (repro.runtime) bit-identical to the
-# serial path.  The hot stages take the columnar views (DESIGN.md §16) next
-# to the record containers they were derived from.
+# serial path.  The hot stages take the datasets' columns (DESIGN.md §16)
+# and never build per-record objects.
 
-def stage_filter_col(col: ColumnarConnlog, connlog: ConnectionLog,
-                     archive: ProbeArchive, ip2as: IpToAsDataset,
+def stage_filter_col(col: ColumnarConnlog, archive: ProbeArchive,
+                     ip2as: IpToAsDataset,
                      min_connected: float = 30 * timeutil.DAY
                      ) -> FilterReport:
-    """Stage ``filter``: classify every probe (Table 2)."""
+    """Stage ``filter``: classify every probe (Table 2).
+
+    The verdicts are slim (no entry lists), in every execution mode.
+    """
     return report_from_verdicts(colkernels.classify_probes(
-        col, connlog, archive, ip2as, min_connected))
+        col, archive, ip2as, min_connected))
 
 
-def stage_spans_col(col: ColumnarConnlog, connlog: ConnectionLog,
-                    filter_report: FilterReport
+def stage_spans_col(col: ColumnarConnlog, filter_report: FilterReport
                     ) -> tuple[dict[int, list[AddressSpan]],
                                dict[int, list[float]]]:
     """Stage ``spans``: address spans/durations per geography probe."""
-    payload = colkernels.probe_spans_col(col, connlog,
-                                         filter_report.analyzable_geo())
+    payload = colkernels.probe_spans_col(col, filter_report.analyzable_geo())
     spans_by_probe: dict[int, list[AddressSpan]] = {}
     durations_by_probe: dict[int, list[float]] = {}
     for probe_id, (spans, durations) in payload.items():
@@ -377,19 +379,20 @@ class AnalysisPipeline:
 
     def run(self) -> AnalysisResults:
         """Execute all stages serially and return the results object."""
-        col = ColumnarConnlog.from_connlog(self._connlog)
-        filter_report = stage_filter_col(
-            col, self._connlog, self._archive, self._ip2as,
-            min_connected=self._min_connected)
-        spans_by_probe, durations_by_probe = stage_spans_col(
-            col, self._connlog, filter_report)
-        changes_by_probe, asn_by_probe = stage_changes(filter_report)
-        day_counts, firmware_days, filtered_reboots = stage_reboots_col(
-            ColumnarUptime.from_uptime(self._uptime))
-        gap_events_by_probe = stage_gaps_col(
-            col, self._kroot, filter_report, filtered_reboots)
-        stats_by_probe = stage_stats(gap_events_by_probe)
-        v3_probes = stage_v3(asn_by_probe, self._archive)
+        with frozen_heap():
+            col = ColumnarConnlog.from_connlog(self._connlog)
+            filter_report = stage_filter_col(
+                col, self._archive, self._ip2as,
+                min_connected=self._min_connected)
+            spans_by_probe, durations_by_probe = stage_spans_col(
+                col, filter_report)
+            changes_by_probe, asn_by_probe = stage_changes(filter_report)
+            day_counts, firmware_days, filtered_reboots = stage_reboots_col(
+                ColumnarUptime.from_uptime(self._uptime))
+            gap_events_by_probe = stage_gaps_col(
+                col, self._kroot, filter_report, filtered_reboots)
+            stats_by_probe = stage_stats(gap_events_by_probe)
+            v3_probes = stage_v3(asn_by_probe, self._archive)
 
         return AnalysisResults(
             filter_report=filter_report,

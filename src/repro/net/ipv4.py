@@ -43,7 +43,8 @@ class IPv4Address:
             raise ParseError("malformed IPv4 address: %r" % (text,))
         value = 0
         for octet in octets:
-            if not octet.isdigit() or (len(octet) > 1 and octet[0] == "0"):
+            # isdecimal, not isdigit: "²" is a digit int() rejects.
+            if not octet.isdecimal() or (len(octet) > 1 and octet[0] == "0"):
                 raise ParseError("malformed IPv4 octet in %r" % (text,))
             part = int(octet)
             if part > 255:
@@ -104,7 +105,7 @@ class IPv4Prefix:
     def parse(cls, text: str) -> "IPv4Prefix":
         """Parse ``a.b.c.d/len`` text."""
         body, slash, length_text = text.strip().partition("/")
-        if not slash or not length_text.isdigit():
+        if not slash or not length_text.isdecimal():
             raise ParseError("malformed prefix: %r" % (text,))
         address = IPv4Address.parse(body)
         length = int(length_text)

@@ -67,6 +67,8 @@ class RadiusServer:
         self._session_timeout = session_timeout
         self._known_users = known_users
         self._records: list[AccountingRecord] = []
+        #: Ids of every session that has had an Accounting Start.
+        self._started: set[int] = set()
         self._next_session_id = 1
 
     @property
@@ -92,14 +94,16 @@ class RadiusServer:
         self._records.append(
             AccountingRecord(username, AcctStatus.START, now, session_id)
         )
+        self._started.add(session_id)
         return session_id
 
     def account_stop(self, username: str, now: float, session_id: int,
                      terminate_cause: str) -> None:
-        """Record an Accounting Stop with a terminate cause."""
-        starts = [r for r in self._records
-                  if r.session_id == session_id and r.status is AcctStatus.START]
-        if not starts:
+        """Record an Accounting Stop with a terminate cause.
+
+        Any earlier Start for the session makes the Stop valid.
+        """
+        if session_id not in self._started:
             raise SimulationError(
                 "accounting stop for unknown session %d" % session_id
             )

@@ -13,30 +13,54 @@ the digested fields.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import fields, is_dataclass
 
 from repro.core.pipeline import AnalysisResults
 from repro.util import fingerprint as fp
 
 
+#: Types rendered by ``repr`` (exact-type match, so subclasses such as
+#: ``IntEnum`` members still reach the general path).
+_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _dataclass_fields(kind: type) -> tuple[str, ...] | None:
+    """Field names of a dataclass type, or None for any other type."""
+    if not is_dataclass(kind):
+        return None
+    return tuple(f.name for f in fields(kind))
+
+
 def _canon(value: object) -> str:
-    """Deterministic, type-tagged rendering of one value."""
-    if is_dataclass(value) and not isinstance(value, type):
-        parts = ",".join("%s=%s" % (f.name, _canon(getattr(value, f.name)))
-                         for f in fields(value))
-        return "%s(%s)" % (type(value).__name__, parts)
-    if isinstance(value, enum.Enum):
-        return "%s.%s" % (type(value).__name__, value.name)
-    if isinstance(value, dict):
-        items = ",".join("%s:%s" % (_canon(key), _canon(value[key]))
-                         for key in sorted(value))
-        return "{%s}" % items
-    if isinstance(value, (set, frozenset)):
-        return "{%s}" % ",".join(_canon(item) for item in sorted(value))
-    if isinstance(value, (list, tuple)):
-        return "[%s]" % ",".join(_canon(item) for item in value)
+    """Deterministic, type-tagged rendering of one value.
+
+    Dispatches on the exact type first (the results are mostly lists,
+    floats and dataclasses); ``isinstance`` checks then cover dicts,
+    enums, sets and subclasses of the builtin containers.
+    """
+    kind = type(value)
     # repr() of float is the shortest exact round-trip representation, so
     # any bit-level numeric divergence changes the digest.
+    if kind in _SCALARS:
+        return repr(value)
+    if kind is list or kind is tuple:
+        return "[%s]" % ",".join([_canon(item) for item in value])
+    names = _dataclass_fields(kind)
+    if names is not None:
+        return "%s(%s)" % (kind.__name__, ",".join(
+            ["%s=%s" % (name, _canon(getattr(value, name)))
+             for name in names]))
+    if isinstance(value, dict):
+        return "{%s}" % ",".join(["%s:%s" % (_canon(key), _canon(value[key]))
+                                  for key in sorted(value)])
+    if isinstance(value, enum.Enum):
+        return "%s.%s" % (kind.__name__, value.name)
+    if isinstance(value, (set, frozenset)):
+        return "{%s}" % ",".join([_canon(item) for item in sorted(value)])
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ",".join([_canon(item) for item in value])
     return repr(value)
 
 

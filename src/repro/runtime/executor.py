@@ -52,6 +52,7 @@ from repro.runtime.supervisor import (
 from repro.runtime.stages import VIEW_ARTIFACTS, StageSpec, topological_order
 from repro.util import fingerprint as fp
 from repro.util import timeutil
+from repro.util.heap import frozen_heap
 from repro.util.ordering import ordered_merge
 
 
@@ -306,8 +307,9 @@ class ShardedRunner:
         self._params = params
         self._version = version
         try:
-            with obs.span("run", category="run", jobs=self.config.jobs,
-                          start_method=self.start_method):
+            with frozen_heap(), obs.span(
+                    "run", category="run", jobs=self.config.jobs,
+                    start_method=self.start_method):
                 for spec in topological_order():
                     started = time.perf_counter()
                     with obs.span(spec.name, category="stage") as handle:

@@ -66,14 +66,14 @@ class StageSpec:
 STAGES: tuple[StageSpec, ...] = (
     StageSpec(
         name="filter",
-        inputs=("colconn", "connlog", "archive", "ip2as", "min_connected"),
+        inputs=("colconn", "archive", "ip2as", "min_connected"),
         outputs=("filter_report",),
         fan_out=True,
         func=_pipeline.stage_filter_col,
     ),
     StageSpec(
         name="spans",
-        inputs=("colconn", "connlog", "filter_report"),
+        inputs=("colconn", "filter_report"),
         outputs=("spans_by_probe", "durations_by_probe"),
         fan_out=True,
         func=_pipeline.stage_spans_col,

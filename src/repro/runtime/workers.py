@@ -292,16 +292,14 @@ def _inject_envelope(envelope: ShardResult, stage: str, shard_index: int,
 
 def _filter_payload(probe_ids: list[int]) -> dict:
     context = _require_context()
-    # Slim verdicts (no entry lists) cross the process boundary; no
-    # later stage reads the entries.
     return colkernels.classify_probes(
-        _colconn, context.connlog, context.archive, context.ip2as,
-        context.min_connected, probe_ids, with_entries=False)
+        _colconn, context.archive, context.ip2as, context.min_connected,
+        probe_ids)
 
 
 def _spans_payload(probe_ids: list[int]) -> dict:
-    context = _require_context()
-    return colkernels.probe_spans_col(_colconn, context.connlog, probe_ids)
+    _require_context()
+    return colkernels.probe_spans_col(_colconn, probe_ids)
 
 
 def _reboots_payload(probe_ids: list[int]) -> dict:

@@ -306,6 +306,9 @@ def build_world(config: ScenarioConfig) -> WorldData:
         origin, target = pick.sample(host_asns, 2)
         builder.deploy_probe([origin, target], ProbeRole.MOVER)
 
+    # Seal the staged records into columns before the world is shared.
+    builder.connlog.columns()
+    builder.uptime.columns()
     return WorldData(
         config=config,
         archive=builder.archive,

@@ -22,6 +22,7 @@ actually presented to the reader.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 
@@ -54,6 +55,26 @@ def format_line_error(source: str, line_number: int, message: object) -> str:
     failure inside a multi-file bundle is attributable to its file.
     """
     return "%s: line %d: %s" % (source, line_number, message)
+
+
+def parse_probe_id(text: str) -> int:
+    """``int(text)`` that fits an int64 column; ValueError otherwise."""
+    probe_id = int(text)
+    if not -2 ** 63 <= probe_id < 2 ** 63:
+        raise ValueError("probe id out of range: %r" % (text,))
+    return probe_id
+
+
+def parse_finite(text: str) -> float:
+    """``float(text)`` rejecting NaN and infinities with ValueError.
+
+    A non-finite timestamp or counter is corrupt input, and it would
+    make time-ordering (and REPAIR's re-sort) ill-defined.
+    """
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite number: %r" % (text,))
+    return value
 
 
 @dataclass(frozen=True)

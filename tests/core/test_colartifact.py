@@ -13,7 +13,6 @@ from __future__ import annotations
 import pytest
 
 from repro.atlas.columnar import ColumnarConnlog
-from repro.core import pipeline
 from repro.core.association import GapCause, GapEvent
 from repro.core.changes import AddressSpan
 from repro.core.colartifact import (
@@ -23,6 +22,7 @@ from repro.core.colartifact import (
     ColumnarSpanMap,
     decode_value,
 )
+from repro.core.pipeline import stage_filter_col
 from repro.experiments.scenarios import small_world
 from repro.net.ipv4 import IPv4Address
 from repro.util import colpack, timeutil
@@ -38,9 +38,12 @@ def world():
 
 @pytest.fixture(scope="module")
 def report(world):
-    return pipeline.stage_filter_col(
-        ColumnarConnlog.from_connlog(world.connlog), world.connlog,
-        world.archive, world.ip2as, min_connected=MIN_CONNECTED)
+    """The filter report with entry lists (what the artifact drops)."""
+    return restore_entries(
+        stage_filter_col(ColumnarConnlog.from_connlog(world.connlog),
+                         world.archive, world.ip2as,
+                         min_connected=MIN_CONNECTED),
+        world.connlog)
 
 
 class TestFilterArtifact:

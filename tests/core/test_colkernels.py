@@ -44,9 +44,10 @@ def legacy_report(world):
 
 @pytest.fixture(scope="module")
 def columnar_report(world, col):
-    return pipeline.stage_filter_col(col, world.connlog, world.archive,
-                                     world.ip2as,
-                                     min_connected=MIN_CONNECTED)
+    return oracle.restore_entries(
+        pipeline.stage_filter_col(col, world.archive, world.ip2as,
+                                  min_connected=MIN_CONNECTED),
+        world.connlog)
 
 
 class TestFilterDifferential:
@@ -78,11 +79,9 @@ class TestFilterDifferential:
 
     def test_slim_form_restores_entries_exactly(self, world, col,
                                                 legacy_report):
-        from repro.core.colkernels import classify_probes
-        from repro.core.filtering import report_from_verdicts
-        slim = report_from_verdicts(classify_probes(
-            col, world.connlog, world.archive, world.ip2as, MIN_CONNECTED,
-            with_entries=False))
+        slim = pipeline.stage_filter_col(col, world.archive, world.ip2as,
+                                         min_connected=MIN_CONNECTED)
+        assert all(not verdict.entries for verdict in slim.verdicts.values())
         oracle.restore_entries(slim, world.connlog)
         for pid, legacy in legacy_report.verdicts.items():
             assert slim.verdicts[pid].entries == legacy.entries, pid
@@ -92,8 +91,7 @@ class TestStageDifferentials:
     def test_spans_identical(self, world, col, legacy_report,
                              columnar_report):
         legacy = oracle.stage_spans(legacy_report)
-        columnar = pipeline.stage_spans_col(col, world.connlog,
-                                            columnar_report)
+        columnar = pipeline.stage_spans_col(col, columnar_report)
         assert columnar == legacy
         assert [list(columnar[0]), list(columnar[1])] == \
                [list(legacy[0]), list(legacy[1])]
@@ -143,8 +141,8 @@ class TestWindowEdgeChange:
         legacy = oracle.stage_filter(connlog, ProbeArchive(), ip2as,
                                      min_connected=timeutil.DAY)
         columnar = pipeline.stage_filter_col(
-            ColumnarConnlog.from_connlog(connlog), connlog, ProbeArchive(),
-            ip2as, min_connected=timeutil.DAY)
+            ColumnarConnlog.from_connlog(connlog), ProbeArchive(), ip2as,
+            min_connected=timeutil.DAY)
         verdict = legacy.verdicts[1]
         assert verdict.category.name == "ANALYZABLE"
         assert len(verdict.changes) == 1

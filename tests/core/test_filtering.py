@@ -1,10 +1,9 @@
 """Tests for the Table 2 probe classification.
 
-Every case runs the production classifier
-(:func:`repro.core.colkernels.classify_probes`, through
-``stage_filter_col``) and asserts the frozen record oracle
-(``tests/oracle.py``) returns the identical report, so each precedence
-case covers both.
+Every case runs the production stage ``stage_filter_col``, restores the
+entry lists its slim verdicts drop (``restore_entries``), and asserts the
+frozen record oracle (``tests/oracle.py``) returns the identical report,
+so each precedence case covers both.
 """
 
 import pytest
@@ -19,7 +18,7 @@ from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address, IPv4Prefix
 from repro.net.pfx2as import AsMapping, IpToAsDataset, Pfx2AsSnapshot
 from repro.util import timeutil
 from repro.util.timeutil import DAY, HOUR
-from tests.oracle import ProbeFilter, looks_multihomed
+from tests.oracle import ProbeFilter, looks_multihomed, restore_entries
 
 A = IPv4Address.parse("11.0.0.1")
 A2 = IPv4Address.parse("11.0.0.2")
@@ -50,9 +49,11 @@ def v6(probe, start, end):
 
 
 def classify(log, archive, ip2as, min_connected):
-    """The production classifier's report over one connection log."""
-    return stage_filter_col(ColumnarConnlog.from_connlog(log), log, archive,
+    """The production stage's report, entry lists restored."""
+    slim = stage_filter_col(ColumnarConnlog.from_connlog(log), archive,
                             ip2as, min_connected=min_connected)
+    assert all(not verdict.entries for verdict in slim.verdicts.values())
+    return restore_entries(slim, log)
 
 
 def run_filter(entries, metas=(), min_connected=DAY):

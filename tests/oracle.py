@@ -8,6 +8,11 @@ deliberately simple, so they serve as the reference the production
 kernels are pinned bit-identical to: the differential suites compare
 verdicts, spans, reboots, gap events and whole-run digests.
 
+The ingest section holds the line-by-line connection-log and SOS-uptime
+readers the vectorized readers replaced: the same per-line parsers
+(``_parse_line``), driven one line at a time, with the per-record REPAIR
+assembly, building the containers through ``add``.
+
 Nothing in ``src/`` imports this module.  Keep it frozen: a change here
 changes what "correct" means for the production kernels.
 """
@@ -45,10 +50,14 @@ from repro.core.pipeline import (
     stage_stats,
     stage_v3,
 )
+from repro.atlas.sosuptime import UPTIME_WRAP_MODULUS
+from repro.atlas.types import UptimeRecord
 from repro.core.reboots import detect_all_reboots
+from repro.errors import DatasetError, ParseError
 from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
 from repro.net.pfx2as import IpToAsDataset
 from repro.runtime.digest import results_digest
+from repro.util.ingest import IngestReport, ReadPolicy, format_line_error
 from repro.util.ordering import ordered
 from repro.util.timeutil import DAY
 
@@ -264,3 +273,133 @@ def oracle_results(bundle, min_connected: float | None = None
 def oracle_digest(bundle) -> str:
     """``results_digest`` of :func:`oracle_results`."""
     return results_digest(oracle_results(bundle))
+
+
+# -- ingest -------------------------------------------------------------------
+
+def read_connlog_lines(stream, policy: ReadPolicy = ReadPolicy.STRICT,
+                       report: IngestReport | None = None,
+                       source: str | None = None) -> ConnectionLog:
+    """Line-by-line reference for :meth:`ConnectionLog.read`."""
+    source = source or getattr(stream, "name", "<connlog>")
+    report = report if report is not None else IngestReport()
+    rows: list[tuple[int, ConnectionLogEntry]] = []
+    for line_number, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            rows.append((line_number, ConnectionLog._parse_line(text)))
+        except ParseError as error:
+            if policy is ReadPolicy.STRICT:
+                raise ParseError(
+                    format_line_error(source, line_number, error)
+                ) from None
+            report.quarantined("connlog", source, line_number, str(error))
+    if policy is ReadPolicy.STRICT:
+        log = ConnectionLog()
+        for line_number, entry in rows:
+            try:
+                log.add(entry)
+            except DatasetError as error:
+                raise DatasetError(
+                    format_line_error(source, line_number, error)
+                ) from None
+            report.parsed("connlog")
+        return log
+    by_probe: dict[int, list[tuple[int, ConnectionLogEntry]]] = {}
+    for line_number, entry in rows:
+        by_probe.setdefault(entry.probe_id, []).append((line_number, entry))
+    log = ConnectionLog()
+    for probe_id in sorted(by_probe):
+        items = by_probe[probe_id]
+        ordered_items = sorted(items, key=lambda item: (item[1].start,
+                                                        item[1].end))
+        # A record is displaced when sorting moved it; compare the
+        # original file order with the sorted order positionally.
+        displaced = {ordered_items[i][0] for i in range(len(items))
+                     if ordered_items[i][0] != items[i][0]}
+        last_end = float("-inf")
+        for line_number, entry in ordered_items:
+            if entry.start < last_end:
+                report.quarantined(
+                    "connlog", source, line_number,
+                    "probe %d: connection starting %s overlaps the "
+                    "previous one" % (probe_id, entry.start))
+                continue
+            log.add(entry)
+            last_end = entry.end
+            if line_number in displaced:
+                report.repaired(
+                    "connlog", source, line_number,
+                    "probe %d: out-of-order entry re-sorted" % probe_id)
+            else:
+                report.parsed("connlog")
+    return log
+
+
+def read_uptime_lines(stream, policy: ReadPolicy = ReadPolicy.STRICT,
+                      report: IngestReport | None = None,
+                      source: str | None = None) -> UptimeDataset:
+    """Line-by-line reference for :meth:`UptimeDataset.read`."""
+    source = source or getattr(stream, "name", "<uptime>")
+    report = report if report is not None else IngestReport()
+    rows: list[tuple[int, UptimeRecord]] = []
+    for line_number, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            record = UptimeDataset._parse_line(text)
+        except ParseError as error:
+            if policy is ReadPolicy.STRICT:
+                raise ParseError(
+                    format_line_error(source, line_number, error)
+                ) from None
+            report.quarantined("uptime", source, line_number, str(error))
+            continue
+        if record.uptime >= UPTIME_WRAP_MODULUS:
+            if policy is ReadPolicy.STRICT:
+                raise ParseError(format_line_error(
+                    source, line_number,
+                    "uptime counter %r beyond the 32-bit wrap"
+                    % record.uptime))
+            record = UptimeRecord(record.probe_id, record.timestamp,
+                                  record.uptime % UPTIME_WRAP_MODULUS)
+            report.repaired("uptime", source, line_number,
+                            "wrapped uptime counter reduced modulo 2**32")
+            rows.append((-line_number, record))
+            continue
+        rows.append((line_number, record))
+    if policy is ReadPolicy.STRICT:
+        dataset = UptimeDataset()
+        for line_number, record in rows:
+            try:
+                dataset.add(record)
+            except DatasetError as error:
+                raise DatasetError(
+                    format_line_error(source, line_number, error)
+                ) from None
+            report.parsed("uptime")
+        return dataset
+    by_probe: dict[int, list[tuple[int, UptimeRecord]]] = {}
+    for line_number, record in rows:
+        by_probe.setdefault(record.probe_id, []).append((line_number,
+                                                         record))
+    dataset = UptimeDataset()
+    for probe_id in sorted(by_probe):
+        items = by_probe[probe_id]
+        ordered_items = sorted(items, key=lambda item: item[1].timestamp)
+        displaced = {ordered_items[i][0] for i in range(len(items))
+                     if ordered_items[i][0] != items[i][0]}
+        for line_number, record in ordered_items:
+            dataset.add(record)
+            if line_number < 0:
+                continue  # already accounted as a counter-wrap repair
+            if line_number in displaced:
+                report.repaired(
+                    "uptime", source, line_number,
+                    "probe %d: out-of-order record re-sorted" % probe_id)
+            else:
+                report.parsed("uptime")
+    return dataset

@@ -139,6 +139,9 @@ class TestPaperScaleDifferential:
         bundle = self._paper_bundle(0.5, tmp_path)
         assert run_digest(bundle) == PAPER_HALF_SCALE_DIGEST
         assert oracle_digest(bundle) == PAPER_HALF_SCALE_DIGEST
+        # Spawned workers unpickle the column-backed datasets.
+        assert run_digest(bundle, jobs=2, start_method="spawn") \
+            == PAPER_HALF_SCALE_DIGEST
 
     @pytest.mark.skipif(not os.environ.get("REPRO_SLOW_SCALE2"),
                         reason="set REPRO_SLOW_SCALE2=1 for the scale-2 "

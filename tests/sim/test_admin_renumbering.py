@@ -12,6 +12,7 @@ from repro.sim.outages import Interruption, InterruptionKind, inject_event
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.world import build_world
 from repro.util import timeutil
+from tests.oracle import restore_entries
 
 
 def admin_spec(access=AccessTechnology.DHCP, day=40, **overrides):
@@ -74,9 +75,10 @@ class TestWorldIntegration:
     def test_every_probe_migrates_to_reserve_prefix(self, access):
         world = self.build(access)
         results = pipeline_for_world(world).run()
+        report = restore_entries(results.filter_report, world.connlog)
         reserve = None
         for probe_id in results.asn_by_probe:
-            entries = results.filter_report.verdicts[probe_id].entries
+            entries = report.verdicts[probe_id].entries
             first, last = entries[0], entries[-1]
             first_prefix = world.ip2as.bgp_prefix(first.address, first.start)
             last_prefix = world.ip2as.bgp_prefix(last.address, last.start)
