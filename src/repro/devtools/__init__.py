@@ -18,8 +18,8 @@ the invariants this reproduction depends on:
   on the effect lattice (RPR006);
 * **cache-key soundness** — the stage graph's transitive import closure is
   covered by the ``CODE_VERSION_PACKAGES`` hash set (RPR007);
-* **worker state** — pool tasks are picklable and worker modules mutate
-  only initializer-owned globals (RPR008);
+* **worker state** — worker tasks and process targets are picklable and
+  worker modules mutate only initializer-owned globals (RPR008);
 * **order stability** — order-unstable values (sets, directory listings)
   pass a sort barrier before reaching digests, serialization or cached
   artifacts (RPR009);

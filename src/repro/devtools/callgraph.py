@@ -496,6 +496,20 @@ class _FunctionAnalyzer:
                     if ref is not None:
                         self.pool_sites.append(
                             PoolSite(ref, call.lineno, "initializer"))
+        elif last == "Process":
+            # ``Process(target=F)`` / ``ctx.Process(target=F)``: F is both
+            # the task (it must pickle by qualified name under spawn) and
+            # the per-process initializer — it installs the worker state
+            # itself, through its same-module call closure.
+            for keyword in call.keywords:
+                if keyword.arg == "target":
+                    ref = _resolve_ref(keyword.value, self.env, self.module,
+                                       local_defs)
+                    if ref is not None:
+                        self.pool_sites.append(
+                            PoolSite(ref, call.lineno, "task"))
+                        self.pool_sites.append(
+                            PoolSite(ref, call.lineno, "initializer"))
 
 
 def summarize_source(tree: ast.Module, module: str, path: str,
@@ -737,6 +751,45 @@ class Project:
         rest = qualname[len(module) + 1:]
         summary = self.summaries[module]
         return summary.functions.get(rest)
+
+    def initializers(self) -> set[str]:
+        """Worker initializers plus their same-module call closure.
+
+        Initializers are ``ProcessPoolExecutor(initializer=F)`` and
+        ``Process(target=F)`` functions.  Helpers an initializer
+        delegates to in its own module install worker state too, so the
+        closure owns their module-level writes (RPR008/RPR011).
+        """
+        queue: list[str] = []
+        for module in sorted(self.summaries):
+            for site in self.summaries[module].pool_sites:
+                if site.role != "initializer":
+                    continue
+                resolved = self.resolve_callable(site.target)
+                if resolved is not None and resolved[0] == "function":
+                    queue.append(resolved[1])
+        closure = set(queue)
+        while queue:
+            qual = queue.pop()
+            module = self.resolve_module(qual)
+            function = self.function(qual)
+            if module is None or function is None:
+                continue
+            for call in function.calls:
+                callee = None
+                if call.kind == "local":
+                    callee = "%s.%s" % (module, call.target)
+                elif call.kind == "dotted":
+                    resolved = self.resolve_callable(call.target)
+                    if resolved is not None and resolved[0] == "function":
+                        callee = resolved[1]
+                if callee is None or callee in closure \
+                        or self.resolve_module(callee) != module \
+                        or self.function(callee) is None:
+                    continue
+                closure.add(callee)
+                queue.append(callee)
+        return closure
 
     # -- import reachability ------------------------------------------------
 

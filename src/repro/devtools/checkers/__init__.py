@@ -10,7 +10,7 @@ RPR004  error policy — no ``raise Exception`` / bare ``except:``
 RPR005  dataclass hygiene — frozen value objects, safe defaults
 RPR006  stage purity — runtime stage functions must infer PURE
 RPR007  cache-key soundness — stage closure ⊆ hashed code_version set
-RPR008  worker state — picklable pool tasks, initializer-owned globals
+RPR008  worker state — picklable worker tasks, initializer-owned globals
 RPR009  order taint — no order-unstable values into digests/artifacts
 RPR010  wire contracts — serialized boundary types match the contract file
 RPR011  thread roles — cross-thread shared state locked/confined/safe

@@ -1,14 +1,18 @@
-"""RPR008 — process-pool worker state discipline.
+"""RPR008 — worker-process state discipline.
 
-``ShardedRunner`` ships work to ``ProcessPoolExecutor`` workers as
-module-level task functions (picklable by qualified name) operating on a
-per-process context installed by the pool initializer
-(:mod:`repro.runtime.workers`).  Two things break that contract
-statically:
+``ShardedRunner`` ships work to worker processes that run module-level
+functions (picklable by qualified name) over a per-process context
+installed by an initializer (:mod:`repro.runtime.workers`).  Worker
+modules are found through their entry points: a
+``ProcessPoolExecutor(initializer=F)`` with its ``pool.map``/
+``pool.submit`` tasks, or a ``Process(target=F)`` /
+``ctx.Process(target=F)``, whose target is both task and initializer.
+Two things break that contract statically:
 
 * **Unpicklable task references** — a lambda or nested function handed to
-  ``pool.map``/``pool.submit`` cannot be pickled by qualified name and
-  fails (or worse, only fails under ``spawn``, which CI may not run).
+  ``pool.map``/``pool.submit`` or as a ``Process`` target cannot be
+  pickled by qualified name and fails (or worse, only fails under
+  ``spawn``, which CI may not run).
 * **Unsanctioned module-level mutation** — a worker module may only
   mutate the globals its initializer installs (those are re-established
   per process, so their state is a deterministic function of the
@@ -17,10 +21,10 @@ statically:
   depend on pool internals.
 
 The sanctioned set is derived, not hard-coded: it is the union of the
-module-level names the initializer functions write (for
-``repro.runtime.workers.init_worker`` that is ``_context``, ``_filter``
-and ``_verdicts``).  Memoization caches like ``_verdicts`` pass exactly
-because the initializer clears them.
+module-level names the initializers and their same-module call closure
+write (for :func:`repro.runtime.workers.serve`, which calls
+``init_worker``, that is ``_context``, ``_colconn`` and ``_colup``).
+Memoization caches pass exactly when an initializer clears them.
 """
 
 from __future__ import annotations
@@ -38,23 +42,17 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
 @register
 class WorkerStateChecker(ProjectChecker):
     rule = "RPR008"
-    summary = "pool tasks must be picklable; worker globals initializer-owned"
+    summary = ("worker tasks must be picklable; worker globals "
+               "initializer-owned")
 
     def check_project(self, project: "Project", effects: "EffectAnalysis",
                       ) -> Iterator["Diagnostic"]:
-        initializer_funcs: set[str] = set()
+        initializer_funcs = project.initializers()
         worker_modules: set[str] = set()
-        for module in sorted(project.summaries):
-            summary = project.summaries[module]
-            for site in summary.pool_sites:
-                if site.role != "initializer":
-                    continue
-                resolved = project.resolve_callable(site.target)
-                if resolved is not None and resolved[0] == "function":
-                    initializer_funcs.add(resolved[1])
-                    func_module = project.resolve_module(resolved[1])
-                    if func_module is not None:
-                        worker_modules.add(func_module)
+        for qualname in initializer_funcs:
+            func_module = project.resolve_module(qualname)
+            if func_module is not None:
+                worker_modules.add(func_module)
 
         # -- unpicklable or unresolvable task references ----------------------
         for module in sorted(project.summaries):
@@ -66,8 +64,8 @@ class WorkerStateChecker(ProjectChecker):
                 if target == "<lambda>" or target.startswith("<nested:"):
                     yield self.project_diagnostic(
                         summary.path, site.line,
-                        "pool task %s cannot be pickled by qualified name; "
-                        "move it to module level" % site.target)
+                        "worker task %s cannot be pickled by qualified "
+                        "name; move it to module level" % site.target)
                     continue
                 resolved = project.resolve_callable(site.target)
                 if resolved is not None and resolved[0] == "function":
@@ -98,9 +96,9 @@ class WorkerStateChecker(ProjectChecker):
                     yield self.project_diagnostic(
                         summary.path, line,
                         "worker module function %s mutates module-level "
-                        "'%s', which the pool initializer does not install; "
-                        "per-process state outside the initializer-owned "
-                        "set (%s) makes jobs=N results depend on pool "
-                        "internals" % (qualname, name,
+                        "'%s', which the worker initializer does not "
+                        "install; per-process state outside the "
+                        "initializer-owned set (%s) makes jobs=N results "
+                        "depend on worker scheduling" % (qualname, name,
                                        ", ".join(sorted(sanctioned)) or
                                        "empty"))

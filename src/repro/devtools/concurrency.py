@@ -1710,49 +1710,15 @@ class RaceAnalysis:
         return safe
 
     def _sanctioned_globals(self) -> dict[str, set[str]]:
-        """module -> RPR008 initializer-owned global names.
-
-        The initializer's same-module call closure is included: helpers
-        the initializer delegates installation to own their writes too.
-        """
+        """module -> RPR008 initializer-owned global names."""
         project = self.project
-        initializers: set[str] = set()
-        for module in sorted(project.summaries):
-            for site in project.summaries[module].pool_sites:
-                if site.role != "initializer":
-                    continue
-                resolved = project.resolve_callable(site.target)
-                if resolved is not None and resolved[0] == "function":
-                    initializers.add(resolved[1])
         sanctioned: dict[str, set[str]] = {}
-        closure = set(initializers)
-        queue = list(initializers)
-        while queue:
-            qual = queue.pop()
+        for qual in sorted(project.initializers()):
             module = project.resolve_module(qual)
-            if module is None:
-                continue
             function = project.function(qual)
-            if function is None:
-                continue
-            sanctioned.setdefault(module, set()).update(
-                name for name, _ in function.global_writes)
-            for call in function.calls:
-                callee = None
-                if call.kind == "local":
-                    callee = "%s.%s" % (module, call.target)
-                elif call.kind == "dotted":
-                    resolved = project.resolve_callable(call.target)
-                    if resolved is not None and resolved[0] == "function":
-                        callee = resolved[1]
-                if callee is None or callee in closure:
-                    continue
-                if project.resolve_module(callee) != module:
-                    continue
-                if project.function(callee) is None:
-                    continue
-                closure.add(callee)
-                queue.append(callee)
+            if module is not None and function is not None:
+                sanctioned.setdefault(module, set()).update(
+                    name for name, _ in function.global_writes)
         return sanctioned
 
     # -- findings ------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Socket-distributed execution of the analysis stage graph.
 
 A coordinator (:mod:`repro.dist.coordinator`) partitions each fan-out
-stage into the same sorted-contiguous-balanced shards the process-pool
+stage into the same sorted-contiguous-balanced shards the local
 executor uses and serves them as *leases* to pull-based workers
 (:mod:`repro.dist.worker`) over a framed, versioned, integrity-checked
 protocol (:mod:`repro.dist.protocol`).  Workers run the existing shard
@@ -10,11 +10,12 @@ merge — and therefore the results digest — is bit-identical to
 ``repro-run --jobs 1``, including under injected worker crashes and
 network faults (:mod:`repro.faults.network`).
 
-Supervision reuses the runtime's policy wholesale: leases carry hard
-deadlines, failures are charged per shard with deterministic backoff,
-lost workers get their shards reassigned, and exhausted retry budgets
-quarantine probes into the same resilience accounting ``repro-run``
-reports.  The artifact cache doubles as the shared store — leases carry
+Supervision is the runtime's own lease board
+(:mod:`repro.runtime.board`), the scheduler local runs use too: leases
+carry hard deadlines, failures are charged per shard with deterministic
+backoff, lost workers get their shards reassigned, and exhausted retry
+budgets quarantine probes into the same resilience accounting
+``repro-run`` reports.  The artifact cache doubles as the shared store — leases carry
 checkpoint keys workers can short-circuit from, and the coordinator's
 checkpoints interoperate with ``repro-run --resume``.
 
@@ -23,7 +24,6 @@ Entry points: ``repro-dist coordinator`` / ``repro-dist worker``
 :func:`repro.dist.loopback.run_loopback`.
 """
 
-from repro.dist.board import LeaseBoard
 from repro.dist.coordinator import (
     DistConfig,
     DistRunner,
@@ -33,6 +33,7 @@ from repro.dist.coordinator import (
 )
 from repro.dist.loopback import LoopbackRun, run_loopback
 from repro.dist.worker import DistWorker, WorkerSummary
+from repro.runtime.board import LeaseBoard
 
 __all__ = [
     "DistConfig",

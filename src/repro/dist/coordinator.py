@@ -2,27 +2,26 @@
 
 :class:`LeaseServer` listens on a socket, accepts pull-based workers,
 and answers the protocol verbs (HELLO handshake, LEASE grants from the
-current stage's :class:`~repro.dist.board.LeaseBoard`, RESULT folding,
+current stage's :class:`~repro.runtime.board.LeaseBoard`, RESULT folding,
 HEARTBEAT acks, DRAIN back-offs).  One daemon thread per connection
 does blocking request/reply; every mutation of cluster state happens
 under one lock, and the board itself is swapped in and out per stage by
 :meth:`LeaseServer.serve_stage` — the blocking call the runner's main
-thread makes where the process-pool path would dispatch to its
-supervisor.
+thread makes where the local path would dispatch to its supervisor.
 
 :class:`DistRunner` subclasses :class:`~repro.runtime.executor.
 ShardedRunner` and overrides exactly one seam — ``_stage_payloads`` —
 so the cache handling, degraded-run rules, per-stage merge logic and
-result assembly stay the single implementation the serial and pool
-paths already share.  That inheritance is the bit-identity argument:
-the distributed run computes the same shards with the same kernels and
-merges them through the same ``ordered_merge`` calls, so its
-``results_digest`` matches ``repro-run --jobs 1`` by construction, and
-the dist test suite pins it by measurement.
+result assembly stay the single implementation the serial and local
+sharded paths already share.  That inheritance is the bit-identity
+argument: the distributed run computes the same shards with the same
+kernels and merges them through the same ``ordered_merge`` calls, so
+its ``results_digest`` matches ``repro-run --jobs 1`` by construction,
+and the dist test suite pins it by measurement.
 
 Checkpoints go through the shared artifact cache under the *same* keys
-the pool supervisor uses (:func:`repro.runtime.supervisor.
-shard_checkpoint_key`), so a distributed run can resume a killed pool
+the local supervisor uses (:class:`repro.runtime.supervisor.
+StageCheckpoints`), so a distributed run can resume a killed local
 run's shards and vice versa, and workers can short-circuit compute via
 the ``cache_key`` their lease carries.
 """
@@ -39,12 +38,18 @@ from pathlib import Path
 from repro import obs
 from repro.core.pipeline import default_min_connected, scenario_as_labels
 from repro.dist import protocol
-from repro.dist.board import LeaseBoard
 from repro.dist.transport import Channel
-from repro.runtime import supervisor, workers
+from repro.runtime import workers
+from repro.runtime.board import (
+    SUBMIT_LATE,
+    SUBMIT_RESOLVED,
+    LeaseBoard,
+    StageOutcome,
+    SupervisionPolicy,
+)
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
 from repro.runtime.executor import RunReport, RuntimeConfig, ShardedRunner
-from repro.runtime.supervisor import StageOutcome, SupervisionPolicy
+from repro.runtime.supervisor import StageCheckpoints, finish_stage
 from repro.util import timeutil
 
 
@@ -55,7 +60,7 @@ class DistConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``LeaseServer.port``).
     port: int = 0
-    #: Expected worker count — a shard-count hint, exactly like the pool
+    #: Expected worker count — a shard-count hint, exactly like the local
     #: path's ``jobs`` (outputs are identical for every value).
     workers: int = 2
     #: Explicit shard count; default ``workers * OVERSHARD`` per stage.
@@ -101,7 +106,7 @@ class DistConfig:
 
         ``jobs`` must exceed 1 for the executor to take the sharded
         path at all; :class:`DistRunner` then serves every fan-out stage
-        through the lease server instead of a local pool.
+        through the lease server instead of local worker processes.
         """
         return RuntimeConfig(
             jobs=max(2, self.workers), shards=self.shards,
@@ -131,11 +136,7 @@ class _StageServing:
     """Everything the connection handlers need about the live stage."""
 
     board: LeaseBoard
-    stage: str
-    partition: str
-    checkpointing: bool
-    version: str
-    params: str
+    checkpoints: StageCheckpoints
     checkpoints_stored: int = 0
 
 
@@ -228,31 +229,15 @@ class LeaseServer:
         cluster lock.
         """
         runner = self._runner
-        fingerprint = runner.fingerprint if runner is not None else ""
-        checkpointing = (self._cache is not None and bool(fingerprint)
-                         and not tainted)
-        partition = supervisor.partition_digest(stage, shards)
-        resolved = self._load_checkpoints(
-            stage, shards, partition, fingerprint, version, params,
-            checkpointing)
+        checkpoints = StageCheckpoints.for_stage(
+            self._cache, runner.fingerprint if runner is not None else "",
+            stage, shards, version, params, tainted)
+        resolved = checkpoints.begin(len(shards), self.config.resume)
         with obs.span("dist:%s" % stage, category="dist", stage=stage,
                       shards=len(shards)) as handle:
             board = LeaseBoard(stage, shards, self.config.policy(),
                                resolved=resolved)
-            serving = _StageServing(
-                board=board, stage=stage, partition=partition,
-                checkpointing=checkpointing, version=version,
-                params=params)
-            if checkpointing and len(resolved) < len(shards):
-                self._cache.store(
-                    supervisor.manifest_checkpoint_key(
-                        fingerprint, stage, version, params, partition),
-                    supervisor.CheckpointManifest(
-                        stage=stage, shard_count=len(shards),
-                        partition_digest=partition,
-                        keys=tuple(supervisor.shard_checkpoint_key(
-                            fingerprint, stage, index, version, params,
-                            partition) for index in range(len(shards)))))
+            serving = _StageServing(board=board, checkpoints=checkpoints)
             with self._lock:
                 self._serving = serving
             while True:
@@ -267,17 +252,8 @@ class LeaseServer:
             # threads may still be draining a late RESULT, so the final
             # accounting reads hold it too.
             with self._lock:
-                outcome = board.finish(probe_of,
-                                       checkpoints_loaded=len(resolved),
-                                       checkpoints_stored=stored)
-                # Absorb worker spans/metrics in shard-index order: the
-                # merged trace is deterministic whatever the wire order
-                # was.
-                for index in sorted(board.envelopes):
-                    envelope = board.envelopes[index]
-                    obs.absorb_spans(span.with_attrs(shard=index)
-                                     for span in envelope.spans)
-                    obs.metrics().absorb(envelope.metrics)
+                outcome = finish_stage(board, probe_of, len(resolved),
+                                       stored)
                 handle.set(leases=board.leases_granted,
                            retries=board.retries,
                            reassignments=board.reassignments,
@@ -294,42 +270,7 @@ class LeaseServer:
                 obs.count("dist.results.duplicate", duplicates)
             if late:
                 obs.count("dist.results.late", late)
-            if len(resolved):
-                obs.count("runtime.checkpoints.loaded", len(resolved))
-            if stored:
-                obs.count("runtime.checkpoints.stored", stored)
         return outcome
-
-    def _load_checkpoints(self, stage: str, shards: list[list],
-                          partition: str, fingerprint: str, version: str,
-                          params: str,
-                          checkpointing: bool) -> dict[int, object]:
-        """Resume: verified payloads for every checkpointed shard."""
-        if not (checkpointing and self.config.resume):
-            return {}
-        hit, manifest = self._cache.load(
-            supervisor.manifest_checkpoint_key(
-                fingerprint, stage, version, params, partition),
-            stage="manifest:%s" % stage)
-        if hit:
-            supervisor.validate_manifest(manifest, stage, partition,
-                                         len(shards))
-        resolved: dict[int, object] = {}
-        for index in range(len(shards)):
-            hit, envelope = self._cache.load(
-                supervisor.shard_checkpoint_key(
-                    fingerprint, stage, index, version, params,
-                    partition),
-                stage="shard:%s" % stage)
-            if not hit or not isinstance(envelope, workers.ShardResult):
-                continue
-            try:
-                resolved[index] = envelope.open_payload()
-            except Exception:  # repro: noqa[RPR004] — a corrupt
-                # checkpoint is a cache miss, never a run abort; the
-                # shard simply gets recomputed.
-                continue
-        return resolved
 
     # -- connection handling --------------------------------------------------
 
@@ -476,14 +417,11 @@ class LeaseServer:
             state = self._workers[connection.worker_id]
             state.leases += 1
             cache_key = ""
-            if serving.checkpointing:
-                runner = self._runner
-                cache_key = supervisor.shard_checkpoint_key(
-                    runner.fingerprint, serving.stage,
-                    record.shard_index, serving.version, serving.params,
-                    serving.partition)
+            if serving.checkpoints.enabled:
+                cache_key = serving.checkpoints.shard_key(
+                    record.shard_index)
             lease = protocol.Lease(
-                lease_id=record.lease_id, stage=serving.stage,
+                lease_id=record.lease_id, stage=record.stage,
                 shard_index=record.shard_index, attempt=record.attempt,
                 items=tuple(serving.board.shards[record.shard_index]),
                 deadline_s=self.config.lease_deadline_s,
@@ -496,14 +434,14 @@ class LeaseServer:
                    connection: _Connection) -> object:
         ack = protocol.Heartbeat(worker_id="coordinator",
                                  lease_id=result.lease_id)
-        store: tuple[str, workers.ShardResult] | None = None
+        store: tuple[StageCheckpoints, workers.ShardResult] | None = None
         with self._lock:
             serving = self._serving
             state = self._workers.get(connection.worker_id)
             if state is not None:
                 state.results += 1
                 state.last_seen = time.monotonic()
-            if serving is None or serving.stage != result.stage:
+            if serving is None or serving.board.stage != result.stage:
                 # The stage already drained (a stale retry's result):
                 # idempotently acknowledged, dropped from accounting.
                 obs.count("dist.results.stray")
@@ -513,21 +451,16 @@ class LeaseServer:
                 return ack
             verdict = serving.board.submit(result.lease_id,
                                            result.envelope)
-            if verdict in ("resolved", "late"):
+            if verdict in (SUBMIT_RESOLVED, SUBMIT_LATE):
                 if state is not None and result.cache_hit:
                     state.cache_hits += 1
-                if serving.checkpointing and not result.cache_hit:
-                    runner = self._runner
-                    key = supervisor.shard_checkpoint_key(
-                        runner.fingerprint, serving.stage,
-                        result.envelope.shard_index, serving.version,
-                        serving.params, serving.partition)
-                    store = (key, result.envelope)
+                if serving.checkpoints.enabled and not result.cache_hit:
+                    store = (serving.checkpoints, result.envelope)
                     serving.checkpoints_stored += 1
         if store is not None:
             # Store outside the cluster lock: disk latency must not
             # stall lease grants for every other worker.
-            self._cache.store(store[0], store[1])
+            store[0].store(store[1])
         if result.cache_hit:
             obs.count("dist.results.cache_hits")
         return ack
@@ -542,7 +475,7 @@ class DistRunner(ShardedRunner):
         server.bind(self)
 
     def _new_report(self) -> RunReport:
-        # Workers are not local processes: the pool path's
+        # Workers are not local processes: the local path's
         # oversubscription warning would be meaningless here.
         return RunReport(
             jobs=self.config.jobs, fingerprint=self.fingerprint,

@@ -35,10 +35,10 @@ HEARTBEAT      HEARTBEAT                    liveness ping mid-compute
 DRAIN          DRAIN(done=True)             polite goodbye
 ========== =============================== ============================
 
-Payloads are pickles, exactly like the process-pool path and the
+Payloads are pickles, exactly like the local worker path and the
 artifact cache: the cluster is trusted (workers compute over the same
 bundle the coordinator serves), and the envelopes being shipped are the
-pickled :class:`~repro.runtime.workers.ShardResult` objects the pool
+pickled :class:`~repro.runtime.workers.ShardResult` objects the local
 path already exchanges.  Every message dataclass is pinned as an RPR010
 wire contract, as are the frame constants themselves.
 """

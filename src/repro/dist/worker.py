@@ -5,10 +5,10 @@ agree on protocol version, code version, and bundle fingerprint — a
 shard computed by divergent code or over a different dataset must never
 reach the merge), then pulls leases until the coordinator answers
 DRAIN(done).  Each lease is served by the *same* shard kernels the
-process-pool path runs (:data:`repro.runtime.workers.SHARD_TASKS`), and
+local worker path runs (:data:`repro.runtime.workers.SHARD_TASKS`), and
 shipped back as the same sealed :class:`~repro.runtime.workers.
 ShardResult` envelope — which is the whole bit-identity story: the
-coordinator merges envelopes it cannot tell apart from pool envelopes.
+coordinator merges envelopes it cannot tell apart from local ones.
 
 When the run has a shared artifact cache, each lease carries the
 shard's checkpoint ``cache_key``; a worker with a cache handle verifies

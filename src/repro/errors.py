@@ -25,7 +25,7 @@ class ObservabilityError(ReproError):
 
 
 class SupervisionError(ReproError):
-    """The supervised executor could not keep a worker pool alive."""
+    """The supervised executor could not keep its worker processes alive."""
 
 
 class EnvelopeCorruptError(SupervisionError):

@@ -1,7 +1,7 @@
 """Deterministic network-level fault plans for distributed runs.
 
 Where :class:`repro.faults.plan.FaultPlan` corrupts bundle *data* and
-:class:`repro.faults.process.ProcessFaultPlan` sabotages pool *workers*,
+:class:`repro.faults.process.ProcessFaultPlan` sabotages local *workers*,
 :class:`NetworkFaultPlan` sabotages the *transport*: messages between a
 dist worker and the coordinator are dropped, garbled, delayed, or the
 connection is torn down mid-conversation.  The dist protocol must make
@@ -190,7 +190,7 @@ def reconcile_network(plan: NetworkFaultPlan,
     ``injection_logs`` are per-channel ``{kind: count}`` mappings (each
     :class:`~repro.dist.transport.FaultyChannel` keeps one);
     ``resilience`` rows are duck-typed
-    :class:`repro.runtime.supervisor.StageResilience` objects — the same
+    :class:`repro.runtime.board.StageResilience` objects — the same
     inert-consumption discipline :func:`repro.faults.process.reconcile`
     uses, so this package still never imports the runtime.
     """

@@ -6,7 +6,7 @@ crashes (``SIGKILL``), hangs, corrupted result envelopes, and slow
 shards, placed deterministically from a seed so every faulted run is
 exactly reproducible and every injection exactly accountable.
 
-The plan is inert by design.  It is carried into pool workers inside
+The plan is inert by design.  It is carried into worker processes inside
 :class:`repro.runtime.workers.WorkerContext` and consulted through one
 duck-typed method — ``fault_at(stage, shard_index, attempt)`` returning
 a :class:`~repro.faults.injectors.FaultKind` value string or ``None`` —
@@ -186,7 +186,7 @@ def reconcile(plan: ProcessFaultPlan,
     """Reconcile a plan against a run's supervision account.
 
     ``resilience`` rows are duck-typed
-    :class:`repro.runtime.supervisor.StageResilience` objects (``stage``,
+    :class:`repro.runtime.board.StageResilience` objects (``stage``,
     ``shards``, ``abandoned``) — duck-typed for the same layering reason
     the plan itself is inert.  Only first-attempt placements are
     counted: a persistent plan re-fires on retries, but those are the

@@ -105,8 +105,9 @@ def _resilience_lines(events: list[dict], counters: dict[str, float],
                       gauges: dict[str, float]) -> list[str]:
     """Supervision account: retries, reassignments, quarantine, resume.
 
-    Fed by the ``runtime.*`` counters the supervisor emits plus its
-    ``supervisor``-category spans (one per supervised fan-out stage).
+    Fed by the ``runtime.*`` counters both shard schedulers emit (the
+    local supervisor and the dist coordinator) plus the local
+    supervisor's ``supervisor``-category spans (one per fan-out stage).
     """
     supervised = [event for event in events
                   if event.get("cat") == "supervisor"]
@@ -115,7 +116,7 @@ def _resilience_lines(events: list[dict], counters: dict[str, float],
              "runtime.checkpoints.loaded", "runtime.checkpoints.stored")
     if not supervised and not any(name in counters for name in names):
         return []
-    lines = ["retries %d  reassignments %d  pool respawns %d"
+    lines = ["retries %d  reassignments %d  worker respawns %d"
              % (counters.get("runtime.retries", 0),
                 counters.get("runtime.reassignments", 0),
                 counters.get("runtime.pool.respawns", 0)),

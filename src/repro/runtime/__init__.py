@@ -8,16 +8,18 @@ This package exploits both properties:
   graph — named stages with declared inputs and outputs, validated as a
   DAG;
 * :mod:`repro.runtime.executor` partitions probes into deterministic
-  shards and fans the per-probe stages out over a process pool, merging
+  shards and fans the per-probe stages out over worker processes, merging
   shard results in canonical order so ``jobs=N`` output is bit-identical
   to ``jobs=1``;
 * :mod:`repro.runtime.cache` stores stage outputs content-addressed on
   the bundle fingerprint, stage name, code version and parameters, so
   warm re-runs skip every unchanged stage;
 * :mod:`repro.runtime.supervisor` wraps the fan-out in fault tolerance —
-  worker crash/hang detection, bounded retry with deterministic backoff,
-  per-shard checkpoints for ``--resume``, and quarantine-with-exact-
-  accounting when retries are exhausted (the run degrades, never dies).
+  worker crash/hang detection and per-shard checkpoints for ``--resume``
+  — over :mod:`repro.runtime.board`, the lease board that owns bounded
+  retry with deterministic backoff and quarantine-with-exact-accounting
+  when retries are exhausted (the run degrades, never dies).  The
+  distributed coordinator drives the same board.
 
 ``repro-run`` (:mod:`repro.runtime.cli`) drives the graph from the shell;
 ``repro-experiment`` threads ``--jobs/--cache-dir/--no-cache`` through to
@@ -38,13 +40,12 @@ from repro.runtime.executor import (
 )
 from repro.runtime.sharding import partition, shard_count
 from repro.runtime.stages import STAGES, StageSpec, topological_order
-from repro.runtime.supervisor import (
-    CheckpointManifest,
+from repro.runtime.board import (
     ShardFailure,
-    ShardSupervisor,
     StageResilience,
     SupervisionPolicy,
 )
+from repro.runtime.supervisor import CheckpointManifest, ShardSupervisor
 
 __all__ = [
     "ArtifactCache",

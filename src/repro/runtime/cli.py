@@ -49,7 +49,7 @@ def add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
                         help="ignore --cache-dir and recompute everything")
     parser.add_argument("--start-method", choices=["fork", "spawn"],
                         default=None,
-                        help="worker pool start method (default: fork "
+                        help="worker process start method (default: fork "
                              "where available, else spawn; results are "
                              "identical either way)")
     parser.add_argument("--trace", metavar="FILE", default=None,

@@ -43,12 +43,9 @@ from repro.core.pipeline import (
 )
 from repro.runtime import workers
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
+from repro.runtime.board import StageResilience, SupervisionPolicy
 from repro.runtime.sharding import partition, shard_count
-from repro.runtime.supervisor import (
-    ShardSupervisor,
-    StageResilience,
-    SupervisionPolicy,
-)
+from repro.runtime.supervisor import ShardSupervisor
 from repro.runtime.stages import VIEW_ARTIFACTS, StageSpec, topological_order
 from repro.util import fingerprint as fp
 from repro.util import timeutil
@@ -57,7 +54,7 @@ from repro.util.ordering import ordered_merge
 
 
 def resolve_start_method(requested: str | None = None) -> str:
-    """Pick the multiprocessing start method for the worker pool.
+    """Pick the multiprocessing start method for the worker processes.
 
     ``fork`` is the fast path (workers inherit the installed dataset
     context by page sharing instead of unpickling it), but it only
@@ -106,7 +103,7 @@ class RuntimeConfig:
     resume: bool = False
     #: Process-fault plan (``fault_at(stage, shard, attempt)`` duck
     #: type, e.g. :class:`repro.faults.process.ProcessFaultPlan`),
-    #: installed into the pool workers.  ``None`` = no injection.
+    #: installed into the worker processes.  ``None`` = no injection.
     fault_plan: object | None = None
 
     def __post_init__(self) -> None:
@@ -143,7 +140,7 @@ class StageTiming:
     seconds: float
     #: Served from the artifact cache (no computation at all).
     cached: bool
-    #: Computed via the process pool (vs inline in the parent).
+    #: Computed by worker processes (vs inline in the parent).
     sharded: bool
 
 

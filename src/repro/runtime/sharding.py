@@ -15,7 +15,7 @@ from typing import Sequence, TypeVar
 T = TypeVar("T")
 
 #: Shards per worker: small enough to keep task dispatch overhead low,
-#: large enough that one slow shard cannot serialize the pool's tail.
+#: large enough that one slow shard cannot serialize the run's tail.
 OVERSHARD = 4
 
 

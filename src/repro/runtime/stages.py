@@ -44,7 +44,7 @@ class StageSpec:
     """One named stage: declared dataflow plus its pure implementation.
 
     ``fan_out`` marks stages whose dominant cost is an independent
-    per-probe kernel; only these are dispatched to the process pool.
+    per-probe kernel; only these are dispatched to worker processes.
     The remaining stages are cheap aggregations the parent runs inline.
 
     ``cacheable=False`` marks stages whose output is a near-free

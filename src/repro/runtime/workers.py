@@ -1,23 +1,25 @@
-"""Process-pool worker side of the sharded executor.
+"""Worker side of the sharded executor.
 
-Each worker process receives the full dataset context once (via the pool
-initializer) and then serves shard tasks that are nothing but probe-id
-lists, keeping per-task pickling traffic tiny.  The context's columnar
-views are built once per process (once per pool under fork), and every
+A local worker is a plain :mod:`multiprocessing` process running
+:func:`serve`: it receives the full dataset context once (inherited
+through ``fork``, or as its one start-up argument under ``spawn``), then
+serves shard tasks that are nothing but probe-id lists over its own
+pipe, keeping per-task pickling traffic tiny.  The context's columnar
+views are built once per process (once per run under fork), and every
 shard runs the same vectorized kernels the serial path runs, so a
-payload is exactly the slice of the serial result for its probes.
+payload is exactly the slice of the serial result for its probes.  The
+distributed worker (:mod:`repro.dist.worker`) runs the same
+:func:`run_shard` behind a socket instead of a pipe.
 
 Results cross the process boundary inside a *sealed* :class:`ShardResult`
 envelope: the payload is pickled worker-side and stamped with its content
 fingerprint, so the supervisor can detect a corrupted envelope before a
 bad payload reaches the merge, and retry the shard instead of poisoning
-the run.  Workers also register a heartbeat file on their first task —
-the supervisor uses the registry both as a liveness signal and as the
-pid list to ``SIGKILL`` when it must tear down a hung pool.
+the run.
 
-Everything here must stay importable at module top level (the pool
-pickles task functions by qualified name) and free of global randomness;
-any future stochastic stage must draw from
+Everything here must stay importable at module top level (spawned
+workers import :func:`serve` by qualified name) and free of global
+randomness; any future stochastic stage must draw from
 :func:`repro.util.rng.substream` keyed on the scenario seed and probe id,
 never from process-local state, or ``jobs=N`` output would diverge from
 ``jobs=1``.  Process-fault injection (``repro.faults.process``) arrives
@@ -28,14 +30,12 @@ never needs to import the runtime it sabotages.
 
 from __future__ import annotations
 
-import json
 import os
 import pickle
 import signal
-import threading
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
+from multiprocessing.connection import Connection
 
 from repro import obs
 from repro.atlas.archive import ProbeArchive
@@ -63,11 +63,10 @@ FAULT_ENVELOPE_CORRUPT = "envelope-corrupt"
 class WorkerContext:
     """Everything a worker needs, shipped once per process.
 
-    ``heartbeat_dir`` and ``fault_plan`` are supervision extras: the
-    directory the worker registers its liveness file in, and an inert
-    process-fault plan (``fault_at(stage, shard_index, attempt)`` duck
-    type) consulted once per shard task.  Both default off, which is
-    what dist workers (the lease server supervises them) run with.
+    ``fault_plan`` is a supervision extra: an inert process-fault plan
+    (``fault_at(stage, shard_index, attempt)`` duck type) consulted once
+    per shard task.  It defaults off, which is what dist workers run
+    with.
     """
 
     __wire_contract__ = "worker-context"
@@ -78,7 +77,6 @@ class WorkerContext:
     kroot: KRootDataset
     uptime: UptimeDataset
     min_connected: float
-    heartbeat_dir: str | None = None
     fault_plan: object | None = None
     #: Always True: the columnar kernels are the only shard kernels.  The
     #: field stays because the end-to-end benchmark harness
@@ -90,30 +88,6 @@ class WorkerContext:
         if not self.columnar:
             raise ValueError("columnar=False is not supported: the "
                              "record kernels were removed")
-
-
-@dataclass(frozen=True)
-class Heartbeat:
-    """One worker's liveness record, serialized into its heartbeat file.
-
-    The supervisor reads these files for two things: mtime freshness
-    (liveness) and the pid to ``SIGKILL`` when tearing down a hung pool
-    — so the payload crosses a process/persistence boundary and is a
-    wire contract (RPR010).
-    """
-
-    __wire_contract__ = "worker-heartbeat"
-
-    pid: int
-    seq: int
-
-    def to_json(self) -> str:
-        return json.dumps({"pid": self.pid, "seq": self.seq})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Heartbeat":
-        payload = json.loads(text)
-        return cls(pid=int(payload["pid"]), seq=int(payload["seq"]))
 
 
 @dataclass
@@ -163,7 +137,6 @@ class ShardResult:
 
 
 _context: WorkerContext | None = None
-_heartbeat_pid: int | None = None
 _colconn: ColumnarConnlog | None = None
 _colup: ColumnarUptime | None = None
 
@@ -171,32 +144,24 @@ _colup: ColumnarUptime | None = None
 def init_worker(context: WorkerContext) -> None:
     """Install the dataset context in this process.
 
-    With a ``fork`` multiprocessing context the executor calls this in
-    the *parent* before creating the pool — children inherit the
+    With a ``fork`` multiprocessing context the supervisor calls this in
+    the *parent* before starting workers — children inherit the
     installed context through fork, skipping a per-worker pickle of the
-    full datasets.  Under ``spawn`` it runs as the pool initializer.
-    (Heartbeat registration is deliberately *not* done here: a thread
-    started parent-side would not survive the fork, so workers register
-    lazily on their first task instead.)
+    full datasets.  Under ``spawn`` each worker runs it in :func:`serve`.
     """
-    global _context, _heartbeat_pid, _colconn, _colup
+    global _context, _colconn, _colup
     _context = context
     # Build the columnar views eagerly: under fork this runs in the
     # parent, so every worker inherits the arrays by page sharing
     # instead of rebuilding them per process.
     _colconn = ColumnarConnlog.from_connlog(context.connlog)
     _colup = ColumnarUptime.from_uptime(context.uptime)
-    # Heartbeat registration state is initializer-owned like the rest of
-    # the per-process globals; actual registration happens lazily on the
-    # first task (a thread started here would not survive fork).
-    _heartbeat_pid = None
 
 
 def reset_worker() -> None:
     """Drop the installed context (parent-side cleanup after a run)."""
-    global _context, _heartbeat_pid, _colconn, _colup
+    global _context, _colconn, _colup
     _context = None
-    _heartbeat_pid = None
     _colconn = None
     _colup = None
 
@@ -204,49 +169,9 @@ def reset_worker() -> None:
 def _require_context() -> WorkerContext:
     if _context is None:
         raise RuntimeError(
-            "worker context not initialized; shard tasks must run in a "
-            "pool created with initializer=init_worker")
+            "worker context not initialized; shard tasks must run "
+            "after init_worker (serve installs it under spawn)")
     return _context
-
-
-# -- heartbeats --------------------------------------------------------------
-
-def heartbeat_path(directory: str | Path, pid: int) -> Path:
-    """The liveness file one worker pid writes (and the parent reads)."""
-    return Path(directory) / ("hb-%d.json" % pid)
-
-
-def _beat_forever(directory: str, pid: int) -> None:
-    """Daemon-thread body: refresh this worker's heartbeat file."""
-    seq = 0
-    while True:
-        seq += 1
-        try:
-            heartbeat_path(directory, pid).write_text(
-                Heartbeat(pid=pid, seq=seq).to_json())
-        except OSError:
-            # Spool removed mid-teardown: nothing left to signal.
-            return
-        time.sleep(timeutil.HEARTBEAT_INTERVAL_S)
-
-
-def _ensure_heartbeat(context: WorkerContext) -> None:
-    """Register this process in the heartbeat spool, once per process.
-
-    Runs worker-side on the first shard task (never in the parent, which
-    dispatches but does not serve tasks) so it works identically under
-    fork — where threads do not survive into the child — and spawn.
-    """
-    global _heartbeat_pid
-    if context.heartbeat_dir is None or _heartbeat_pid == os.getpid():
-        return
-    pid = os.getpid()
-    heartbeat_path(context.heartbeat_dir, pid).write_text(
-        Heartbeat(pid=pid, seq=0).to_json())
-    threading.Thread(target=_beat_forever,
-                     args=(context.heartbeat_dir, pid),
-                     daemon=True).start()
-    _heartbeat_pid = pid
 
 
 # -- fault injection (supervised runs only) ----------------------------------
@@ -315,7 +240,7 @@ def _gaps_payload(items: list[tuple[int, list[Reboot]]]) -> dict:
 
 
 #: Task registry: the supervisor dispatches shards by stage name, so the
-#: pickled task payload is ``(name, shard, index, attempt)`` instead of a
+#: pickled task is ``(name, shard, index, attempt)`` instead of a
 #: per-stage callable.
 SHARD_TASKS = {
     "filter": _filter_payload,
@@ -327,9 +252,8 @@ SHARD_TASKS = {
 
 def run_shard(task_name: str, shard: list, shard_index: int = 0,
               attempt: int = 0) -> ShardResult:
-    """Serve one shard task: heartbeat, (maybe) fault, compute, seal."""
-    context = _require_context()
-    _ensure_heartbeat(context)
+    """Serve one shard task: (maybe) fault, compute, seal."""
+    _require_context()
     _inject_preflight(task_name, shard_index, attempt)
     kernel = SHARD_TASKS[task_name]
     with obs.span("shard:%s" % task_name, category="shard",
@@ -338,3 +262,37 @@ def run_shard(task_name: str, shard: list, shard_index: int = 0,
     obs.count("runtime.worker.tasks")
     envelope = ShardResult.sealed(payload, shard_index, attempt)
     return _inject_envelope(envelope, task_name, shard_index, attempt)
+
+
+def serve(conn: Connection, context: WorkerContext | None = None,
+          inherited: tuple[Connection, ...] = ()) -> None:
+    """Local worker process body: serve shard tasks from one pipe.
+
+    ``context`` is ``None`` under fork (the parent installed it before
+    starting the process) and the dataset context under spawn.  A forked
+    worker also inherits the parent's ends of every worker pipe, its own
+    included; it closes those (``inherited``) first, so the parent's
+    death reaches it as EOF on its pipe instead of leaving it blocked.
+
+    The worker sends its pid — it is ready to take a lease — then
+    answers each ``(task_name, shard, shard_index, attempt)`` task with
+    a sealed :class:`ShardResult`, or with the error text when the
+    kernel raises, until the parent closes the pipe, dies, or kills it.
+    """
+    for end in inherited:
+        end.close()
+    if context is not None:
+        init_worker(context)
+    try:
+        conn.send(os.getpid())
+        while True:
+            task = conn.recv()
+            try:
+                reply: object = run_shard(*task)
+            # A kernel exception is this shard's failure, not the
+            # worker's: report it for the board to charge, keep serving.
+            except Exception as error:  # repro: noqa[RPR004]
+                reply = "%s: %s" % (type(error).__name__, error)
+            conn.send(reply)
+    except (EOFError, OSError):
+        return  # the parent closed the pipe or died

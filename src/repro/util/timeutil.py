@@ -22,11 +22,13 @@ DAY = 86400.0
 WEEK = 7 * DAY
 
 #: Wall-clock budget one shard task gets before the supervisor declares
-#: it hung and reassigns it (:mod:`repro.runtime.supervisor`).  Generous:
-#: a paper-scale shard computes in well under a second, so only a truly
-#: wedged worker ever reaches this.
+#: it hung, kills its worker and reassigns it
+#: (:mod:`repro.runtime.supervisor`).  Generous: a paper-scale shard
+#: computes in well under a second, so only a truly wedged worker ever
+#: reaches this.
 SHARD_DEADLINE_S = 5 * MINUTE
-#: How often a live worker process refreshes its heartbeat file.
+#: How often a distributed worker sends the coordinator a HEARTBEAT
+#: message while it is connected (:mod:`repro.dist.worker`).
 HEARTBEAT_INTERVAL_S = 5 * SECOND
 #: First retry delay; attempt ``n`` waits ``BACKOFF_BASE_S * 2**(n-1)``.
 BACKOFF_BASE_S = 0.05 * SECOND

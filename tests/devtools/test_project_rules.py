@@ -234,6 +234,93 @@ def test_rpr008_noqa_suppresses(make_tree):
     assert run_lint([tree], rules=["RPR008"]).diagnostics == []
 
 
+def process_tree(worker_body: str,
+                 target: str = "pkg.work.serve") -> dict[str, str]:
+    """A worker module reached only through ``ctx.Process(target=...)``."""
+    return {
+        "pkg/exec.py": (
+            "import multiprocessing\n"
+            "import pkg.work\n\n"
+            "def start(conn):\n"
+            "    ctx = multiprocessing.get_context('spawn')\n"
+            "    process = ctx.Process(target=%s, args=(conn,))\n"
+            "    process.start()\n"
+            "    return process\n" % target
+        ),
+        "pkg/work.py": worker_body,
+    }
+
+
+#: ``serve`` installs ``_context`` through ``init`` and dispatches tasks
+#: through a registry, like ``repro.runtime.workers.serve``.
+SERVED_WORKER = (
+    "_context = None\n"
+    "_scratch = {}\n\n"
+    "def init(ctx=None):\n"
+    "    global _context\n"
+    "    _context = ctx\n\n"
+    "def task(shard):\n"
+    "%s"
+    "    return shard, _context\n\n"
+    "TASKS = {'task': task}\n\n"
+    "def serve(conn):\n"
+    "    init(conn)\n"
+    "    while True:\n"
+    "        name, shard = conn.recv()\n"
+    "        conn.send(TASKS[name](shard))\n"
+)
+
+
+def test_rpr008_flags_unsanctioned_global_write_behind_process_target(
+        make_tree):
+    tree = make_tree(process_tree(
+        SERVED_WORKER % "    _scratch[shard] = True\n"))
+    result = run_lint([tree], rules=["RPR008"])
+    assert rules_of(result) == {"RPR008"}
+    (diagnostic,) = result.diagnostics
+    assert "pkg.work.task" in diagnostic.message
+    assert "_scratch" in diagnostic.message
+    assert "_context" in diagnostic.message
+
+
+def test_rpr008_clean_when_process_target_installs_the_globals(make_tree):
+    tree = make_tree(process_tree(SERVED_WORKER % ""))
+    assert run_lint([tree], rules=["RPR008"]).diagnostics == []
+
+
+def test_rpr008_flags_lambda_process_target(make_tree):
+    files = process_tree(SERVED_WORKER % "", target="lambda c: c")
+    files["pkg/exec.py"] = files["pkg/exec.py"].replace(
+        "ctx.Process", "multiprocessing.Process")
+    tree = make_tree(files)
+    result = run_lint([tree], rules=["RPR008"])
+    assert rules_of(result) == {"RPR008"}
+    assert "pickled" in result.diagnostics[0].message
+
+
+def test_rpr008_checks_the_real_worker_module(tmp_path):
+    """The local supervisor reaches ``repro.runtime.workers`` only
+    through ``Process(target=workers.serve)``; an unsanctioned global
+    write there must still be found."""
+    import shutil
+    from pathlib import Path
+
+    import repro
+
+    copy = tmp_path / "repro"
+    shutil.copytree(Path(repro.__file__).resolve().parent, copy,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    workers = copy / "runtime" / "workers.py"
+    workers.write_text(
+        workers.read_text(encoding="utf-8")
+        + "\n\n_tally = {}\n\n\ndef _count(task_name):\n"
+          "    _tally[task_name] = _tally.get(task_name, 0) + 1\n",
+        encoding="utf-8")
+    result = run_lint([copy], rules=["RPR008"])
+    assert [d.rule for d in result.diagnostics] == ["RPR008"]
+    assert "repro.runtime.workers._count" in result.diagnostics[0].message
+
+
 def test_real_tree_is_clean_under_project_rules():
     import repro
     from pathlib import Path

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dist.board import (
+from repro.runtime.board import (
     CAUSE_DISCONNECT,
     SUBMIT_CORRUPT,
     SUBMIT_DUPLICATE,

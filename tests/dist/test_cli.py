@@ -56,6 +56,34 @@ def test_coordinator_loopback_with_network_faults(bundle_dir,
     assert "UNRECONCILED" not in out
 
 
+@pytest.mark.slow
+def test_faulted_loopback_trace_reports_shard_failures(bundle_dir,
+                                                       tmp_path, capsys):
+    """The lease board's charges reach ``repro-obs report`` through the
+    same ``runtime.*`` counters a local supervised run emits."""
+    import json
+
+    from repro.obs.cli import main as obs_main
+
+    trace = tmp_path / "trace.json"
+    code = main(["coordinator", "--data", str(bundle_dir),
+                 "--loopback", "2", "--lease-deadline", "5",
+                 "--backoff-base", "0.01", "--max-retries", "6",
+                 "--inject-net", "seed=3,conn_disconnect=0.1",
+                 "--trace", str(trace)])
+    assert code == 0
+    counters = json.loads(trace.read_text())["metrics"]["counters"]
+    failures = {name: value for name, value in counters.items()
+                if name.startswith("runtime.shard.failures.")}
+    assert failures
+    capsys.readouterr()
+    assert obs_main(["report", str(trace)]) == 0
+    report = capsys.readouterr().out
+    assert "shard failures" in report
+    for name, value in sorted(failures.items()):
+        assert "%s %d" % (name.rsplit(".", 1)[1], value) in report
+
+
 def test_inject_net_requires_loopback(capsys):
     code = main(["coordinator", "--inject-net", "seed=1,msg_drop=0.1"])
     assert code == 2

@@ -11,9 +11,7 @@ completed shard checkpoint and matches the uninterrupted digest.
 
 from __future__ import annotations
 
-import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -26,12 +24,8 @@ from repro.runtime import (
     results_digest,
     runner_for_world,
 )
-from repro.runtime.supervisor import (
-    SupervisionPolicy,
-    partition_digest,
-    payloads_in_order,
-    resolve_envelopes,
-)
+from repro.runtime.board import LeaseBoard
+from repro.runtime.supervisor import SupervisionPolicy, partition_digest
 from repro.runtime.workers import ShardResult
 
 pytestmark = pytest.mark.runtime
@@ -126,11 +120,10 @@ def test_mixed_faults_keep_digest_identical(world, serial_digest):
 
 
 def test_pool_break_with_zero_retries_spares_unattributed_shards(world):
-    """A multi-shard pool break cannot say which in-flight shard killed
-    the worker, so even at --max-retries 0 an ambiguously-charged shard
-    is not quarantined: it retries once in isolation and recovers.  Only
-    a shard whose break was individually attributable (sole in-flight —
-    necessarily one the plan actually crashed) may be abandoned."""
+    """Each worker holds one lease, so a worker death is charged to the
+    one shard it was running and never to the shards on other workers.
+    At --max-retries 0 a crash therefore abandons exactly the shard that
+    crashed: every abandoned shard is one the plan placed a crash on."""
     plan = ProcessFaultPlan(seed=13, worker_crash=0.2)
     runner, _ = _faulted_run(world, plan, max_retries=0)
     report = reconcile(plan, runner.report.resilience)
@@ -329,23 +322,6 @@ def test_partition_digest_pins_the_cut():
         "filter", [[1, 2, 3], [4], [5]])
 
 
-def test_pool_process_table_assumption():
-    """``ShardSupervisor._teardown_pool`` SIGKILLs workers via the
-    private ``ProcessPoolExecutor._processes`` table (guarded with
-    getattr, the heartbeat spool being the primary pid source).  Pin
-    the internal so an interpreter upgrade that drops or reshapes it
-    fails here instead of silently weakening pool teardown."""
-    pool = ProcessPoolExecutor(max_workers=1)
-    try:
-        worker_pid = pool.submit(os.getpid).result(timeout=60)
-        table = getattr(pool, "_processes", None)
-        assert isinstance(table, dict)
-        assert worker_pid in table
-        assert all(isinstance(pid, int) for pid in table)
-    finally:
-        pool.shutdown()
-
-
 # -- merge-order property ----------------------------------------------------
 
 def _corrupted(envelope: ShardResult) -> ShardResult:
@@ -360,8 +336,9 @@ def _corrupted(envelope: ShardResult) -> ShardResult:
 @given(data=st.data(),
        shard_count=st.integers(min_value=1, max_value=8))
 def test_retry_order_never_perturbs_the_ordered_merge(data, shard_count):
-    """Whatever order envelopes resolve in — including corrupt attempts
-    interleaved from retries — the per-index payloads are identical."""
+    """Whatever order envelopes reach the lease board in — including
+    corrupt attempts interleaved from retries — the per-index payloads
+    are identical."""
     good = [ShardResult.sealed({index: "payload-%d" % index},
                                shard_index=index)
             for index in range(shard_count)]
@@ -372,7 +349,15 @@ def test_retry_order_never_perturbs_the_ordered_merge(data, shard_count):
             max_size=2 * shard_count))
     ]
     arrival = data.draw(st.permutations(good + corrupt))
-    resolved = resolve_envelopes(arrival)
-    payloads = payloads_in_order(resolved, shard_count)
+    board = LeaseBoard("filter", [[index] for index in range(shard_count)],
+                       SupervisionPolicy(backoff_base_s=0.0))
+    leases = {}
+    for _ in range(shard_count):
+        record = board.lease("w0")
+        leases[record.shard_index] = record.lease_id
+    for envelope in arrival:
+        board.submit(leases[envelope.shard_index], envelope)
+    assert board.done and not board.abandoned
+    payloads = board.finish(lambda item: item).payloads
     assert payloads == [
         pickle.loads(envelope.payload_pickle) for envelope in good]
