@@ -20,7 +20,9 @@ end-to-end analysis wall time over the paper scenario for:
   the records it presented per second.  Its ratio to the serial analysis
   is gated by ``--ingest-ratio-limit`` (default 1.5): a ratio of two
   timings on the same host, unlike raw seconds, survives noisy CI
-  runners.
+  runners.  ``ingest.datasets`` breaks it down: one row per dataset
+  reader (connlog, uptime, kroot, pfx2as) with its best-of-N seconds,
+  the records it presented and records per second.
 
 The ``jobs`` section records both the *requested* and the *effective*
 worker counts — the effective number is what every parallel/cache run
@@ -61,7 +63,7 @@ from repro.runtime.stages import STAGES
 from repro.sim.io import load_bundle, write_world
 from repro.sim.scenario import paper_scenario
 from repro.sim.world import build_world
-from repro.util.ingest import IngestReport
+from repro.util.ingest import IngestReport, ReadPolicy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -114,10 +116,53 @@ def _best_timed_load(directory: Path, repeat: int):
     return best_s, bundle, records
 
 
-def _ingest_entry(seconds: float, records: int, serial_s: float) -> dict:
+def _dataset_readers(directory: Path) -> dict:
+    """Each dataset's reader over the bundle, as ``report -> None``."""
+    from repro.atlas.connlog import ConnectionLog
+    from repro.atlas.sosuptime import UptimeDataset
+    from repro.sim import io as bundle_io
+
+    def read_file(reader, name):
+        def read(report):
+            with open(directory / name) as stream:
+                reader(stream, report=report)
+        return read
+
+    meta = bundle_io._load_meta(directory)
+    return {
+        "connlog": read_file(ConnectionLog.read, "connlog.tsv"),
+        "uptime": read_file(UptimeDataset.read, "uptime.tsv"),
+        "kroot": lambda report: bundle_io._load_kroot(
+            directory / "kroot.json", ReadPolicy.STRICT, report),
+        "pfx2as": lambda report: bundle_io._load_ip2as(
+            directory, meta, ReadPolicy.STRICT, report),
+    }
+
+
+def _best_timed_datasets(directory: Path, repeat: int) -> dict:
+    """Best-of-``repeat`` seconds and records per dataset reader."""
+    rows = {}
+    for name, read in _dataset_readers(directory).items():
+        best_s, records = None, 0
+        for _ in range(max(1, repeat)):
+            report = IngestReport()
+            started = time.perf_counter()
+            read(report)
+            seconds = time.perf_counter() - started
+            records = report.dataset(name).total
+            if best_s is None or seconds < best_s:
+                best_s = seconds
+        rows[name] = {"seconds": round(best_s, 4), "records": records,
+                      "records_per_sec": round(records / best_s, 1)}
+    return rows
+
+
+def _ingest_entry(seconds: float, records: int, serial_s: float,
+                  datasets: dict) -> dict:
     return {"seconds": round(seconds, 3), "records": records,
             "records_per_sec": round(records / seconds, 1),
-            "vs_serial_ratio": round(seconds / serial_s, 2)}
+            "vs_serial_ratio": round(seconds / serial_s, 2),
+            "datasets": datasets}
 
 
 def _timed_dist_run(bundle, workers: int = 2):
@@ -197,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         ingest_s, bundle, ingest_records = _best_timed_load(
             Path(tmp) / "bundle", args.repeat)
+        datasets = _best_timed_datasets(Path(tmp) / "bundle", args.repeat)
 
         print("timing serial (jobs=1, best of %d)..." % args.repeat,
               file=sys.stderr)
@@ -212,7 +258,8 @@ def main(argv: list[str] | None = None) -> int:
             raise AssertionError(
                 "serial throughput regressed: %.1f records/sec < floor %.1f"
                 % (serial_rps, args.min_serial_rps))
-        ingest = _ingest_entry(ingest_s, ingest_records, serial_s)
+        ingest = _ingest_entry(ingest_s, ingest_records, serial_s,
+                               datasets)
         if (args.ingest_ratio_limit
                 and ingest["vs_serial_ratio"] > args.ingest_ratio_limit):
             raise AssertionError(

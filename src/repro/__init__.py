@@ -5,7 +5,7 @@ The package splits into:
 * :mod:`repro.core` — the paper's analysis pipeline: probe filtering, the
   total-time-fraction metric, periodicity classification, outage detection
   and attribution, and prefix-level change analysis;
-* substrates the analysis needs: :mod:`repro.net` (IPv4, tries, pfx2as),
+* substrates the analysis needs: :mod:`repro.net` (IPv4, pfx2as),
   :mod:`repro.dhcp` and :mod:`repro.ppp` (address assignment protocols),
   :mod:`repro.isp` (pools, policies, paper-matched profiles),
   :mod:`repro.atlas` (the three RIPE Atlas dataset formats);

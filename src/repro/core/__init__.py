@@ -53,8 +53,6 @@ from repro.core.pipeline import (
 )
 from repro.core.prefixes import (
     PrefixChangeRow,
-    PrefixComparison,
-    compare_change,
     prefix_change_table,
 )
 from repro.core.reboots import (
@@ -89,7 +87,6 @@ __all__ = [
     "OutageRenumberingRow",
     "PeriodicityRow",
     "PrefixChangeRow",
-    "PrefixComparison",
     "ProbeCategory",
     "ProbeOutageStats",
     "ProbePeriodicity",
@@ -102,7 +99,6 @@ __all__ = [
     "binned_time",
     "bucket_outages",
     "classify_probe",
-    "compare_change",
     "concentration",
     "conditional_cdf_network",
     "conditional_cdf_power",

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.core.changes import AddressChange, AddressSpan
 from repro.net.ipv4 import IPv4Prefix
-from repro.net.pfx2as import IpToAsDataset
+from repro.net.pfx2as import UNROUTED, IpToAsDataset, prefix_from_key
 from repro.util.stats import fraction
 from repro.util.timeutil import DAY
 
@@ -117,6 +117,10 @@ def detect_administrative_renumbering(
     BGP prefixes never seen for this AS before that day.  The first
     ``warmup_days`` of the observation window are never flagged: the
     prefix universe is still filling in, so novelty is meaningless.
+
+    Each AS's changes are looked up in one batch
+    (:meth:`IpToAsDataset.lookup`); only the novel prefixes of a reported
+    event become :class:`IPv4Prefix` values.
     """
     by_asn: dict[int, list[AddressChange]] = defaultdict(list)
     probes_by_asn: dict[int, set[int]] = defaultdict(set)
@@ -132,22 +136,26 @@ def detect_administrative_renumbering(
         if len(probes_by_asn[asn]) < min_probes:
             continue
         changes.sort(key=lambda change: change.time)
-        seen_prefixes: set[IPv4Prefix] = set()
-        by_day: dict[int, list[tuple[int, IPv4Prefix | None,
-                                     IPv4Prefix | None]]] = defaultdict(list)
-        for change in changes:
+        times = [change.time for change in changes]
+        _, keys = ip2as.lookup(
+            [change.new_address.value for change in changes]
+            + [change.old_address.value for change in changes], times + times)
+        keys = keys.tolist()
+        # Prefixes as packed keys (UNROUTED when unrouted).
+        seen_prefixes: set[int] = set()
+        by_day: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+        for change, new_key, old_key in zip(changes, keys,
+                                            keys[len(changes):]):
             day = int((change.time - start) // DAY)
-            new_prefix = ip2as.bgp_prefix(change.new_address, change.time)
-            old_prefix = ip2as.bgp_prefix(change.old_address, change.time)
-            by_day[day].append((change.probe_id, new_prefix, old_prefix))
+            by_day[day].append((change.probe_id, new_key, old_key))
         for day in sorted(by_day):
             entries = by_day[day]
             day_probes = {probe_id for probe_id, _, _ in entries}
-            day_prefixes = [p for _, p, _ in entries if p is not None]
+            day_prefixes = [p for _, p, _ in entries if p != UNROUTED]
             # Old addresses were in use before today; their prefixes are
             # prior knowledge even on an AS's first observed change day.
             seen_prefixes.update(
-                p for _, _, p in entries if p is not None)
+                p for _, _, p in entries if p != UNROUTED)
             novel = [p for p in day_prefixes if p not in seen_prefixes]
             changed_share = fraction(len(day_probes),
                                      len(probes_by_asn[asn]))
@@ -163,7 +171,8 @@ def detect_administrative_renumbering(
                     asn=asn, day_index=day,
                     probes_changed=len(day_probes),
                     probes_total=len(probes_by_asn[asn]),
-                    novel_prefixes=tuple(sorted(set(novel))),
+                    novel_prefixes=tuple(prefix_from_key(key)
+                                         for key in sorted(set(novel))),
                 ))
             seen_prefixes.update(day_prefixes)
     events.sort(key=lambda event: (event.day_index, event.asn))

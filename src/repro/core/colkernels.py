@@ -49,8 +49,7 @@ from repro.core.filtering import (
 )
 from repro.core.reboots import Reboot
 from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
-from repro.net.pfx2as import UNROUTED, IpToAsDataset, Pfx2AsSnapshot
-from repro.util import timeutil
+from repro.net.pfx2as import UNROUTED, IpToAsDataset
 
 _TESTING_VALUE = TESTING_ADDRESS.value
 
@@ -67,43 +66,6 @@ def _strip_offset(col: ColumnarConnlog, lo: int, hi: int) -> int:
             and int(col.addrs[lo]) == _TESTING_VALUE):
         return lo + 1
     return lo
-
-
-# -- batched IP-to-AS lookups -------------------------------------------------
-
-def _batch_origin_asns(ip2as: IpToAsDataset, addr_values: Sequence[int],
-                       times: Sequence[float]):
-    """Vectorized :meth:`IpToAsDataset.origin_asn` over parallel lists.
-
-    Returns an int64 array with :data:`UNROUTED` standing in for None.
-    Lookups are grouped by calendar month (the paper's snapshot
-    granularity); each group resolves its snapshot through the normal
-    ``snapshot_for`` path, so missing-month and fallback semantics are
-    exactly the per-call dataset's.
-    """
-    if not addr_values:
-        return np.empty(0, dtype=np.int64)
-    addrs = np.asarray(addr_values, dtype=np.int64)
-    when = np.asarray(times, dtype=np.float64)
-    out = np.empty(len(addrs), dtype=np.int64)
-    last_key = timeutil.month_of(float(when.max()))
-    keys = [timeutil.month_of(float(when.min()))]
-    while keys[-1] < last_key:
-        year, month = keys[-1]
-        keys.append((year + 1, 1) if month == 12 else (year, month + 1))
-    bounds = np.asarray(
-        [timeutil.epoch(year, month, 1) for year, month in keys],
-        dtype=np.float64)
-    group = np.searchsorted(bounds, when, side="right") - 1
-    for index in range(len(keys)):
-        mask = group == index
-        if not mask.any():
-            continue
-        snapshot = ip2as.snapshot_for(float(bounds[index]))
-        stab_bounds, stab_asns = snapshot.stab_arrays()
-        pos = np.searchsorted(stab_bounds, addrs[mask], side="right") - 1
-        out[mask] = stab_asns[pos]
-    return out
 
 
 # -- stage ``filter`` ---------------------------------------------------------
@@ -178,7 +140,7 @@ def classify_probes(col: ColumnarConnlog, archive, ip2as: IpToAsDataset,
 
     if not pending:
         return verdicts
-    asns = _batch_origin_asns(ip2as, lookup_addrs, lookup_times)
+    asns, _ = ip2as.lookup(lookup_addrs, lookup_times)
     cursor = 0
     first_addrs: list[int] = []
     first_times: list[float] = []
@@ -199,7 +161,7 @@ def classify_probes(col: ColumnarConnlog, archive, ip2as: IpToAsDataset,
             # entry the record kernel scans for is simply row ``slo``.
             first_addrs.append(int(col.addrs[slo]))
             first_times.append(float(col.starts[slo]))
-    first_asns = _batch_origin_asns(ip2as, first_addrs, first_times)
+    first_asns, _ = ip2as.lookup(first_addrs, first_times)
     first_cursor = 0
     for pid, changes, within, multi_as in resolved:
         asn = None

@@ -11,39 +11,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
+
+import numpy as np
 
 from repro.core.changes import AddressChange
-from repro.net.pfx2as import IpToAsDataset
+from repro.net.pfx2as import UNROUTED, IpToAsDataset
 from repro.util.stats import fraction
-
-
-@dataclass(frozen=True)
-class PrefixComparison:
-    """Prefix relationships between an old and new address."""
-
-    change: AddressChange
-    diff_bgp: bool | None  # None when either address is unrouted
-    diff_slash16: bool
-    diff_slash8: bool
-
-
-def compare_change(change: AddressChange,
-                   ip2as: IpToAsDataset) -> PrefixComparison:
-    """Classify one change at BGP / /16 / /8 granularity."""
-    old_prefix = ip2as.bgp_prefix(change.old_address, change.time)
-    new_prefix = ip2as.bgp_prefix(change.new_address, change.time)
-    diff_bgp: bool | None
-    if old_prefix is None or new_prefix is None:
-        diff_bgp = None
-    else:
-        diff_bgp = old_prefix != new_prefix
-    return PrefixComparison(
-        change=change,
-        diff_bgp=diff_bgp,
-        diff_slash16=change.old_address.slash16() != change.new_address.slash16(),
-        diff_slash8=change.old_address.slash8() != change.new_address.slash8(),
-    )
 
 
 @dataclass(frozen=True)
@@ -74,17 +48,6 @@ class PrefixChangeRow:
         return fraction(self.diff_slash8, self.total_changes)
 
 
-def _tally(name: str, asn: int | None, country: str,
-           comparisons: Sequence[PrefixComparison]) -> PrefixChangeRow:
-    return PrefixChangeRow(
-        as_name=name, asn=asn, country=country,
-        total_changes=len(comparisons),
-        diff_bgp=sum(1 for c in comparisons if c.diff_bgp),
-        diff_slash16=sum(1 for c in comparisons if c.diff_slash16),
-        diff_slash8=sum(1 for c in comparisons if c.diff_slash8),
-    )
-
-
 def prefix_change_table(changes_by_probe: Mapping[int, Iterable[AddressChange]],
                         asn_by_probe: Mapping[int, int],
                         ip2as: IpToAsDataset,
@@ -96,25 +59,45 @@ def prefix_change_table(changes_by_probe: Mapping[int, Iterable[AddressChange]],
 
     Per-AS rows are ordered by the number of probes contributing changes
     (the paper lists the ten ASes with the most changed probes); ``top``
-    truncates the list.
+    truncates the list.  Both addresses of every change are looked up
+    in one batch (:meth:`IpToAsDataset.lookup`, in the snapshot for the
+    month of the change); /16 and /8 compare the address values shifted.
     """
-    all_comparisons: list[PrefixComparison] = []
-    by_asn: dict[int, list[PrefixComparison]] = defaultdict(list)
     probes_by_asn: dict[int, set[int]] = defaultdict(set)
+    owners: list[int] = []  # the AS each change counts towards
+    olds: list[int] = []
+    news: list[int] = []
+    times: list[float] = []
     for probe_id, changes in changes_by_probe.items():
         asn = asn_by_probe[probe_id]
         for change in changes:
-            comparison = compare_change(change, ip2as)
-            all_comparisons.append(comparison)
-            by_asn[asn].append(comparison)
             probes_by_asn[asn].add(probe_id)
+            owners.append(asn)
+            olds.append(change.old_address.value)
+            news.append(change.new_address.value)
+            times.append(change.time)
 
-    overall = _tally("All", None, "", all_comparisons)
-    rows = [
-        _tally(as_names.get(asn, "AS%d" % asn), asn,
-               (as_countries or {}).get(asn, ""), comparisons)
-        for asn, comparisons in by_asn.items()
-    ]
+    old = np.asarray(olds, dtype=np.int64)
+    new = np.asarray(news, dtype=np.int64)
+    _, keys = ip2as.lookup(np.concatenate((old, new)), times + times)
+    old_keys, new_keys = keys[:len(old)], keys[len(old):]
+    # Per change: counted, diff BGP (never with an unrouted end), diff
+    # /16, diff /8 -- the count columns of PrefixChangeRow, in order.
+    flags = np.stack((np.ones(len(old), dtype=bool),
+                      (old_keys != UNROUTED) & (new_keys != UNROUTED)
+                      & (old_keys != new_keys),
+                      (old >> 16) != (new >> 16),
+                      (old >> 24) != (new >> 24)), axis=1).astype(np.int64)
+    # Per-AS rows in order of each AS's first change.
+    row = {asn: index for index, asn in enumerate(probes_by_asn)}
+    counts = np.zeros((len(row), flags.shape[1]), dtype=np.int64)
+    np.add.at(counts, np.asarray([row[asn] for asn in owners],
+                                 dtype=np.int64), flags)
+    overall = PrefixChangeRow("All", None, "", *flags.sum(axis=0).tolist())
+    rows = [PrefixChangeRow(as_names.get(asn, "AS%d" % asn), asn,
+                            (as_countries or {}).get(asn, ""),
+                            *counts[index].tolist())
+            for asn, index in row.items()]
     rows.sort(key=lambda row: -len(probes_by_asn[row.asn]))
     if top is not None:
         rows = rows[:top]

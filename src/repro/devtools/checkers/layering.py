@@ -11,7 +11,7 @@ layer or a lower one:
            │                                  import, itself importing only
            │                                  errors)
            └─ util                           (rank 2: rng, timeutil, ingest)
-                └─ net                       (rank 3: IPv4, tries, pfx2as)
+                └─ net                       (rank 3: IPv4, pfx2as)
                      └─ dhcp    ppp          (rank 4: siblings — no imports
                           └──────┴─ isp       between them)   (rank 5)
                                     └─ atlas (rank 6: dataset containers)

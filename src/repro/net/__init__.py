@@ -1,4 +1,4 @@
-"""IPv4 addressing substrate: value types, trie, pfx2as, BGP synthesis."""
+"""IPv4 addressing substrate: value types, pfx2as, BGP synthesis."""
 
 from repro.net.bgpgen import AddressSpaceAllocator, AddressSpacePlan
 from repro.net.ipv4 import (
@@ -8,7 +8,6 @@ from repro.net.ipv4 import (
     IPv4Prefix,
 )
 from repro.net.pfx2as import AsMapping, IpToAsDataset, Pfx2AsSnapshot
-from repro.net.trie import PrefixTrie
 
 __all__ = [
     "AddressSpaceAllocator",
@@ -18,7 +17,6 @@ __all__ = [
     "IPv4Prefix",
     "IpToAsDataset",
     "Pfx2AsSnapshot",
-    "PrefixTrie",
     "TESTING_ADDRESS",
     "TESTING_ADDRESS_TEXT",
 ]

@@ -6,8 +6,9 @@ and the enclosing /8 — Section 6 of the paper), so addresses and prefixes
 are first-class values here rather than raw strings.
 
 We deliberately implement these from scratch instead of wrapping
-:mod:`ipaddress`: the trie, pool allocators and dataset writers all want the
-integer representation directly, and the value types stay tiny.
+:mod:`ipaddress`: the pfx2as tables, pool allocators and dataset writers
+all want the integer representation directly, and the value types stay
+tiny.
 """
 
 from __future__ import annotations

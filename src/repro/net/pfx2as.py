@@ -7,27 +7,58 @@ the month in which the address was assigned is the one consulted.
 
 Snapshots serialize to the pfx2as text format (``network<TAB>length<TAB>asn``
 per line) so tests can exercise round-trips and malformed-input handling.
+
+A snapshot is three columns sorted by prefix -- ``network``, ``length``
+and ``asn``, one row per distinct prefix -- plus a *stab table*: the
+sorted start addresses of the segments the prefixes cut the address
+space into, each tagged with its most specific covering prefix.  One
+``searchsorted`` over the segment starts answers the longest-prefix
+match for a whole column of addresses, giving the origin ASN and the
+prefix itself (packed into one integer, see :func:`prefix_from_key`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
 from repro.errors import DatasetError, ParseError
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
-from repro.net.trie import PrefixTrie
 from repro.util import timeutil
 from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
     format_line_error,
 )
+from repro.util.tsvscan import TsvScan
 
 #: Dataset label used in ingest accounting and diagnostics.
 DATASET_NAME = "pfx2as"
+
+#: Largest AS number: ASNs are unsigned 32-bit (RFC 6793); 0 is reserved.
+MAX_ASN = (1 << 32) - 1
+
+#: Sentinel for unrouted address space in ASN and prefix-key columns.
+UNROUTED = -1
+
+#: Low bits of a packed prefix key that hold the prefix length (0..32).
+_LENGTH_BITS = 6
+
+
+def _pack(network, length):
+    """Pack prefixes into integer keys (scalars or int64 arrays alike).
+
+    Keys order exactly as :class:`IPv4Prefix` values do: by network,
+    then by length.
+    """
+    return (network << _LENGTH_BITS) | length
+
+
+def prefix_from_key(key: int) -> IPv4Prefix:
+    """The :class:`IPv4Prefix` a batched lookup's prefix key stands for."""
+    return IPv4Prefix(key >> _LENGTH_BITS, key & ((1 << _LENGTH_BITS) - 1))
 
 
 @dataclass(frozen=True)
@@ -38,121 +69,172 @@ class AsMapping:
     asn: int
 
     def __post_init__(self) -> None:
-        if self.asn <= 0:
-            raise ParseError("ASN must be positive, got %r" % (self.asn,))
+        if not 1 <= self.asn <= MAX_ASN:
+            raise ParseError("ASN out of range 1..%d: %r"
+                             % (MAX_ASN, self.asn))
 
 
-#: Sentinel ASN in flattened stab tables for unrouted address space.
-UNROUTED = -1
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
+
+def _last_of_runs(ordered):
+    """Mask of the last element of each run of equal values."""
+    return np.concatenate((ordered[1:] != ordered[:-1], [True]))
+
+
+def _by_prefix(network, length, asn):
+    """The columns in prefix order, one row per prefix.
+
+    Rows come in insertion order; of several rows for one prefix the
+    last wins, as a later ``add`` replaces an earlier one.
+    """
+    if not len(network):
+        return network, length, asn
+    keys = _pack(network, length)
+    order = np.argsort(keys, kind="stable")
+    rows = order[_last_of_runs(keys[order])]
+    return network[rows], length[rows], asn[rows]
+
+
+def _sweep(starts: list[int], ends: list[int]
+           ) -> tuple[list[int], list[int]]:
+    """Segment starts and, per segment, the row of its most specific
+    covering prefix (:data:`UNROUTED` where none covers it).
+
+    Rows arrive in prefix order -- a prefix before the prefixes it
+    covers, disjoint ones by address -- so a stack of the prefixes
+    covering the sweep point yields the segments in address order.
+    Segments of zero width come out too; the last one starting at an
+    address is the one that covers it.
+    """
+    bounds: list[int] = [0]
+    owners: list[int] = [UNROUTED]
+    stack: list[tuple[int, int]] = []  # (end address, row), nested
+
+    def resume() -> None:
+        bounds.append(stack.pop()[0])
+        owners.append(stack[-1][1] if stack else UNROUTED)
+
+    for row, (start, end) in enumerate(zip(starts, ends)):
+        while stack and stack[-1][0] <= start:
+            resume()
+        bounds.append(start)
+        owners.append(row)
+        stack.append((end, row))
+    while stack:
+        resume()
+    return bounds, owners
 
 
 class Pfx2AsSnapshot:
-    """A single month's prefix-to-AS table with longest-prefix lookup."""
+    """A single month's prefix-to-AS table with longest-prefix lookup.
+
+    :meth:`add` only queues a mapping; the next query folds the queue
+    into the sorted columns (the last mapping added for a prefix wins)
+    and rebuilds the stab table.  Queries may share a snapshot across
+    threads: each lazily built value is published by one assignment,
+    after everything it depends on.
+    """
 
     def __init__(self, mappings: Iterable[AsMapping] = ()) -> None:
-        self._trie: PrefixTrie[AsMapping] = PrefixTrie()
-        self._stab: tuple[list[int], list[int]] | None = None
-        self._stab_arrays: tuple | None = None
+        #: ``(network, length, asn)`` int64 columns in prefix order.
+        self._columns = (_NO_ROWS, _NO_ROWS, _NO_ROWS)
+        self._pending: list[tuple[int, int, int]] = []
+        #: ``((bounds, asns), prefix keys)`` once built.
+        self._stab: tuple | None = None
         for mapping in mappings:
             self.add(mapping)
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._table()[0])
 
     def add(self, mapping: AsMapping) -> None:
         """Insert a mapping, replacing any previous entry for the prefix."""
-        self._trie.insert(mapping.prefix, mapping)
-        self._stab = None  # flattened table (and its arrays) are stale
-        self._stab_arrays = None
+        self._pending.append((mapping.prefix.network, mapping.prefix.length,
+                              mapping.asn))
+
+    def _table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted columns, with every pending :meth:`add` folded in."""
+        pending = self._pending
+        if pending:
+            added = np.array(pending, dtype=np.int64).T
+            columns = _by_prefix(*(
+                np.concatenate((column, extra))
+                for column, extra in zip(self._columns, added)))
+            self._stab = None
+            self._columns = columns
+            self._pending = []
+        return self._columns
+
+    def _stab_with_keys(self):
+        """``((bounds, asns), prefix keys)``: see :meth:`stab_arrays`."""
+        network, length, asn = self._table()
+        stab = self._stab
+        if stab is None:
+            bounds, owner = (np.asarray(column, dtype=np.int64)
+                             for column in _sweep(network.tolist(), (
+                                 network + (1 << (32 - length))).tolist()))
+            covers = _last_of_runs(bounds)
+            bounds, owner = bounds[covers], owner[covers]
+            # UNROUTED is -1: an unowned segment indexes the appended
+            # sentinel.
+            stab = self._stab = (
+                (bounds, np.concatenate((asn, [UNROUTED]))[owner]),
+                np.concatenate((_pack(network, length), [UNROUTED]))[owner])
+        return stab
+
+    def stab_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The stab table as ``(bounds, asns)`` int64 arrays.
+
+        ``bounds`` holds the sorted segment starts, beginning at 0, and
+        ``asns[i]`` is the origin ASN covering ``[bounds[i],
+        bounds[i+1])`` -- :data:`UNROUTED` where no prefix covers the
+        segment.  ``asns[searchsorted(bounds, addr, "right") - 1]`` is
+        :meth:`origin_asn` for every address.  Built with one sweep over
+        the sorted prefixes and memoized until the next :meth:`add`.
+        """
+        return self._stab_with_keys()[0]
+
+    def stab_table(self) -> tuple[list[int], list[int]]:
+        """:meth:`stab_arrays` as lists (what ``bisect`` wants)."""
+        bounds, asns = self.stab_arrays()
+        return bounds.tolist(), asns.tolist()
+
+    def lookup(self, addrs) -> tuple[np.ndarray, np.ndarray]:
+        """Longest-prefix match for an array of address values.
+
+        Returns int64 ``(asns, prefix keys)``, :data:`UNROUTED` where no
+        prefix covers the address; see :func:`prefix_from_key`.
+        """
+        (bounds, asns), keys = self._stab_with_keys()
+        segment = np.searchsorted(bounds, addrs, side="right") - 1
+        return asns[segment], keys[segment]
 
     def origin_asn(self, address: IPv4Address) -> int | None:
         """Return the origin ASN for ``address`` or None when unrouted."""
-        mapping = self._trie.lookup(address)
-        return None if mapping is None else mapping.asn
+        asn = int(self.lookup(address.value)[0])
+        return None if asn == UNROUTED else asn
 
     def bgp_prefix(self, address: IPv4Address) -> IPv4Prefix | None:
         """Return the longest routed prefix covering ``address``.
 
         This is the 'BGP prefix' granularity of Table 7.
         """
-        mapping = self._trie.lookup(address)
-        return None if mapping is None else mapping.prefix
+        key = int(self.lookup(address.value)[1])
+        return None if key == UNROUTED else prefix_from_key(key)
+
+    def _rows(self) -> Iterator[tuple[int, int, int]]:
+        return zip(*(column.tolist() for column in self._table()))
 
     def mappings(self) -> Iterator[AsMapping]:
         """Yield all mappings in address order."""
-        for _prefix, mapping in self._trie.items():
-            yield mapping
-
-    def stab_table(self) -> tuple[list[int], list[int]]:
-        """The trie flattened into a longest-prefix-match stab table.
-
-        Returns ``(bounds, asns)``: ``bounds`` is a sorted list of
-        segment start addresses beginning at 0, and ``asns[i]`` is the
-        origin ASN covering ``[bounds[i], bounds[i+1])`` —
-        :data:`UNROUTED` where no prefix covers the segment.  Lookup is
-        ``asns[bisect_right(bounds, addr) - 1]``, equivalent to
-        :meth:`origin_asn` for every address (the vectorized kernels
-        batch exactly this with ``numpy.searchsorted``).
-
-        Built lazily from the pre-order :meth:`PrefixTrie.items` walk —
-        parents arrive before children and siblings in address order, so
-        one stack sweep paints most-specific-wins segments.  Cached
-        until the next :meth:`add` invalidates it.
-        """
-        if self._stab is not None:
-            return self._stab
-        bounds: list[int] = [0]
-        asns: list[int] = [UNROUTED]
-
-        def paint(start: int, asn: int) -> None:
-            # Segments arrive with non-decreasing starts; drop zero-width
-            # segments and merge equal-valued neighbours.
-            if bounds[-1] == start:
-                if len(bounds) > 1 and asns[-2] == asn:
-                    bounds.pop()
-                    asns.pop()
-                else:
-                    asns[-1] = asn
-            elif asns[-1] != asn:
-                bounds.append(start)
-                asns.append(asn)
-
-        stack: list[tuple[int, int]] = []  # (end address, asn), nested
-        for prefix, mapping in self._trie.items():
-            start = prefix.network
-            end = start + (1 << (32 - prefix.length))
-            while stack and stack[-1][0] <= start:
-                resumed, _ = stack.pop()
-                paint(resumed, stack[-1][1] if stack else UNROUTED)
-            paint(start, mapping.asn)
-            stack.append((end, mapping.asn))
-        while stack:
-            resumed, _ = stack.pop()
-            paint(resumed, stack[-1][1] if stack else UNROUTED)
-        self._stab = (bounds, asns)
-        return self._stab
-
-    def stab_arrays(self):
-        """:meth:`stab_table` as a pair of int64 numpy arrays.
-
-        The vectorized kernels call this per batch, so the conversion is
-        memoized next to the table itself and invalidated by the same
-        :meth:`add` — a mutated snapshot can never serve stale arrays.
-        """
-        if self._stab_arrays is None:
-            bounds, asns = self.stab_table()
-            self._stab_arrays = (np.asarray(bounds, dtype=np.int64),
-                                 np.asarray(asns, dtype=np.int64))
-        return self._stab_arrays
+        for network, length, asn in self._rows():
+            yield AsMapping(IPv4Prefix(network, length), asn)
 
     def write(self, stream: TextIO) -> None:
         """Serialize in pfx2as text format."""
-        for mapping in self.mappings():
-            stream.write(
-                "%s\t%d\t%d\n"
-                % (IPv4Address(mapping.prefix.network), mapping.prefix.length,
-                   mapping.asn)
-            )
+        for network, length, asn in self._rows():
+            stream.write("%s\t%d\t%d\n" % (IPv4Address(network), length, asn))
 
     @staticmethod
     def _parse_line(text: str) -> AsMapping:
@@ -161,13 +243,14 @@ class Pfx2AsSnapshot:
         if len(fields) != 3:
             raise ParseError("expected 3 fields, got %d" % len(fields))
         network_text, length_text, asn_text = fields
-        if not length_text.isdigit() or not asn_text.isdigit():
+        # isdecimal, not isdigit: "²" is a digit int() rejects.
+        if not length_text.isdecimal() or not asn_text.isdecimal():
             raise ParseError("non-numeric length or ASN")
         network = IPv4Address.parse(network_text)
         prefix = IPv4Prefix.containing(network, int(length_text))
         if prefix.network != network.value:
             raise ParseError("host bits set in prefix")
-        # AsMapping rejects non-positive ASNs (ParseError).
+        # AsMapping rejects ASNs outside 1..MAX_ASN (ParseError).
         return AsMapping(prefix, int(asn_text))
 
     @classmethod
@@ -180,25 +263,49 @@ class Pfx2AsSnapshot:
         ``STRICT`` rejects the whole snapshot on the first malformed
         line; ``REPAIR`` quarantines bad lines (those prefixes simply go
         unmapped) and accounts them in ``report``.
+
+        Plain lines are converted a whole column at a time
+        (:class:`~repro.util.tsvscan.TsvScan`); every other line goes
+        through :meth:`_parse_line`, in file order, so diagnostics and
+        accounting are exactly those of a line-by-line read.
         """
         source = source or getattr(stream, "name", "<pfx2as>")
         report = report if report is not None else IngestReport()
-        snapshot = cls()
-        for line_number, line in enumerate(stream, start=1):
-            text = line.strip()
+        scan = TsvScan(stream.read(), 3)
+        network, ok = scan.dotted_quad(0)
+        network = network.astype(np.int64)
+        length, length_ok = scan.decimal(1, 2)
+        asn, asn_ok = scan.decimal(2, 10)
+        ok &= length_ok & asn_ok & (length <= 32) & (asn >= 1)
+        ok &= asn <= MAX_ASN
+        host_bits = (1 << (32 - np.minimum(length, 32))) - 1
+        ok &= (network & host_bits) == 0
+        plain = scan.rows[ok]
+        extra: list[tuple[int, int, int, int]] = []
+        for index in scan.other_lines(plain).tolist():
+            text = scan.line(index).strip()
             if not text or text.startswith("#"):
                 continue
             try:
-                snapshot.add(cls._parse_line(text))
+                mapping = cls._parse_line(text)
             except ParseError as error:
                 if policy is ReadPolicy.STRICT:
                     raise ParseError(
-                        format_line_error(source, line_number, error)
+                        format_line_error(source, index + 1, error)
                     ) from None
-                report.quarantined(DATASET_NAME, source, line_number,
+                report.quarantined(DATASET_NAME, source, index + 1,
                                    str(error))
                 continue
-            report.parsed(DATASET_NAME)
+            extra.append((index, mapping.prefix.network,
+                          mapping.prefix.length, mapping.asn))
+        report.parsed(DATASET_NAME, len(plain) + len(extra))
+        lines, *columns = np.array(extra, dtype=np.int64).reshape(-1, 4).T
+        # File order decides which duplicate prefix wins.
+        order = np.argsort(np.concatenate((plain, lines)))
+        snapshot = cls()
+        snapshot._columns = _by_prefix(*(
+            np.concatenate((parsed[ok], more))[order]
+            for parsed, more in zip((network, length, asn), columns)))
         return snapshot
 
 
@@ -258,6 +365,39 @@ class IpToAsDataset:
         if earlier:
             return max(earlier)
         return min(self._snapshots)
+
+    def lookup(self, addrs: Sequence[int], times: Sequence[float]
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Batched :meth:`origin_asn` and :meth:`bgp_prefix`.
+
+        ``addrs`` (address values) and ``times`` (assignment timestamps)
+        are parallel.  Returns int64 ``(asns, prefix keys)`` arrays with
+        :data:`UNROUTED` where no prefix covers the address;
+        :func:`prefix_from_key` turns a key back into its prefix.
+        Lookups are grouped by calendar month and each group resolves
+        its snapshot through :meth:`snapshot_for`, so the missing-month
+        and fallback rules are exactly the per-address ones.
+        """
+        addrs = np.asarray(addrs, dtype=np.int64)
+        when = np.asarray(times, dtype=np.float64)
+        asns = np.full(len(addrs), UNROUTED, dtype=np.int64)
+        keys = asns.copy()
+        if not len(addrs):
+            return asns, keys
+        last = timeutil.month_of(float(when.max()))
+        months = [timeutil.month_of(float(when.min()))]
+        while months[-1] < last:
+            year, month = months[-1]
+            months.append((year + 1, 1) if month == 12
+                          else (year, month + 1))
+        starts = [timeutil.epoch(year, month, 1) for year, month in months]
+        group = np.searchsorted(starts, when, side="right") - 1
+        for index, start in enumerate(starts):
+            mask = group == index
+            if mask.any():
+                asns[mask], keys[mask] = self.snapshot_for(start).lookup(
+                    addrs[mask])
+        return asns, keys
 
     def origin_asn(self, address: IPv4Address, timestamp: float) -> int | None:
         """ASN originating ``address`` in the month of ``timestamp``."""

@@ -3,7 +3,7 @@
 An analysis run allocates hundreds of thousands of small result objects
 (changes, spans, gap events), so the collector runs full collections
 while it works -- and each one re-walks every object that already
-existed: the loaded datasets' tries, interval sets and archives.
+existed: the loaded datasets' interval sets and archives.
 :func:`frozen_heap` moves those objects to the permanent generation for
 the duration of a block (``gc.freeze``) and back afterwards
 (``gc.unfreeze``).  Frozen objects are still freed by reference counting;

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.core.changes import AddressChange
-from repro.core.prefixes import compare_change, prefix_change_table
+from repro.core.prefixes import prefix_change_table
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
 from repro.net.pfx2as import AsMapping, IpToAsDataset, Pfx2AsSnapshot
 from repro.util import timeutil
+from tests.oracle import compare_change
 
 T = timeutil.epoch(2015, 6, 15)
 

