@@ -12,6 +12,7 @@ this module only stores and transports them.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -68,17 +69,37 @@ class ConnectionLog:
 
     def add(self, entry: ConnectionLogEntry) -> None:
         """Append an entry; rejects overlaps/out-of-order per probe."""
+        self.stage(entry.probe_id, [(
+            entry.start, entry.end,
+            0 if entry.is_ipv6 else entry.address.value,
+            entry.ipv6_address)])
+
+    def stage(self, probe_id: int,
+              rows: list[tuple[float, float, int, str | None]]) -> None:
+        """Append one probe's rows in a single call (the bulk :meth:`add`).
+
+        Rows are ``(start, end, IPv4 value, IPv6 text)``: IPv4 rows carry
+        None as text, IPv6 rows carry value 0.  They must continue the
+        probe's time order without overlap; on a violation nothing is
+        staged.
+        """
         if self._columns is not None:
             self._unseal()
-        log = self._staged.setdefault(entry.probe_id, [])
-        if log and entry.start < log[-1][1]:
-            raise DatasetError(
-                "probe %d: connection starting %s overlaps previous one"
-                % (entry.probe_id, entry.start)
-            )
-        log.append((entry.start, entry.end,
-                    0 if entry.is_ipv6 else entry.address.value,
-                    entry.ipv6_address))
+        log = self._staged.setdefault(probe_id, [])
+        previous_end = log[-1][1] if log else -math.inf
+        for start, end, _, _ in rows:
+            if start < previous_end:
+                raise DatasetError(
+                    "probe %d: connection starting %s overlaps previous one"
+                    % (probe_id, start)
+                )
+            if end < start:
+                raise DatasetError(
+                    "probe %d: connection starting %s ends before it starts"
+                    % (probe_id, start)
+                )
+            previous_end = end
+        log.extend(rows)
 
     def columns(self) -> ColumnarConnlog:
         """The sealed columns (sealing staged entries first)."""

@@ -12,6 +12,7 @@ report timestamp minus the counter value (the paper's Table 4 example).
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator, TextIO
 
 import numpy as np
@@ -58,15 +59,30 @@ class UptimeDataset:
 
     def add(self, record: UptimeRecord) -> None:
         """Append a record, enforcing per-probe time order."""
+        self.stage(record.probe_id, [(record.timestamp, record.uptime)])
+
+    def stage(self, probe_id: int, rows: list[tuple[float, float]]) -> None:
+        """Append one probe's ``(timestamp, uptime)`` rows in a single call.
+
+        The bulk form of :meth:`add`: rows must continue the probe's time
+        order and carry non-negative counters; on a violation nothing is
+        staged.
+        """
         if self._columns is not None:
             self._unseal()
-        log = self._staged.setdefault(record.probe_id, [])
-        if log and record.timestamp < log[-1][0]:
-            raise DatasetError(
-                "probe %d: uptime record at %s out of order"
-                % (record.probe_id, record.timestamp)
-            )
-        log.append((record.timestamp, record.uptime))
+        log = self._staged.setdefault(probe_id, [])
+        previous = log[-1][0] if log else -math.inf
+        for timestamp, uptime in rows:
+            if timestamp < previous:
+                raise DatasetError(
+                    "probe %d: uptime record at %s out of order"
+                    % (probe_id, timestamp)
+                )
+            if uptime < 0:
+                raise DatasetError(
+                    "probe %d: negative uptime %r" % (probe_id, uptime))
+            previous = timestamp
+        log.extend(rows)
 
     def columns(self) -> ColumnarUptime:
         """The sealed columns (sealing staged records first)."""

@@ -50,11 +50,16 @@ class PoolPolicy:
 
 
 class AddressPool:
-    """Allocates dynamic addresses from a set of disjoint prefixes."""
+    """Allocates dynamic addresses from a set of disjoint prefixes.
+
+    Every prefix the pool hands around internally (the active scopes, the
+    customer's previous prefix) is one of the pool's own objects, so scopes
+    are told apart by identity rather than by value comparison.
+    """
 
     def __init__(self, prefixes: Iterable[IPv4Prefix],
                  policy: PoolPolicy | None = None) -> None:
-        self._prefixes: list[IPv4Prefix] = list(prefixes)
+        self._prefixes: tuple[IPv4Prefix, ...] = tuple(prefixes)
         if not self._prefixes:
             raise SimulationError("address pool needs at least one prefix")
         for i, p in enumerate(self._prefixes):
@@ -65,6 +70,9 @@ class AddressPool:
                     )
         self._policy = policy or PoolPolicy()
         self._allocated: set[int] = set()
+        #: ``(mask, network, prefix)`` per prefix, for :meth:`_prefix_of`.
+        self._networks = [(prefix.mask(), prefix.network, prefix)
+                       for prefix in self._prefixes]
         #: Optional allocation schedule: ``(from_time, prefixes)`` entries,
         #: sorted; before the first entry all prefixes allocate.
         self._schedule: list[tuple[float, tuple[IPv4Prefix, ...]]] = []
@@ -72,7 +80,7 @@ class AddressPool:
     @property
     def prefixes(self) -> Sequence[IPv4Prefix]:
         """The routed prefixes backing the pool."""
-        return tuple(self._prefixes)
+        return self._prefixes
 
     @property
     def policy(self) -> PoolPolicy:
@@ -98,8 +106,9 @@ class AddressPool:
         return address.value in self._allocated
 
     def _prefix_of(self, address: IPv4Address) -> IPv4Prefix | None:
-        for prefix in self._prefixes:
-            if prefix.contains(address):
+        value = address.value
+        for mask, network, prefix in self._networks:
+            if value & mask == network:
                 return prefix
         return None
 
@@ -134,13 +143,16 @@ class AddressPool:
         allocations come only from the scheduled prefixes.  Entries must be
         added in time order.
         """
+        owned = {prefix: prefix for prefix in self._prefixes}
         chosen = tuple(prefixes)
         if not chosen:
             raise SimulationError("allocation schedule needs prefixes")
         for prefix in chosen:
-            if prefix not in self._prefixes:
+            if prefix not in owned:
                 raise SimulationError(
                     "scheduled prefix %s not part of the pool" % prefix)
+        # Store the pool's own objects: scopes are compared by identity.
+        chosen = tuple(owned[prefix] for prefix in chosen)
         if self._schedule and from_time <= self._schedule[-1][0]:
             raise SimulationError("allocation schedule must be in time order")
         self._schedule.append((from_time, chosen))
@@ -148,8 +160,8 @@ class AddressPool:
     def active_prefixes(self, now: float | None) -> Sequence[IPv4Prefix]:
         """Prefixes allocation may draw from at time ``now``."""
         if now is None or not self._schedule:
-            return tuple(self._prefixes)
-        active: Sequence[IPv4Prefix] = tuple(self._prefixes)
+            return self._prefixes
+        active: Sequence[IPv4Prefix] = self._prefixes
         for from_time, prefixes in self._schedule:
             if from_time <= now:
                 active = prefixes
@@ -185,12 +197,12 @@ class AddressPool:
                           ) -> list[IPv4Prefix]:
         """Order allocation scopes from most to least preferred."""
         previous_prefix = None if previous is None else self._prefix_of(previous)
-        if previous_prefix is not None and previous_prefix not in eligible:
-            # The customer's old prefix has been administratively retired:
+        others = [p for p in eligible if p is not previous_prefix]
+        if len(others) == len(eligible):
+            # No previous prefix, or it has been administratively retired:
             # locality cannot apply.
             previous_prefix = None
             previous = None
-        others = [p for p in eligible if p != previous_prefix]
         rng.shuffle(others)
         if previous_prefix is None:
             return others

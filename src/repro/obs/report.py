@@ -3,6 +3,8 @@
 ``repro-obs report trace.json`` renders, from the spans and metrics a
 traced run exported:
 
+* simulator phases (``sim``-category spans from ``build_world`` and
+  ``write_world``) with probes simulated per second;
 * per-stage wall time with execution mode and share of total;
 * shard skew per fan-out stage (min/mean/max shard seconds — a high
   max/mean ratio means one shard straggled and capped the speedup);
@@ -21,6 +23,28 @@ were fixed when the trace was written.
 from __future__ import annotations
 
 _MICROSECONDS = 1e6
+
+
+def _simulate_lines(events: list[dict]) -> list[str]:
+    phases: dict[str, float] = {}
+    probes = 0
+    for event in events:
+        if event.get("cat") != "sim":
+            continue
+        name = event["name"]
+        phases[name] = phases.get(name, 0.0) + event["dur"] / _MICROSECONDS
+        probes += int(event.get("args", {}).get("probes", 0))
+    if not phases:
+        return []
+    total = sum(phases.values()) or 1.0
+    lines = ["%-10s  %9s  %6s" % ("phase", "seconds", "share")]
+    for name, seconds in phases.items():
+        line = "%-10s  %9.3f  %5.1f%%" % (name, seconds,
+                                          100.0 * seconds / total)
+        if name == "sim:probes" and seconds > 0:
+            line += "  %d probes, %.0f probes/s" % (probes, probes / seconds)
+        lines.append(line)
+    return lines
 
 
 def _stage_lines(events: list[dict]) -> list[str]:
@@ -233,6 +257,7 @@ def render_report(payload: dict) -> str:
 
     sections: list[tuple[str, list[str]]] = [
         ("run", _run_lines(gauges, meta)),
+        ("simulate", _simulate_lines(events)),
         ("stages", _stage_lines(events)),
         ("shard skew", _skew_lines(events)),
         ("cache", _cache_lines(counters, gauges)),

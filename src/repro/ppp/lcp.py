@@ -5,6 +5,13 @@ two options that matter for a broadband session: the MRU and the magic
 number (loopback detection).  The concentrator caps the MRU at the PPPoE
 limit of 1492 bytes (RFC 2516), Nak-ing larger requests — a faithful,
 testable slice of what real BRAS equipment does.
+
+:func:`establish_link` runs that exchange message by message through the
+:mod:`repro.ppp.negotiation` automaton.  :func:`link_options` is its
+closed form for the session path: the exchange always converges on the
+subscriber's magic number and the capped MRU, so only the two magic-number
+draws are needed.  ``tests/ppp/test_lcp_ipcp.py`` checks that the two give
+the same options and leave the RNG in the same state.
 """
 
 from __future__ import annotations
@@ -60,3 +67,16 @@ def establish_link(rng: random.Random,
     concentrator = concentrator_endpoint(rng)
     agreed, _ = negotiate(subscriber, concentrator)
     return agreed
+
+
+def link_options(rng: random.Random,
+                 subscriber_mru: int = 1500) -> dict[str, object]:
+    """The options :func:`establish_link` agrees on, without the exchange.
+
+    Draws the subscriber's magic number, then the concentrator's, exactly
+    as the two endpoints do, so the RNG ends in the same state.
+    """
+    magic_number = rng.getrandbits(32)
+    rng.getrandbits(32)  # the concentrator's magic number
+    return {"mru": min(subscriber_mru, PPPOE_MRU),
+            "magic_number": magic_number}

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.net.ipv4 import IPv4Address
-from repro.ppp import ipcp, lcp
+from repro.ppp import lcp
 from repro.ppp.radius import RadiusServer
 
 
@@ -90,26 +90,24 @@ class PppoeConcentrator:
         The address is a fresh pool allocation biased by the pool's locality
         policy toward (but never equal to) the subscriber's previous
         address — PPP deployments hand out whatever is free.
+
+        LCP and IPCP run in closed form (:func:`repro.ppp.lcp.link_options`
+        and the allocated address itself): both exchanges always converge
+        on a known result, and the differential tests in
+        ``tests/ppp/test_lcp_ipcp.py`` pin that the message-by-message
+        automaton agrees, RNG draws included.
         """
         if username in self._active:
             raise SimulationError("subscriber %r already connected" % username)
-        trace = [PppPhase.DEAD]
         # ESTABLISH: LCP brings the link up (MRU capped to the PPPoE limit).
-        lcp.establish_link(self._rng)
-        trace.append(PppPhase.ESTABLISH)
+        lcp.link_options(self._rng)
         # AUTHENTICATE: Radius authorizes and supplies Session-Timeout.
         accept = self._radius.authorize(username)
-        trace.append(PppPhase.AUTHENTICATE)
-        # NETWORK: IPCP assigns the address via the Configure-Nak cycle.
-        # Even a CPE re-requesting its previous address gets Nak'd onto the
-        # fresh allocation — the mechanism behind PPP renumbering.
-        previous = self._last_address.get(username)
-        allocated = self._allocator.allocate(self._rng, previous=previous,
-                                             now=now)
-        address = ipcp.assign_address(
-            allocated,
-            requested=previous if previous is not None else ipcp.UNASSIGNED)
-        trace.append(PppPhase.NETWORK)
+        # NETWORK: IPCP Naks whatever the CPE requests, its previous
+        # address included, onto the fresh allocation — the mechanism
+        # behind PPP renumbering.
+        address = self._allocator.allocate(
+            self._rng, previous=self._last_address.get(username), now=now)
         session_id = self._radius.account_start(username, now)
         session = PppSession(
             username=username,
@@ -118,7 +116,8 @@ class PppoeConcentrator:
             started_at=now,
             session_timeout=accept.session_timeout,
         )
-        session._phase_trace = trace
+        session._phase_trace = [PppPhase.DEAD, PppPhase.ESTABLISH,
+                                PppPhase.AUTHENTICATE, PppPhase.NETWORK]
         self._active[username] = session
         self._last_address[username] = address
         return session

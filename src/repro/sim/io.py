@@ -21,6 +21,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro import obs
 from repro.atlas.archive import ProbeArchive
 from repro.atlas.connlog import ConnectionLog
 from repro.atlas.kroot import KRootDataset, KRootSeries
@@ -116,8 +117,15 @@ def _series_from_state(state: dict, source: str = "<kroot>",
 
 
 def write_world(world: WorldData, directory: str | Path) -> Path:
-    """Write a world's datasets as a bundle; returns the directory."""
-    root = Path(directory)
+    """Write a world's datasets as a bundle; returns the directory.
+
+    Records one ``sim:write`` span (category ``sim``).
+    """
+    with obs.span("sim:write", category="sim"):
+        return _write_bundle(world, Path(directory))
+
+
+def _write_bundle(world: WorldData, root: Path) -> Path:
     root.mkdir(parents=True, exist_ok=True)
 
     as_names: dict[int, str] = {}

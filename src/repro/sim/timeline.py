@@ -66,14 +66,42 @@ class Segment:
 
 @dataclass
 class ProbeOutput:
-    """Everything one probe contributes to the world's datasets."""
+    """Everything one probe contributes to the world's datasets.
 
-    entries: list[ConnectionLogEntry] = field(default_factory=list)
-    uptime_records: list[UptimeRecord] = field(default_factory=list)
+    Connections and uptime reports are plain rows in the form
+    :meth:`ConnectionLog.stage <repro.atlas.connlog.ConnectionLog.stage>`
+    and :meth:`UptimeDataset.stage
+    <repro.atlas.sosuptime.UptimeDataset.stage>` take; :attr:`entries`
+    and :attr:`uptime_records` build record objects from them on demand.
+    """
+
+    probe_id: int
+    #: ``(start, end, IPv4 value, IPv6 text)`` rows; the value is 0 on
+    #: IPv6 rows and the text is None on IPv4 rows.
+    connections: list[tuple[float, float, int, str | None]] = field(
+        default_factory=list)
+    #: ``(timestamp, uptime)`` rows.
+    uptimes: list[tuple[float, float]] = field(default_factory=list)
     power_off: IntervalSet = field(default_factory=IntervalSet)
     network_down: IntervalSet = field(default_factory=IntervalSet)
     #: Ground truth: times at which the probe's IPv4 address changed.
     true_changes: list[float] = field(default_factory=list)
+
+    @property
+    def entries(self) -> list[ConnectionLogEntry]:
+        """The connections as record objects (built on every access)."""
+        return [ConnectionLogEntry(self.probe_id, start, end, None,
+                                   ipv6_address=text)
+                if text is not None else
+                ConnectionLogEntry(self.probe_id, start, end,
+                                   IPv4Address(value))
+                for start, end, value, text in self.connections]
+
+    @property
+    def uptime_records(self) -> list[UptimeRecord]:
+        """The uptime reports as record objects (built on every access)."""
+        return [UptimeRecord(self.probe_id, timestamp, uptime)
+                for timestamp, uptime in self.uptimes]
 
 
 class ProbeSimulator:
@@ -117,7 +145,7 @@ class ProbeSimulator:
         self._ipv6_address = ipv6_address
         self._fixed_address = fixed_address
         # Mutable walk state.
-        self._out = ProbeOutput()
+        self._out = ProbeOutput(probe_id)
         self._last_boot = 0.0
         self._applied_campaigns = 0
         self._connection_index = 0
@@ -305,16 +333,23 @@ class ProbeSimulator:
         return self._rng.uniform(low, high)
 
     def _emit_uptime(self, timestamp: float) -> None:
-        self._out.uptime_records.append(
-            UptimeRecord(self.probe_id, timestamp,
-                         max(0.0, timestamp - self._last_boot))
-        )
+        rows = self._out.uptimes
+        if rows and timestamp < rows[-1][0]:
+            raise SimulationError(
+                "probe %d: uptime record at %s out of order"
+                % (self.probe_id, timestamp))
+        rows.append((timestamp, max(0.0, timestamp - self._last_boot)))
 
     def _emit_entry(self, start: float, end: float,
                     address: IPv4Address | None,
                     force_v4: bool = False) -> None:
         if end <= start:
             return
+        rows = self._out.connections
+        if rows and start < rows[-1][1]:
+            raise SimulationError(
+                "probe %d: connection starting %s overlaps previous one"
+                % (self.probe_id, start))
         self._connection_index += 1
         use_v6 = False
         if not force_v4:
@@ -323,10 +358,7 @@ class ProbeSimulator:
             elif self._family_mode == "dual":
                 use_v6 = self._rng.random() < 0.5
         if use_v6:
-            self._out.entries.append(
-                ConnectionLogEntry(self.probe_id, start, end, None,
-                                   ipv6_address=self._ipv6_address)
-            )
+            rows.append((start, end, 0, self._ipv6_address))
             return
         chosen = address
         if (self._fixed_address is not None
@@ -337,6 +369,4 @@ class ProbeSimulator:
             raise SimulationError(
                 "probe %d has no IPv4 address to report" % self.probe_id
             )
-        self._out.entries.append(
-            ConnectionLogEntry(self.probe_id, start, end, chosen)
-        )
+        rows.append((start, end, chosen.value, None))

@@ -13,6 +13,7 @@ import enum
 import random
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.atlas.archive import ProbeArchive, continent_of
 from repro.atlas.connlog import ConnectionLog
 from repro.atlas.kroot import KRootDataset, KRootSeries
@@ -230,10 +231,8 @@ class _WorldBuilder:
         self.archive.add(ProbeMeta(
             probe_id, home_spec.country, continent_of(home_spec.country),
             version, tags))
-        for entry in output.entries:
-            self.connlog.add(entry)
-        for record in output.uptime_records:
-            self.uptime.add(record)
+        self.connlog.stage(probe_id, output.connections)
+        self.uptime.stage(probe_id, output.uptimes)
         self.kroot.add_series(KRootSeries(
             probe_id,
             config.start if observed_start is None else observed_start,
@@ -257,14 +256,41 @@ class _WorldBuilder:
 
 
 def build_world(config: ScenarioConfig) -> WorldData:
-    """Run the whole scenario and return its datasets plus ground truth."""
-    builder = _WorldBuilder(config)
-    for profile in config.profiles:
-        builder.add_isp(profile.spec)
-    static_specs = _static_specs()
-    for spec in static_specs:
-        builder.add_isp(spec)
+    """Run the whole scenario and return its datasets plus ground truth.
 
+    Records ``sim``-category spans for its phases: ``sim:plants``,
+    ``sim:probes`` (with the probe count), ``sim:seal`` and ``sim:ip2as``.
+    """
+    builder = _WorldBuilder(config)
+    static_specs = _static_specs()
+    with obs.span("sim:plants", category="sim"):
+        for profile in config.profiles:
+            builder.add_isp(profile.spec)
+        for spec in static_specs:
+            builder.add_isp(spec)
+    with obs.span("sim:probes", category="sim") as handle:
+        _deploy_probes(builder, config, static_specs)
+        handle.set(probes=len(builder.truth))
+    with obs.span("sim:seal", category="sim"):
+        # Seal the staged rows into columns before the world is shared.
+        builder.connlog.columns()
+        builder.uptime.columns()
+    with obs.span("sim:ip2as", category="sim"):
+        ip2as = builder.build_ip2as()
+    return WorldData(
+        config=config,
+        archive=builder.archive,
+        connlog=builder.connlog,
+        kroot=builder.kroot,
+        uptime=builder.uptime,
+        ip2as=ip2as,
+        truth=builder.truth,
+    )
+
+
+def _deploy_probes(builder: _WorldBuilder, config: ScenarioConfig,
+                   static_specs: list[IspSpec]) -> None:
+    """Deploy and simulate every probe population, in draw order."""
     regular_asns = [p.spec.asn for p in config.profiles]
     static_asns = [s.asn for s in static_specs]
     # Confounders and movers live in cheap-to-simulate ISPs: the static
@@ -305,16 +331,3 @@ def build_world(config: ScenarioConfig) -> WorldData:
     for _ in range(config.mover_probes):
         origin, target = pick.sample(host_asns, 2)
         builder.deploy_probe([origin, target], ProbeRole.MOVER)
-
-    # Seal the staged records into columns before the world is shared.
-    builder.connlog.columns()
-    builder.uptime.columns()
-    return WorldData(
-        config=config,
-        archive=builder.archive,
-        connlog=builder.connlog,
-        kroot=builder.kroot,
-        uptime=builder.uptime,
-        ip2as=builder.build_ip2as(),
-        truth=builder.truth,
-    )

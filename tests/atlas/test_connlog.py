@@ -39,6 +39,36 @@ class TestConnectionLog:
         log.add(v4(206, 100.0, 200.0, "91.55.169.37"))
         assert log.entry_count() == 2
 
+    def test_stage_matches_add(self):
+        added = ConnectionLog()
+        added.add(v4(206, 0.0, 100.0, "91.55.174.103"))
+        added.add(ConnectionLogEntry(206, 150.0, 300.0, None,
+                                     ipv6_address="2001:db8::1"))
+        staged = ConnectionLog()
+        staged.stage(206, [
+            (0.0, 100.0, IPv4Address.parse("91.55.174.103").value, None),
+            (150.0, 300.0, 0, "2001:db8::1")])
+        assert staged.entries(206) == added.entries(206)
+        assert staged.columns().starts.tolist() == [0.0, 150.0]
+
+    def test_stage_rejects_disorder_without_staging_anything(self):
+        log = ConnectionLog()
+        log.stage(206, [(0.0, 100.0, 1, None)])
+        with pytest.raises(DatasetError, match="overlaps"):
+            log.stage(206, [(100.0, 150.0, 2, None), (120.0, 200.0, 3, None)])
+        with pytest.raises(DatasetError, match="ends before"):
+            log.stage(206, [(300.0, 200.0, 4, None)])
+        assert log.entry_count() == 1
+
+    def test_stage_after_seal_continues_the_probe(self):
+        log = ConnectionLog()
+        log.stage(206, [(0.0, 100.0, 1, None)])
+        assert log.entry_count() == 1          # seals
+        with pytest.raises(DatasetError):
+            log.stage(206, [(50.0, 60.0, 2, None)])
+        log.stage(206, [(100.0, 160.0, 2, None)])
+        assert [e.address.value for e in log.entries(206)] == [1, 2]
+
     def test_total_connected_time(self):
         log = ConnectionLog([
             v4(206, 0.0, 100.0, "91.55.174.103"),

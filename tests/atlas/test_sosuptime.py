@@ -26,6 +26,21 @@ class TestUptimeDataset:
         with pytest.raises(DatasetError):
             dataset.add(UptimeRecord(206, 900.0, 100.0))
 
+    def test_stage_matches_add(self):
+        staged = UptimeDataset()
+        staged.stage(206, [(1000.0, 500.0), (2000.0, 19.0)])
+        assert staged.records(206) == [UptimeRecord(206, 1000.0, 500.0),
+                                       UptimeRecord(206, 2000.0, 19.0)]
+
+    def test_stage_rejects_bad_rows_without_staging_anything(self):
+        dataset = UptimeDataset()
+        dataset.stage(206, [(1000.0, 500.0)])
+        with pytest.raises(DatasetError, match="out of order"):
+            dataset.stage(206, [(1500.0, 1.0), (1200.0, 2.0)])
+        with pytest.raises(DatasetError, match="negative"):
+            dataset.stage(206, [(3000.0, -1.0)])
+        assert len(dataset.records(206)) == 1
+
     def test_records_in_window(self):
         dataset = UptimeDataset([
             UptimeRecord(206, 100.0, 1.0),

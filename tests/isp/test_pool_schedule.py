@@ -86,3 +86,21 @@ class TestScheduledAllocation:
             fresh = pool.allocate(rng, now=2000.0)
             assert NEW.contains(fresh)
             pool.release(fresh)
+
+    def test_scheduled_copies_behave_like_the_pool_prefixes(self):
+        # Scopes are compared by identity: a schedule given equal but
+        # distinct prefix objects must still keep locality, drawing
+        # exactly what a schedule of the pool's own objects draws.
+        def draws(scheduled):
+            pool = AddressPool([OLD, NEW], PoolPolicy(stay_bgp_prob=0.7))
+            pool.schedule_allocation(0.0, scheduled)
+            rng = substream(4, "sched")
+            addresses = [pool.allocate(rng, now=10.0)]
+            for _ in range(30):
+                addresses.append(pool.allocate(rng, previous=addresses[-1],
+                                               now=10.0))
+            return addresses, rng.getstate()
+
+        copies = [IPv4Prefix.parse(str(OLD)), IPv4Prefix.parse(str(NEW))]
+        assert copies[0] is not OLD
+        assert draws(copies) == draws([OLD, NEW])

@@ -50,6 +50,21 @@ def test_report_renders_every_section():
     assert "== faults injected" in text and "connlog-garbled" in text
 
 
+def test_report_simulate_section_from_sim_spans():
+    spans = [
+        Span("sim:plants", "sim", 0.0, 0.5, 1),
+        Span("sim:probes", "sim", 0.5, 2.5, 1, (("probes", 500),)),
+        Span("sim:seal", "sim", 2.5, 3.0, 1),
+        Span("filter", "stage", 3.0, 4.0, 1, (("cached", False),)),
+    ]
+    text = render_report(trace_payload(spans, {"counters": {},
+                                               "gauges": {}}))
+    assert "== simulate" in text
+    assert "500 probes, 250 probes/s" in text
+    assert "66.7%" in text                  # sim:probes: 2 s of 3 s
+    assert "== simulate" not in render_report(_payload())
+
+
 def test_report_of_empty_payload_degrades_gracefully():
     text = render_report(trace_payload([], {"counters": {}, "gauges": {}}))
     assert "(no stage spans recorded)" in text

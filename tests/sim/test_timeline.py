@@ -244,3 +244,38 @@ class TestSegments:
         with pytest.raises(SimulationError):
             ProbeSimulator(1, substream(1, "m"), [],
                            [Segment(plant, "c", 0.0, 1.0)])
+
+
+class TestEmittedRows:
+    def test_record_views_match_rows(self):
+        output = simulate(make_plant(), [
+            Interruption(InterruptionKind.NETWORK, 5 * DAY, 5 * DAY + HOUR)])
+        assert [(e.start, e.end, e.address.value, None)
+                for e in output.entries] == output.connections
+        assert [(r.timestamp, r.uptime)
+                for r in output.uptime_records] == output.uptimes
+        assert {e.probe_id for e in output.entries} == {1}
+
+    def test_overlapping_connection_rejected(self):
+        simulator = ProbeSimulator(
+            1, substream(2, "probe", 1), [[]],
+            [Segment(make_plant(), "cpe-1", 0.0, WINDOW)])
+        address = IPv4Address.parse("192.0.2.1")
+        simulator._emit_entry(0.0, 100.0, address)
+        with pytest.raises(SimulationError, match="overlaps"):
+            simulator._emit_entry(50.0, 200.0, address)
+
+    def test_out_of_order_uptime_rejected(self):
+        simulator = ProbeSimulator(
+            1, substream(2, "probe", 1), [[]],
+            [Segment(make_plant(), "cpe-1", 0.0, WINDOW)])
+        simulator._emit_uptime(100.0)
+        with pytest.raises(SimulationError, match="out of order"):
+            simulator._emit_uptime(50.0)
+
+    def test_ipv4_row_needs_an_address(self):
+        simulator = ProbeSimulator(
+            1, substream(2, "probe", 1), [[]],
+            [Segment(None, "cpe-1", 0.0, WINDOW)])
+        with pytest.raises(SimulationError, match="no IPv4 address"):
+            simulator._emit_entry(0.0, 100.0, None)
