@@ -14,7 +14,8 @@ obligation is discharged by:
 * a close call (``close``/``shutdown``/``terminate``/``cleanup``)
   protected by ``try``/``finally`` or a closing ``except`` handler;
 * ownership transfer — returning the resource, passing it to a callee
-  (handing a socket to a handler thread transfers the obligation), or
+  (registering a socket with the selector loop that closes it
+  transfers the obligation), or
   storing it on a ``self`` field that some method of the class closes.
 
 Calls to project functions that *return* an open resource create the

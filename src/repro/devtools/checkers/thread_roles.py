@@ -1,13 +1,12 @@
 """RPR011 — cross-thread shared state must be locked, confined, or safe.
 
-The distributed layer is multi-threaded by design: the coordinator
-spawns one handler thread per worker connection, workers run daemon
-heartbeat threads, and loopback mode dials the coordinator from worker
-threads in the same process.  A mutable ``self`` attribute or module
-global written from one *thread role* and touched from another without
-a common lock is a data race — exactly the interleaving hazard that
-silently corrupts the exact-accounting and digest-equality guarantees
-the headline results rest on.
+The distributed layer runs threads: the coordinator's selector loop
+runs beside the runner thread it serves, and loopback mode dials the
+coordinator from worker threads in the same process.  A mutable
+``self`` attribute or module global written from one *thread role* and
+touched from another without a common lock is a data race — exactly
+the interleaving hazard that silently corrupts the exact-accounting and
+digest-equality guarantees the headline results rest on.
 
 The analysis (:mod:`repro.devtools.concurrency`) infers roles from
 ``threading.Thread(target=...)`` sites and ``add_done_callback``
@@ -39,7 +38,7 @@ A trigger looks like::
 Fix by holding one consistent lock at every cross-thread access, or
 suppress an intentional pattern on the *write* line with a reason::
 
-    self._current_lease = lease_id  # repro: noqa[RPR011] -- racy int read is a heartbeat hint, staleness is harmless
+    self._connections += 1  # repro: noqa[RPR011] -- one thread drives each instance; the roles are two deployments
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """The coordinator: a lease server plus a runner that pulls from it.
 
-:class:`LeaseServer` listens on a socket, accepts pull-based workers,
-and answers the protocol verbs (HELLO handshake, LEASE grants from the
-current stage's :class:`~repro.runtime.board.LeaseBoard`, RESULT folding,
-HEARTBEAT acks, DRAIN back-offs).  One daemon thread per connection
-does blocking request/reply; every mutation of cluster state happens
-under one lock, and the board itself is swapped in and out per stage by
-:meth:`LeaseServer.serve_stage` — the blocking call the runner's main
-thread makes where the local path would dispatch to its supervisor.
+:class:`LeaseServer` answers pull-based workers (HELLO handshake,
+LEASE grants from the current stage's :class:`~repro.runtime.board.
+LeaseBoard`, RESULT folding, DRAIN back-offs) from one thread: a
+:mod:`selectors` loop that owns the listener, every socket, the worker
+table, and the board of the stage being served.  The runner thread
+talks to it only through two queues: it posts commands, and
+:meth:`LeaseServer.serve_stage` blocks until the loop hands the board
+back drained (or the exception that killed the loop).
 
 :class:`DistRunner` subclasses :class:`~repro.runtime.executor.
 ShardedRunner` and overrides exactly one seam — ``_stage_payloads`` —
@@ -29,17 +29,17 @@ the ``cache_key`` their lease carries.
 from __future__ import annotations
 
 import os
+import queue
+import selectors
 import socket
 import threading
-import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro import obs
 from repro.core.pipeline import default_min_connected, scenario_as_labels
 from repro.dist import protocol
-from repro.dist.transport import Channel
-from repro.runtime import workers
+from repro.errors import DistError, WireProtocolError
 from repro.runtime.board import (
     SUBMIT_LATE,
     SUBMIT_RESOLVED,
@@ -74,8 +74,8 @@ class DistConfig:
     #: Execution budget per lease; the clock starts at grant.
     lease_deadline_s: float = timeutil.LEASE_DEADLINE_S
     backoff_base_s: float = timeutil.BACKOFF_BASE_S
-    #: Coordinator sweep interval (lease expiry) and the retry-after
-    #: hint handed to empty-handed workers.
+    #: Longest the coordinator loop sleeps when nothing is due, and the
+    #: retry-after hint handed to empty-handed workers.
     poll_s: float = timeutil.DIST_POLL_S
 
     def __post_init__(self) -> None:
@@ -122,18 +122,16 @@ class DistConfig:
 class _WorkerState:
     """Per-worker bookkeeping, keyed by the worker's self-chosen id."""
 
-    worker_id: str
     leases: int = 0
     results: int = 0
     cache_hits: int = 0
-    last_seen: float = 0.0
     bytes_sent: int = 0
     bytes_received: int = 0
 
 
 @dataclass
 class _StageServing:
-    """Everything the connection handlers need about the live stage."""
+    """One stage's board and checkpoints, owned by the loop while served."""
 
     board: LeaseBoard
     checkpoints: StageCheckpoints
@@ -142,325 +140,381 @@ class _StageServing:
 
 @dataclass
 class _Connection:
-    """One handler thread's conversation state."""
+    """One accepted socket and the frame it is part-way through."""
 
-    channel: Channel
+    sock: socket.socket
+    serial: int
     worker_id: str = ""
-    synced_sent: int = 0
-    synced_received: int = 0
+    #: ``(type code, length, digest)`` once the frame's header is in.
+    header: tuple[int, int, bytes] | None = None
+    #: The header or payload being read, and how much of it is in.
+    buffer: bytearray = field(default_factory=bytearray)
+    filled: int = 0
     closing: bool = False
-    reply: object | None = field(default=None)
+    bytes_sent: int = 0
+    bytes_received: int = 0
+
+    @property
+    def holder(self) -> str:
+        """Leases belong to the connection, not the worker id, so a
+        reconnected worker's newer leases survive its old socket."""
+        return "%s#%d" % (self.worker_id, self.serial)
+
+
+@dataclass
+class _Loop:
+    """Everything the loop thread mutates; no other thread sees it."""
+
+    selector: selectors.BaseSelector
+    #: ``(fingerprint, min_connected)`` of the bound runner.
+    identity: tuple[str, float] | None = None
+    serving: _StageServing | None = None
+    finished: bool = False
+    accepted: int = 0
+    workers: dict[str, _WorkerState] = field(default_factory=dict)
 
 
 class LeaseServer:
-    """Serve shard leases to socket workers; fold their results back."""
+    """Serve shard leases to socket workers; fold their results back.
+
+    Both threads hold the server, so it keeps only the config, the two
+    queues and the sockets made here; the loop's state is its ``_Loop``.
+    """
 
     def __init__(self, config: DistConfig) -> None:
         self.config = config
         self._listener = socket.create_server((config.host, config.port))
+        self._listener.setblocking(False)
         self.host = config.host
         self.port = int(self._listener.getsockname()[1])
-        self._lock = threading.RLock()
-        self._runner: ShardedRunner | None = None
-        self._serving: _StageServing | None = None
-        self._finished = False
-        self._closed = False
-        self._workers: dict[str, _WorkerState] = {}
-        self._channels: set[Channel] = set()
+        #: runner -> loop: the bound identity, a stage, "finish", "close".
+        self._commands: queue.SimpleQueue = queue.SimpleQueue()
+        #: loop -> runner: each drained stage, the exception that killed
+        #: the loop, and the per-worker summary as its last word.
+        self._drained: queue.SimpleQueue = queue.SimpleQueue()
+        # A byte on ``_wake`` wakes the selector watching ``_wake_loop``.
+        self._wake, self._wake_loop = socket.socketpair()
+        self._wake.setblocking(False)
+        self._fingerprint = ""
+        self._summary: dict[str, dict[str, int]] = {}
         self._cache: ArtifactCache | None = None
         if config.cache_dir is not None:
-            # The server's own handle (handler threads store checkpoints
-            # concurrently with the runner thread's artifact traffic);
-            # writes are atomic, so sharing the directory is safe while
-            # sharing one stats object would not be.
+            # The server's own handle: the runner opens each stage's
+            # checkpoints with it, then the loop stores through it.
             self._cache = ArtifactCache(config.cache_dir,
                                         max_bytes=config.max_cache_bytes)
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        threading.Thread(target=self._accept_loop, daemon=True,
-                         name="repro-dist-accept").start()
+        self._thread = threading.Thread(target=self._run, daemon=True,
+                                        name="repro-dist-coordinator")
+        self._thread.start()
 
-    # -- lifecycle -----------------------------------------------------------
+    # -- the runner thread's side ------------------------------------------
+
+    def _post(self, command: object) -> None:
+        self._commands.put(command)
+        try:
+            self._wake.send(b"\0")
+        except OSError:
+            pass  # the loop is already awake (full pipe) or gone
 
     def bind(self, runner: "ShardedRunner") -> None:
         """Attach the runner whose identity HELLO replies speak for."""
-        with self._lock:
-            self._runner = runner
+        self._fingerprint = runner.fingerprint
+        self._post((runner.fingerprint,
+                    getattr(runner, "_min_connected", 0.0)))
 
     def finish(self) -> None:
         """The run is over: answer every future pull with DRAIN(done)."""
-        with self._lock:
-            self._finished = True
+        self._post("finish")
 
     def close(self) -> None:
-        """Stop accepting and drop every live connection."""
-        with self._lock:
-            self._closed = True
-            channels = list(self._channels)
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for channel in channels:
-            channel.close()
+        """Stop the loop, which drops every connection and the listener."""
+        self._post("close")
+        self._thread.join()
+        self._wake.close()
 
     def worker_summary(self) -> dict[str, dict[str, int]]:
-        """Per-worker lease/byte accounting (for reports and tests)."""
-        with self._lock:
-            return {
-                worker_id: {"leases": state.leases,
-                            "results": state.results,
-                            "cache_hits": state.cache_hits,
-                            "bytes_sent": state.bytes_sent,
-                            "bytes_received": state.bytes_received}
-                for worker_id, state in self._workers.items()
-            }
-
-    # -- the per-stage blocking call the runner makes -------------------------
+        """Per-worker lease/byte accounting, once :meth:`close` returned."""
+        while not self._drained.empty():
+            reply = self._drained.get()
+            if isinstance(reply, dict):
+                self._summary.update(reply)
+        return dict(self._summary)
 
     def serve_stage(self, stage: str, shards: list[list], probe_of,
                     tainted: bool, version: str,
                     params: str) -> StageOutcome:
-        """Serve one fan-out stage to the connected workers.
-
-        Blocks the runner thread until every shard is resolved or
-        abandoned, sweeping expired leases every ``poll_s``; connection
-        handlers grant leases and fold results concurrently under the
-        cluster lock.
-        """
-        runner = self._runner
+        """Serve one fan-out stage: hand its board to the loop and block
+        until the loop hands it back drained (every shard resolved or
+        abandoned), or raise the exception that stopped the loop."""
+        if not self._thread.is_alive() and self._drained.empty():
+            raise DistError("lease server is closed")
         checkpoints = StageCheckpoints.for_stage(
-            self._cache, runner.fingerprint if runner is not None else "",
-            stage, shards, version, params, tainted)
+            self._cache, self._fingerprint, stage, shards, version,
+            params, tainted)
         resolved = checkpoints.begin(len(shards), self.config.resume)
         with obs.span("dist:%s" % stage, category="dist", stage=stage,
                       shards=len(shards)) as handle:
-            board = LeaseBoard(stage, shards, self.config.policy(),
-                               resolved=resolved)
-            serving = _StageServing(board=board, checkpoints=checkpoints)
-            with self._lock:
-                self._serving = serving
-            while True:
-                with self._lock:
-                    board.expire()
-                    if board.done:
-                        self._serving = None
-                        stored = serving.checkpoints_stored
-                        break
-                time.sleep(self.config.poll_s)
-            # The board is only safe under the cluster lock; handler
-            # threads may still be draining a late RESULT, so the final
-            # accounting reads hold it too.
-            with self._lock:
-                outcome = finish_stage(board, probe_of, len(resolved),
-                                       stored)
-                handle.set(leases=board.leases_granted,
-                           retries=board.retries,
-                           reassignments=board.reassignments,
-                           abandoned=len(board.abandoned),
-                           duplicates=board.duplicates, late=board.late,
-                           checkpoints_loaded=len(resolved),
-                           checkpoints_stored=stored)
-                reassigned = board.reassignments
-                duplicates = board.duplicates
-                late = board.late
-            if reassigned:
-                obs.count("dist.leases.reassigned", reassigned)
-            if duplicates:
-                obs.count("dist.results.duplicate", duplicates)
-            if late:
-                obs.count("dist.results.late", late)
+            serving = _StageServing(
+                board=LeaseBoard(stage, shards, self.config.policy(),
+                                 resolved=resolved),
+                checkpoints=checkpoints)
+            self._post(serving)
+            reply = self._drained.get()
+            if reply is not serving:
+                raise DistError("coordinator loop stopped while serving "
+                                "stage %r: %r" % (stage, reply))
+            board = serving.board
+            stored = serving.checkpoints_stored
+            outcome = finish_stage(board, probe_of, len(resolved), stored)
+            handle.set(leases=board.leases_granted, retries=board.retries,
+                       reassignments=board.reassignments,
+                       abandoned=len(board.abandoned),
+                       duplicates=board.duplicates, late=board.late,
+                       checkpoints_loaded=len(resolved),
+                       checkpoints_stored=stored)
+        for name, value in (("dist.leases.reassigned", board.reassignments),
+                            ("dist.results.duplicate", board.duplicates),
+                            ("dist.results.late", board.late)):
+            if value:
+                obs.count(name, value)
         return outcome
 
-    # -- connection handling --------------------------------------------------
+    # -- the loop thread ------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            threading.Thread(target=self._serve_connection, args=(sock,),
-                             daemon=True,
-                             name="repro-dist-conn").start()
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        connection = _Connection(channel=Channel(sock))
-        with self._lock:
-            self._channels.add(connection.channel)
+    def _run(self) -> None:
+        selector = selectors.DefaultSelector()
+        selector.register(self._listener, selectors.EVENT_READ)
+        selector.register(self._wake_loop, selectors.EVENT_READ)
+        loop = _Loop(selector=selector)
         try:
-            while not connection.closing:
-                message = connection.channel.recv()
-                reply = self._dispatch(message, connection)
-                if reply is not None:
-                    connection.channel.send(reply)
-                self._sync_bytes(connection)
+            while True:
+                # Sleep until traffic, a command, or the next lease
+                # deadline or backoff end; at most poll_s.
+                timeout = self.config.poll_s
+                if loop.serving is not None:
+                    board = loop.serving.board
+                    at = board.wakeup_at()
+                    if at is not None:
+                        timeout = min(timeout, max(0.0, at - board.clock()))
+                events = selector.select(timeout)
+                if not self._take_commands(loop):
+                    return
+                for key, _ in events:
+                    if key.data is not None:
+                        self._on_readable(loop, key.data)
+                    elif key.fileobj is self._listener:
+                        self._accept(loop)
+                    else:
+                        self._wake_loop.recv(4096)
+                serving = loop.serving
+                if serving is not None:
+                    serving.board.expire()
+                    if serving.board.done:
+                        # Hand the board back the moment it drains.
+                        loop.serving = None
+                        self._drained.put(serving)
+        # Whatever kills the loop also goes to the runner, which raises
+        # it from serve_stage rather than waiting on a dead loop; the
+        # exception is re-raised untouched.
+        except BaseException as error:  # repro: noqa[RPR004]
+            self._drained.put(error)
+            raise
+        finally:
+            for key in list(selector.get_map().values()):
+                if key.data is not None:
+                    self._drop(loop, key.data)
+            selector.close()
+            self._listener.close()
+            self._wake_loop.close()
+            self._drained.put({worker_id: asdict(state) for worker_id, state
+                               in loop.workers.items()})
+
+    def _take_commands(self, loop: _Loop) -> bool:
+        """Apply the runner's commands; False once told to close."""
+        while not self._commands.empty():
+            command = self._commands.get()
+            if isinstance(command, _StageServing):
+                loop.serving = command
+            elif command == "finish":
+                loop.finished = True
+            elif command == "close":
+                return False
+            else:
+                loop.identity = command
+        return True
+
+    def _accept(self, loop: _Loop) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return  # the peer gave up before we got to it
+        sock.settimeout(timeutil.DIST_SOCKET_TIMEOUT_S)  # bounds sendall
+        loop.accepted += 1
+        loop.selector.register(sock, selectors.EVENT_READ,
+                               _Connection(sock=sock, serial=loop.accepted))
+
+    def _on_readable(self, loop: _Loop, connection: _Connection) -> None:
+        try:
+            message = self._read(connection)
+            if message is None:
+                return
+            reply = self._dispatch(loop, message, connection)
+            if reply is not None:
+                frame = protocol.pack(reply)
+                connection.sock.sendall(frame)
+                connection.bytes_sent += len(frame)
+                obs.count("dist.bytes.sent", len(frame))
         # A protocol violation (garbled frame) or socket error ends the
         # conversation; recovery happens through lease reassignment, so
         # dropping the connection is the whole remedy.
         except Exception:  # repro: noqa[RPR004]
-            pass
-        finally:
-            self._sync_bytes(connection)
-            with self._lock:
-                self._channels.discard(connection.channel)
-                if connection.worker_id and self._serving is not None:
-                    lost = self._serving.board.disconnect(
-                        connection.worker_id)
-                    if lost:
-                        obs.count("dist.workers.disconnects")
-            connection.channel.close()
+            connection.closing = True
+        if connection.closing:
+            self._drop(loop, connection)
 
-    def _sync_bytes(self, connection: _Connection) -> None:
-        channel = connection.channel
-        sent = channel.bytes_sent - connection.synced_sent
-        received = channel.bytes_received - connection.synced_received
-        if not sent and not received:
-            return
-        connection.synced_sent = channel.bytes_sent
-        connection.synced_received = channel.bytes_received
-        with self._lock:
-            self.bytes_sent += sent
-            self.bytes_received += received
-            state = self._workers.get(connection.worker_id)
-            if state is not None:
-                state.bytes_sent += sent
-                state.bytes_received += received
-        if sent:
-            obs.count("dist.bytes.sent", sent)
-        if received:
-            obs.count("dist.bytes.received", received)
+    @staticmethod
+    def _read(connection: _Connection) -> object | None:
+        """One ``recv_into`` toward the frame in flight; its message once
+        whole.  The header is validated before the payload's buffer is
+        allocated, at exactly the length the header names."""
+        header = connection.header
+        size = protocol.HEADER.size if header is None else header[1]
+        if not connection.filled:
+            connection.buffer = bytearray(size)
+        got = connection.sock.recv_into(
+            memoryview(connection.buffer)[connection.filled:])
+        if not got:
+            raise WireProtocolError("peer closed the connection")
+        connection.filled += got
+        if connection.filled < size:
+            return None
+        data, connection.buffer = connection.buffer, bytearray()
+        connection.filled = 0
+        connection.bytes_received += size
+        obs.count("dist.bytes.received", size)
+        if header is None:
+            header = connection.header = protocol.unpack_header(data)
+            if header[1]:
+                return None
+            data = bytearray()
+        connection.header = None
+        return protocol.unpack_payload(header[0], data, header[2])
 
-    def _dispatch(self, message: object,
+    def _drop(self, loop: _Loop, connection: _Connection) -> None:
+        """Forget one connection and charge the leases it held."""
+        loop.selector.unregister(connection.sock)
+        connection.sock.close()
+        state = loop.workers.get(connection.worker_id)
+        if state is not None:
+            state.bytes_sent += connection.bytes_sent
+            state.bytes_received += connection.bytes_received
+            if loop.serving is not None \
+                    and loop.serving.board.disconnect(connection.holder):
+                obs.count("dist.workers.disconnects")
+
+    def _dispatch(self, loop: _Loop, message: object,
                   connection: _Connection) -> object | None:
         if isinstance(message, protocol.Hello):
-            return self._on_hello(message, connection)
+            return self._on_hello(loop, message, connection)
         if isinstance(message, protocol.Lease) and message.is_request:
-            return self._on_lease_request(connection)
+            return self._on_lease_request(loop, connection)
         if isinstance(message, protocol.Result):
-            return self._on_result(message, connection)
+            return self._on_result(loop, message, connection)
         if isinstance(message, protocol.Heartbeat):
-            with self._lock:
-                state = self._workers.get(message.worker_id)
-                if state is not None:
-                    state.last_seen = time.monotonic()
             return protocol.Heartbeat(worker_id="coordinator",
                                       lease_id=message.lease_id)
-        if isinstance(message, protocol.Drain):
-            connection.closing = True
-            return protocol.Drain(done=True, reason="goodbye")
         connection.closing = True
+        if isinstance(message, protocol.Drain):
+            return protocol.Drain(done=True, reason="goodbye")
         return protocol.Drain(done=True,
                               reason="unexpected %s message"
                               % type(message).__name__)
 
-    def _on_hello(self, hello: protocol.Hello,
+    def _on_hello(self, loop: _Loop, hello: protocol.Hello,
                   connection: _Connection) -> object:
-        with self._lock:
-            runner = self._runner
-        if runner is None:
+        if loop.identity is None:
             return protocol.Drain(done=False, reason="not ready",
                                   retry_after_s=self.config.poll_s)
+        fingerprint, min_connected = loop.identity
         version = code_version()
+        reject = ""
         if hello.protocol_version != protocol.PROTOCOL_VERSION:
+            reject = ("protocol version mismatch (worker %d, coordinator "
+                      "%d)" % (hello.protocol_version,
+                               protocol.PROTOCOL_VERSION))
+        elif hello.code_version and hello.code_version != version:
+            reject = ("code version mismatch: worker runs different "
+                      "analysis code; shards from divergent code must "
+                      "not merge")
+        elif hello.fingerprint and fingerprint \
+                and hello.fingerprint != fingerprint:
+            reject = ("bundle fingerprint mismatch: worker loaded a "
+                      "different dataset")
+        if reject:
             connection.closing = True
-            return protocol.Drain(
-                done=True,
-                reason="protocol version mismatch (worker %d, "
-                       "coordinator %d)" % (hello.protocol_version,
-                                            protocol.PROTOCOL_VERSION))
-        if hello.code_version and hello.code_version != version:
-            connection.closing = True
-            return protocol.Drain(
-                done=True,
-                reason="code version mismatch: worker runs different "
-                       "analysis code; shards from divergent code must "
-                       "not merge")
-        if hello.fingerprint and runner.fingerprint \
-                and hello.fingerprint != runner.fingerprint:
-            connection.closing = True
-            return protocol.Drain(
-                done=True,
-                reason="bundle fingerprint mismatch: worker loaded a "
-                       "different dataset")
+            return protocol.Drain(done=True, reason=reject)
         connection.worker_id = hello.worker_id
-        with self._lock:
-            if hello.worker_id not in self._workers:
-                self._workers[hello.worker_id] = _WorkerState(
-                    worker_id=hello.worker_id)
-                obs.count("dist.workers.seen")
-            self._workers[hello.worker_id].last_seen = time.monotonic()
-        # pylint-style note: the reply carries the *coordinator's*
-        # identity so the worker can verify symmetrically.
-        min_connected = getattr(runner, "_min_connected", 0.0)
+        if hello.worker_id not in loop.workers:
+            loop.workers[hello.worker_id] = _WorkerState()
+            obs.count("dist.workers.seen")
+        # The reply carries the *coordinator's* identity so the worker
+        # can verify symmetrically.
         return protocol.Hello(
             worker_id="coordinator",
             protocol_version=protocol.PROTOCOL_VERSION,
-            code_version=version, fingerprint=runner.fingerprint,
+            code_version=version, fingerprint=fingerprint,
             min_connected=min_connected, role="coordinator")
 
-    def _on_lease_request(self, connection: _Connection) -> object:
+    def _on_lease_request(self, loop: _Loop,
+                          connection: _Connection) -> object:
         if not connection.worker_id:
             connection.closing = True
             return protocol.Drain(done=True, reason="HELLO first")
-        with self._lock:
-            if self._finished:
-                return protocol.Drain(done=True, reason="run complete")
-            serving = self._serving
-            if serving is None:
-                return protocol.Drain(done=False, reason="between stages",
-                                      retry_after_s=self.config.poll_s)
-            record = serving.board.lease(connection.worker_id)
-            if record is None:
-                return protocol.Drain(done=False, reason="no shard ready",
-                                      retry_after_s=self.config.poll_s)
-            state = self._workers[connection.worker_id]
-            state.leases += 1
-            cache_key = ""
-            if serving.checkpoints.enabled:
-                cache_key = serving.checkpoints.shard_key(
-                    record.shard_index)
-            lease = protocol.Lease(
-                lease_id=record.lease_id, stage=record.stage,
-                shard_index=record.shard_index, attempt=record.attempt,
-                items=tuple(serving.board.shards[record.shard_index]),
-                deadline_s=self.config.lease_deadline_s,
-                cache_key=cache_key)
+        if loop.finished:
+            return protocol.Drain(done=True, reason="run complete")
+        serving = loop.serving
+        if serving is None:
+            return protocol.Drain(done=False, reason="between stages",
+                                  retry_after_s=self.config.poll_s)
+        record = serving.board.lease(connection.holder)
+        if record is None:
+            return protocol.Drain(done=False, reason="no shard ready",
+                                  retry_after_s=self.config.poll_s)
+        loop.workers[connection.worker_id].leases += 1
         obs.count("dist.leases.granted")
         obs.count("dist.leases.worker.%s" % connection.worker_id)
-        return lease
+        cache_key = ""
+        if serving.checkpoints.enabled:
+            cache_key = serving.checkpoints.shard_key(record.shard_index)
+        return protocol.Lease(
+            lease_id=record.lease_id, stage=record.stage,
+            shard_index=record.shard_index, attempt=record.attempt,
+            items=tuple(serving.board.shards[record.shard_index]),
+            deadline_s=self.config.lease_deadline_s, cache_key=cache_key)
 
-    def _on_result(self, result: protocol.Result,
+    def _on_result(self, loop: _Loop, result: protocol.Result,
                    connection: _Connection) -> object:
         ack = protocol.Heartbeat(worker_id="coordinator",
                                  lease_id=result.lease_id)
-        store: tuple[StageCheckpoints, workers.ShardResult] | None = None
-        with self._lock:
-            serving = self._serving
-            state = self._workers.get(connection.worker_id)
-            if state is not None:
-                state.results += 1
-                state.last_seen = time.monotonic()
-            if serving is None or serving.board.stage != result.stage:
-                # The stage already drained (a stale retry's result):
-                # idempotently acknowledged, dropped from accounting.
-                obs.count("dist.results.stray")
-                return ack
-            if result.error:
-                serving.board.fail_lease(result.lease_id, result.error)
-                return ack
-            verdict = serving.board.submit(result.lease_id,
-                                           result.envelope)
-            if verdict in (SUBMIT_RESOLVED, SUBMIT_LATE):
-                if state is not None and result.cache_hit:
-                    state.cache_hits += 1
-                if serving.checkpoints.enabled and not result.cache_hit:
-                    store = (serving.checkpoints, result.envelope)
-                    serving.checkpoints_stored += 1
-        if store is not None:
-            # Store outside the cluster lock: disk latency must not
-            # stall lease grants for every other worker.
-            store[0].store(store[1])
+        serving = loop.serving
+        state = loop.workers.get(connection.worker_id)
+        if state is not None:
+            state.results += 1
+        if serving is None or serving.board.stage != result.stage:
+            # The stage already drained (a stale retry's result):
+            # idempotently acknowledged, dropped from accounting.
+            obs.count("dist.results.stray")
+            return ack
+        if result.error:
+            serving.board.fail_lease(result.lease_id, result.error)
+            return ack
+        verdict = serving.board.submit(result.lease_id, result.envelope)
+        if verdict in (SUBMIT_RESOLVED, SUBMIT_LATE):
+            if state is not None and result.cache_hit:
+                state.cache_hits += 1
+            if serving.checkpoints.enabled and not result.cache_hit:
+                serving.checkpoints.store(result.envelope)
+                serving.checkpoints_stored += 1
         if result.cache_hit:
             obs.count("dist.results.cache_hits")
         return ack

@@ -31,7 +31,7 @@ LEASE (req)    LEASE (grant) | DRAIN        pull one shard of work;
                                             DRAIN(done=True) = exit
 RESULT         HEARTBEAT                    ship a sealed envelope (or
                                             a kernel error); ack
-HEARTBEAT      HEARTBEAT                    liveness ping mid-compute
+HEARTBEAT      HEARTBEAT                    acked (workers don't ping)
 DRAIN          DRAIN(done=True)             polite goodbye
 ========== =============================== ============================
 
@@ -169,10 +169,10 @@ class Result:
 
 @dataclass(frozen=True)
 class Heartbeat:
-    """Liveness ping (worker mid-compute) and the generic acknowledgment
-    the coordinator replies with.  Refreshes the worker's last-seen
-    bookkeeping only — the lease deadline stays hard, so a worker that
-    heartbeats while its kernel is wedged is still declared hung.
+    """The generic acknowledgment the coordinator replies to a RESULT
+    with.  An inbound one is acknowledged in kind and changes nothing:
+    workers do not ping, because lease deadlines are hard — a worker
+    whose kernel is wedged is declared hung however alive its socket is.
     """
 
     __wire_contract__ = "dist-heartbeat"

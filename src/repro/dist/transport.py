@@ -1,9 +1,11 @@
 """Socket channels speaking the framed dist protocol.
 
 :class:`Channel` wraps one connected socket with exact-length framing,
-integrity-checked receive, and a locked ``request`` round-trip (the
-worker's heartbeat thread and its serve loop share one socket, so whole
-conversational turns must interleave, never half-frames).
+integrity-checked receive, and a ``request`` round-trip.  It is the
+worker's end of the conversation and belongs to the one thread that
+drives that worker; nothing else ever touches it, so it holds no lock.
+(The coordinator reads frames through its own selector loop, see
+:mod:`repro.dist.coordinator`.)
 
 :class:`FaultyChannel` is the deterministic network saboteur: before
 every send it consults an inert fault plan (duck-typed
@@ -20,7 +22,6 @@ reconnects) with no cooperation.
 from __future__ import annotations
 
 import socket
-import threading
 import time
 
 from repro.dist import protocol
@@ -41,9 +42,6 @@ class Channel:
     def __init__(self, sock: socket.socket, channel_id: str = "") -> None:
         self._sock = sock
         self.channel_id = channel_id
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self._lock = threading.Lock()
 
     # -- raw framing ---------------------------------------------------------
 
@@ -58,18 +56,10 @@ class Channel:
                     % (count - remaining, count))
             chunks.append(chunk)
             remaining -= len(chunk)
-        # Each Channel belongs to one conversation: the only cross-thread
-        # sharing is the worker's heartbeat, serialized by ``request``'s
-        # lock, so the byte counters never race in practice.
-        self.bytes_received += count  # repro: noqa[RPR011] -- per-connection counter; heartbeat/serve sharing is serialized by self._lock in request()
         return b"".join(chunks)
 
-    def _send_raw(self, frame: bytes) -> None:
-        self._sock.sendall(frame)
-        self.bytes_sent += len(frame)  # repro: noqa[RPR011] -- per-connection counter; heartbeat/serve sharing is serialized by self._lock in request()
-
     def _send(self, message: object) -> None:
-        self._send_raw(protocol.pack(message))
+        self._sock.sendall(protocol.pack(message))
 
     def _recv(self) -> object:
         code, length, digest = protocol.unpack_header(
@@ -80,19 +70,13 @@ class Channel:
     # -- public --------------------------------------------------------------
 
     def send(self, message: object) -> None:
-        """Send one message (reply side: recv/send pairs need no lock)."""
-        with self._lock:
-            self._send(message)
-
-    def recv(self) -> object:
-        """Receive one message."""
-        return self._recv()
+        """Send one message."""
+        self._send(message)
 
     def request(self, message: object) -> object:
-        """One atomic round-trip: send ``message``, return the reply."""
-        with self._lock:
-            self._send(message)
-            return self._recv()
+        """One round-trip: send ``message``, return the reply."""
+        self._send(message)
+        return self._recv()
 
     def close(self) -> None:
         try:
@@ -140,7 +124,7 @@ class FaultyChannel(Channel):
             # field) stays intact so the receiver's integrity check —
             # not a parse accident — is what catches it.
             frame[-1] ^= 0xFF
-            self._send_raw(bytes(frame))
+            self._sock.sendall(bytes(frame))
             return
         if kind == FAULT_MSG_DELAY:
             time.sleep(float(getattr(self._plan, "delay_s", 0.05)))

@@ -21,12 +21,17 @@ timeout, or protocol violation tears the connection down and the worker
 reconnects with a fresh handshake (bounded by ``max_reconnects``).
 Every crash-recovery decision lives in the coordinator's lease board;
 the worker only has to keep pulling.
+
+A worker is one thread: the thread that calls :meth:`DistWorker.run`
+(the process's main thread under ``repro-dist worker``, or a loopback
+serve thread) owns the instance and its channel.  It sends no
+heartbeats; lease deadlines on the coordinator are hard, so liveness
+pings would change nothing.
 """
 
 from __future__ import annotations
 
 import pickle
-import threading
 import time
 from dataclasses import dataclass, field
 
@@ -47,8 +52,6 @@ class WorkerSummary:
     cache_hits: int = 0
     errors_reported: int = 0
     reconnects: int = 0
-    bytes_sent: int = 0
-    bytes_received: int = 0
     #: Network faults this worker's channels injected, by kind.
     injected: dict = field(default_factory=dict)
 
@@ -65,8 +68,7 @@ class DistWorker:
                  socket_timeout_s: float = timeutil.DIST_SOCKET_TIMEOUT_S,
                  reconnect_delay_s: float
                  = timeutil.DIST_RECONNECT_DELAY_S,
-                 max_reconnects: int = 100,
-                 heartbeats: bool = True) -> None:
+                 max_reconnects: int = 100) -> None:
         self.host = host
         self.port = port
         self.worker_id = worker_id
@@ -86,12 +88,9 @@ class DistWorker:
         self.socket_timeout_s = socket_timeout_s
         self.reconnect_delay_s = reconnect_delay_s
         self.max_reconnects = max_reconnects
-        self.heartbeats = heartbeats
         self.summary = WorkerSummary(worker_id=worker_id)
         self._connections = 0
         self._context_installed = False
-        self._current_lease = -1
-        self._hb_stop: threading.Event | None = None
 
     # -- connection lifecycle -------------------------------------------------
 
@@ -103,11 +102,8 @@ class DistWorker:
             # reconnect instead of replaying the fault that killed the
             # last connection forever.
             channel_id = "%s#%d" % (self.worker_id, self._connections)
-            # A DistWorker instance is driven by exactly one thread: the
-            # worker process's main thread in dist mode, or its own serve
-            # thread in loopback mode.  The analyzer conflates the two
-            # deployments into one role pair; only the heartbeat thread
-            # truly shares the instance, and it touches nothing below.
+            # One thread drives an instance (see the module doc); the
+            # analyzer conflates the two deployments into one role pair.
             self._connections += 1  # repro: noqa[RPR011] -- instance is confined to its single driving thread (dist main xor loopback serve thread)
             try:
                 channel = transport.connect(
@@ -185,37 +181,12 @@ class DistWorker:
                 % (self.worker_id, self.max_reconnects, detail))
 
     def _absorb_channel(self, channel: transport.Channel) -> None:
-        self.summary.bytes_sent += channel.bytes_sent  # repro: noqa[RPR011] -- instance is confined to its single driving thread (dist main xor loopback serve thread)
-        self.summary.bytes_received += channel.bytes_received
         injected = getattr(channel, "injected", None)
         if injected:
             for kind, count in injected.items():
-                self.summary.injected[kind] = (
+                self.summary.injected[kind] = (  # repro: noqa[RPR011] -- instance is confined to its single driving thread (dist main xor loopback serve thread)
                     self.summary.injected.get(kind, 0) + count)
             injected.clear()
-
-    # -- heartbeats -----------------------------------------------------------
-
-    def _start_heartbeats(self, channel: transport.Channel
-                          ) -> threading.Event:
-        stop = threading.Event()
-
-        def beat() -> None:
-            while not stop.wait(timeutil.HEARTBEAT_INTERVAL_S):
-                try:
-                    channel.request(protocol.Heartbeat(
-                        worker_id=self.worker_id,
-                        lease_id=self._current_lease))
-                # Liveness is best-effort: the serve loop owns error
-                # recovery, a failed ping must not race it.
-                except Exception:  # repro: noqa[RPR004]
-                    return
-
-        if self.heartbeats:
-            threading.Thread(target=beat, daemon=True,
-                             name="repro-dist-hb-%s"
-                             % self.worker_id).start()
-        return stop
 
     # -- serving --------------------------------------------------------------
 
@@ -223,7 +194,6 @@ class DistWorker:
         """Pull and serve leases until the coordinator drains us."""
         while True:
             channel = self._dial()
-            stop = self._start_heartbeats(channel)
             try:
                 if self._serve(channel):
                     return self.summary
@@ -231,7 +201,6 @@ class DistWorker:
                 self._charge_reconnect("connection lost mid-serve")
                 time.sleep(self.reconnect_delay_s)
             finally:
-                stop.set()
                 self._absorb_channel(channel)
                 channel.close()
 
@@ -252,14 +221,7 @@ class DistWorker:
                 raise WireProtocolError(
                     "lease pull answered with %s"
                     % type(reply).__name__)
-            # The heartbeat thread reads this as an advisory liveness
-            # hint.  A Python int read is atomic; at worst one heartbeat
-            # carries the previous lease id, which the board tolerates.
-            self._current_lease = reply.lease_id  # repro: noqa[RPR011] -- advisory single-int hint for the heartbeat thread; atomic read, staleness is harmless
-            try:
-                result = self._compute(reply)
-            finally:
-                self._current_lease = -1
+            result = self._compute(reply)
             ack = channel.request(result)
             self.summary.leases_served += 1
             if result.cache_hit:

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 class MetricsRegistry:
     """Flat name -> value stores for counters and gauges.
 
-    Counted from coordinator handler threads and worker serve loops
-    alike, so every store access holds ``_lock`` (an RLock: ``drain``
-    re-enters through ``snapshot``).
+    Counted from the coordinator's loop thread, loopback worker threads
+    and the main thread alike, so every store access holds ``_lock``
+    (an RLock: ``drain`` re-enters through ``snapshot``).
     """
 
     pid: int = field(default_factory=os.getpid)

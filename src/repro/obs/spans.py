@@ -87,15 +87,16 @@ class SpanHandle:
         """Attach attributes to the span being recorded."""
         # A handle never leaves the ``with span(...)`` body that created
         # it, so only the thread that opened the span mutates it.
-        self.attrs.update(attrs)  # repro: noqa[RPR011] -- handle is confined to the opening thread's with-block; it is sealed into an immutable Span before crossing threads
+        self.attrs.update(attrs)
 
 
 @dataclass
 class SpanCollector:
     """Process-local span sink (create via :func:`collector`).
 
-    Coordinator handler threads and the driver's main thread record
-    into the same collector, so every ``_spans`` access holds ``_lock``.
+    The coordinator's loop thread, loopback worker threads and the
+    driver's main thread record into the same collector, so every
+    ``_spans`` access holds ``_lock``.
     """
 
     pid: int = field(default_factory=os.getpid)

@@ -32,11 +32,13 @@ directly:
   kernel error, a corrupt envelope — each names its shard), so charges
   exceed the retry budget honestly or not at all.
 
-Every public method holds the board's own lock, so the board stays
-consistent whichever scheduler drives it: the coordinator calls it from
-one handler thread per connection, the local supervisor from a single
-thread, and the property tests from a single thread too.  The lock is a
-leaf: the board never calls out while holding it.
+A board has one driver at a time: the local supervisor's thread, or
+the coordinator's loop thread from the moment the runner thread hands
+it over until the loop hands it back drained.  So the leaf lock every
+public method takes is never contended.  It stays only because RPR011
+matches attributes per class, not per instance, and cannot see the
+queue handoff: without the lock it reports the supervisor's thread and
+the coordinator's loop thread racing on every board attribute.
 """
 
 from __future__ import annotations

@@ -148,10 +148,10 @@ class ArtifactCache:
         """Delete a broken entry (with sidecars) and serve a miss."""
         for member in self._group(path):
             member.unlink(missing_ok=True)
-        # Same confinement argument as the eviction counter below: each
-        # runner owns a private handle, and dist-side loads all run under
-        # the coordinator's cluster lock.
-        self.stats.healed += 1  # repro: noqa[RPR011] -- per-handle accounting; dist accesses are serialized by the coordinator's cluster lock, runtime handles are main-thread-only
+        # Each handle has one thread at a time (the coordinator's passes
+        # from the runner thread to the loop thread with each stage); the
+        # analyzer cannot tell handles or the handoff apart.
+        self.stats.healed += 1  # repro: noqa[RPR011] -- per-handle accounting; every handle is used by one thread at a time
         self.stats.misses += 1
         self.stats.miss_stages.append(stage or key)
         return False, None
@@ -287,11 +287,7 @@ class ArtifactCache:
             for member in members:
                 member.unlink(missing_ok=True)
             removed += 1
-        # Each runner owns a private cache handle: ShardedRunner touches
-        # it from the main thread only, and in dist mode every access is
-        # inside LeaseServer._on_result, which holds the cluster RLock —
-        # the two roles never share one instance.
-        self.stats.evicted += removed  # repro: noqa[RPR011] -- per-handle accounting; dist accesses are serialized by the coordinator's cluster lock, runtime handles are main-thread-only
+        self.stats.evicted += removed
         return removed
 
     def clear(self) -> int:

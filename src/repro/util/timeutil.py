@@ -27,9 +27,6 @@ WEEK = 7 * DAY
 #: computes in well under a second, so only a truly wedged worker ever
 #: reaches this.
 SHARD_DEADLINE_S = 5 * MINUTE
-#: How often a distributed worker sends the coordinator a HEARTBEAT
-#: message while it is connected (:mod:`repro.dist.worker`).
-HEARTBEAT_INTERVAL_S = 5 * SECOND
 #: First retry delay; attempt ``n`` waits ``BACKOFF_BASE_S * 2**(n-1)``.
 BACKOFF_BASE_S = 0.05 * SECOND
 #: Maximum failed attempts per shard before its probes are quarantined.
@@ -42,12 +39,13 @@ MAX_SHARD_RETRIES = 3
 #: same execution-only semantics as :data:`SHARD_DEADLINE_S`: the clock
 #: starts at grant time, and a shard waiting ungranted never ages.
 LEASE_DEADLINE_S = SHARD_DEADLINE_S
-#: How often the coordinator's stage loop sweeps for expired leases and
-#: how long a worker sleeps on an empty-handed DRAIN before re-pulling.
+#: Longest the coordinator's loop sleeps when nothing is due, and how
+#: long a worker sleeps on an empty-handed DRAIN before re-pulling.
 DIST_POLL_S = 0.05 * SECOND
-#: Socket receive timeout on the worker side of the dist protocol; a
-#: reply that never arrives (dropped by a faulty transport) surfaces as
-#: a timeout and triggers a reconnect instead of wedging the worker.
+#: Socket timeout of the dist protocol.  On the worker side, a reply
+#: that never arrives (dropped by a faulty transport) surfaces as a
+#: timeout and triggers a reconnect instead of wedging the worker; on
+#: the coordinator side it bounds each blocking reply ``sendall``.
 DIST_SOCKET_TIMEOUT_S = 30 * SECOND
 #: Delay between a worker's connection attempts to the coordinator.
 DIST_RECONNECT_DELAY_S = 0.1 * SECOND
