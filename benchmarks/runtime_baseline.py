@@ -15,7 +15,9 @@ end-to-end analysis wall time over the paper scenario for:
 * ``distributed`` — loopback coordinator plus 2 socket workers
   (``repro-dist``), recorded in its own section and tagged
   ``oversubscribed`` when the workers outnumber the cpus (the wall time
-  then measures protocol overhead plus time-slicing, not scale-out);
+  then measures protocol overhead plus time-slicing, not scale-out),
+  with its ratio to the serial run (``vs_serial_ratio``) and the bytes
+  the coordinator received (``bytes_received``);
 * ``simulate``  — ``build_world`` of the scenario (best of N), with the
   probes it simulated per second;
 * ``ingest``    — ``load_bundle`` of the written bundle (best of N), with
@@ -182,12 +184,22 @@ def _ingest_entry(seconds: float, records: int, serial_s: float,
             "datasets": datasets}
 
 
+def _received_bytes() -> int:
+    return int(obs.metrics_snapshot()["counters"].get(
+        "dist.bytes.received", 0))
+
+
 def _timed_dist_run(bundle, workers: int = 2):
-    """Time the full pipeline through loopback sockets (repro-dist)."""
+    """Time the full pipeline through loopback sockets (repro-dist).
+
+    Returns the wall time, the digest, the run and the bytes the
+    coordinator received during it.
+    """
     from repro.dist.coordinator import DistConfig, dist_runner_for_bundle
     from repro.dist.loopback import run_loopback
     from repro.runtime.workers import WorkerContext
 
+    received = _received_bytes()
     started = time.perf_counter()
     runner = dist_runner_for_bundle(bundle, DistConfig(workers=workers))
     context = WorkerContext(
@@ -198,7 +210,8 @@ def _timed_dist_run(bundle, workers: int = 2):
     if run.worker_errors:
         raise AssertionError("distributed bench workers died: %r"
                              % (run.worker_errors,))
-    return time.perf_counter() - started, run.digest, run
+    seconds = time.perf_counter() - started
+    return seconds, run.digest, run, _received_bytes() - received
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -326,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         dist_workers = 2
         print("timing distributed (loopback, %d socket workers)..."
               % dist_workers, file=sys.stderr)
-        dist_s, dist_digest, dist_run_result = _timed_dist_run(
+        dist_s, dist_digest, dist_run_result, dist_bytes = _timed_dist_run(
             bundle, workers=dist_workers)
 
         print("timing cold cache (jobs=%d, best of %d)..."
@@ -407,6 +420,8 @@ def main(argv: list[str] | None = None) -> int:
                 "workers": dist_workers,
                 "oversubscribed": dist_oversubscribed,
                 "seconds": round(dist_s, 3),
+                "vs_serial_ratio": round(dist_s / serial_s, 2),
+                "bytes_received": dist_bytes,
                 "records_per_sec": round(records / dist_s, 1),
                 "leases_served": sum(
                     summary.leases_served

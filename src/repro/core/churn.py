@@ -20,7 +20,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.core.changes import AddressChange, AddressSpan
+import numpy as np
+
+from repro.core.changes import AddressChange
+from repro.core.colartifact import ColumnarSpanMap
 from repro.net.ipv4 import IPv4Prefix
 from repro.net.pfx2as import UNROUTED, IpToAsDataset, prefix_from_key
 from repro.util.stats import fraction
@@ -42,22 +45,41 @@ class ChurnPoint:
         return fraction(self.appeared + self.disappeared, self.active)
 
 
-def daily_active_addresses(spans_by_probe: Mapping[int, Sequence[AddressSpan]],
+def daily_active_addresses(spans_by_probe: ColumnarSpanMap,
                            start: float, end: float
                            ) -> dict[int, set[int]]:
     """Addresses observed active on each day (0-based day index).
 
-    A span contributes its address to every day it overlaps.
+    A span contributes its address to every day it overlaps, as in the
+    daily active-address sets of "Beyond Counting: New Perspectives on
+    the Active IPv4 Address Space" (Richter et al., PAPERS.md).  Works
+    on the span columns: each span's day range is expanded to one
+    (day, address) pair per day, packed into one sortable integer, and
+    the distinct pairs are grouped by day.  Days come out in ascending
+    order.
     """
     total_days = int((end - start) // DAY) + 1
-    active: dict[int, set[int]] = defaultdict(set)
-    for spans in spans_by_probe.values():
-        for span in spans:
-            first = max(0, int((span.start - start) // DAY))
-            last = min(total_days - 1, int((span.end - start) // DAY))
-            for day in range(first, last + 1):
-                active[day].add(span.address.value)
-    return dict(active)
+    columns = spans_by_probe.columns
+    first = np.maximum(0, (columns["start"] - start) // DAY).astype(np.int64)
+    last = np.minimum(total_days - 1,
+                      (columns["end"] - start) // DAY).astype(np.int64)
+    counts = np.maximum(last - first + 1, 0)
+    expanded = np.cumsum(counts)
+    # Packed (day << 32 | address) per span-day, built in place.
+    pairs = np.repeat(first - (expanded - counts), counts)
+    pairs += np.arange(len(pairs))
+    pairs <<= 32
+    pairs |= np.repeat(columns["address"].astype(np.int64), counts)
+    pairs.sort()
+    distinct = np.ones(len(pairs), dtype=bool)
+    distinct[1:] = pairs[1:] != pairs[:-1]
+    pairs = pairs[distinct]
+    days = pairs >> 32
+    pairs &= 0xFFFFFFFF
+    # Group bounds: the first row, every change of day, and the end.
+    bounds = np.flatnonzero(np.diff(days, prepend=-1, append=-1)).tolist()
+    return {int(days[lo]): set(pairs[lo:hi].tolist())
+            for lo, hi in zip(bounds, bounds[1:])}
 
 
 def churn_series(daily: Mapping[int, set[int]]) -> list[ChurnPoint]:

@@ -1,13 +1,15 @@
-"""Columnar forms of the fat cached artifacts (DESIGN.md §16).
+"""Columnar forms of the fat stage outputs (DESIGN.md §16).
 
-The hot stages' cached artifacts used to be pickled object graphs — the
-entry-stripped :class:`~repro.core.filtering.FilterReport`, plus
-megabytes of ``AddressSpan``/``GapEvent`` lists — tens of thousands of
-small objects re-walked on every warm load and re-serialized on every
-cold store.  The classes here hold the same information as a handful of
-parallel arrays plus a tiny JSON meta block, stored through
-:mod:`repro.util.colpack` so runs memory-map columns instead of walking
-pickle graphs.
+The hot stages' outputs used to be object graphs — the entry-stripped
+:class:`~repro.core.filtering.FilterReport`, plus megabytes of
+``AddressSpan``/``GapEvent`` lists — tens of thousands of small objects
+pickled across every shard boundary, re-walked on every warm load and
+re-serialized on every cold store.  The classes here hold the same
+information as a handful of parallel arrays plus a tiny JSON meta block,
+stored through :mod:`repro.util.colpack` so runs memory-map columns
+instead of walking pickle graphs.  The span, duration and gap maps are
+the ``spans`` and ``gaps`` stage outputs themselves, in every execution
+mode: read-only mappings that decode a probe's records on lookup.
 
 Round-trip contract: ``decode(encode(value))`` reproduces the original
 exactly — same dict order, equal field values, and (for the filter
@@ -20,6 +22,8 @@ instead.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 import numpy as np
 
 from repro.core.association import GapCause, GapEvent
@@ -27,6 +31,10 @@ from repro.core.changes import AddressChange, AddressSpan
 from repro.core.filtering import FilterReport, ProbeCategory, ProbeVerdict
 from repro.net.ipv4 import IPv4Address
 from repro.util import colpack
+
+#: ``cause`` column value of each gap cause, in the order the gap map's
+#: ``meta["causes"]`` names them.
+CAUSE_CODES = {cause: code for code, cause in enumerate(GapCause)}
 
 
 def _address_memo():
@@ -79,6 +87,15 @@ class ColumnarFilterArtifact:
     @classmethod
     def from_columns(cls, meta, columns) -> "ColumnarFilterArtifact":
         return cls(meta, columns)
+
+    @classmethod
+    def concat(cls, parts) -> "ColumnarFilterArtifact":
+        """The artifacts of consecutive shards joined end to end."""
+        parts = list(parts)
+        if not parts:
+            return cls.from_report(FilterReport(verdicts={}, total=0))
+        return cls(_joined_meta(parts, summed=("total",)),
+                   _concat_columns(parts, "change_offsets"))
 
     # -- report round-trip ---------------------------------------------------
 
@@ -174,17 +191,64 @@ class ColumnarFilterArtifact:
         return FilterReport(verdicts=verdicts, total=self.meta["total"])
 
 
-class _ColumnarMapBase:
-    """Shared plumbing for ``dict[int, list[...]]`` artifacts.
+def _concat_columns(parts: list, offsets: str) -> dict:
+    """Concatenate CSR column sets end to end, in the order given.
 
-    Layout: ``probe_ids`` in the dict's insertion order (never
-    re-sorted — preserving iteration order is part of the round-trip
-    contract) with CSR ``offsets`` slicing the flat per-item columns.
+    Every column is joined as is except ``offsets``, whose parts are
+    shifted past the items of the parts before them.
+    """
+    columns = {}
+    for name in parts[0].columns:
+        arrays = [part.columns[name] for part in parts]
+        if name == offsets:
+            pieces = [np.zeros(1, dtype=np.int64)]
+            base = 0
+            for array in arrays:
+                pieces.append(array[1:] + base)
+                base += int(array[-1])
+            columns[name] = np.concatenate(pieces)
+        else:
+            columns[name] = np.concatenate(arrays)
+    return columns
+
+
+def _joined_meta(parts: list, summed: tuple[str, ...] = ()) -> dict:
+    """The meta block of concatenated parts: ``summed`` keys add up,
+    every other key must agree across the parts."""
+    def fixed(meta: dict) -> dict:
+        return {key: value for key, value in meta.items()
+                if key not in summed}
+
+    first = fixed(parts[0].meta)
+    if any(fixed(part.meta) != first for part in parts[1:]):
+        raise ValueError("cannot concatenate artifacts with different "
+                         "meta blocks")
+    first.update({key: sum(part.meta[key] for part in parts)
+                  for key in summed})
+    return first
+
+
+class _ColumnarMapBase(Mapping):
+    """Shared plumbing for the ``Mapping[int, list[record]]`` artifacts.
+
+    Layout: ``probe_ids`` in the map's order (never re-sorted —
+    preserving iteration order is part of the round-trip contract) with
+    CSR ``offsets`` slicing the flat per-item columns.
+
+    The maps are read-only stage outputs.  A lookup decodes one probe's
+    records and memoizes them; iteration follows the stored order.  The
+    first lookup turns the item columns into lists once, so decoding a
+    probe is list slicing plus one record per item.  Pickling ships the
+    columns only, never the decoded records.
     """
 
     def __init__(self, meta: dict, columns: dict) -> None:
         self.meta = meta
         self.columns = columns
+        self._keys: list[int] | None = None
+        self._rows: dict[int, int] | None = None
+        self._lists: dict[str, list] | None = None
+        self._memo: dict[int, list] = {}
 
     def to_columns(self):
         return self.meta, self.columns
@@ -193,10 +257,62 @@ class _ColumnarMapBase:
     def from_columns(cls, meta, columns):
         return cls(meta, columns)
 
+    def __getstate__(self) -> dict:
+        return {"meta": self.meta, "columns": self.columns}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
+
+    @classmethod
+    def concat(cls, parts):
+        """The maps of consecutive shards joined end to end, in order."""
+        parts = list(parts)
+        if not parts:
+            return cls.from_map({})
+        return cls(_joined_meta(parts), _concat_columns(parts, "offsets"))
+
+    def to_map(self) -> dict:
+        """A plain dict of the decoded records, in stored order."""
+        return {pid: self[pid] for pid in self}
+
+    # -- Mapping -------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self.columns["probe_ids"])
+
+    def __iter__(self):
+        if self._keys is None:
+            self._keys = self.columns["probe_ids"].tolist()
+        return iter(self._keys)
+
+    def __contains__(self, key: object) -> bool:
+        if self._rows is None:
+            self._rows = {pid: row for row, pid in enumerate(self)}
+        return key in self._rows
+
+    def __getitem__(self, key: int) -> list:
+        if key not in self._memo:
+            if key not in self:
+                raise KeyError(key)
+            if self._lists is None:
+                self._lists = {name: column.tolist()
+                               for name, column in self.columns.items()
+                               if name != "probe_ids"}
+            offsets = self._lists["offsets"]
+            row = self._rows[key]
+            self._memo[key] = self._records(
+                key, self._lists, offsets[row], offsets[row + 1])
+        return self._memo[key]
+
+    def _records(self, pid: int, lists: dict[str, list], lo: int,
+                 hi: int) -> list:
+        """Items ``lo:hi`` of the column ``lists`` as ``pid``'s records."""
+        raise NotImplementedError
+
 
 @colpack.register
 class ColumnarSpanMap(_ColumnarMapBase):
-    """``spans_by_probe`` (``dict[int, list[AddressSpan]]``) as columns.
+    """``spans_by_probe`` (``Mapping[int, list[AddressSpan]]``) as columns.
 
     Persists across processes and code versions — a wire contract
     (RPR010).
@@ -227,40 +343,43 @@ class ColumnarSpanMap(_ColumnarMapBase):
                 complete_start.append(1 if span.complete_start else 0)
                 complete_end.append(1 if span.complete_end else 0)
             offsets.append(len(addrs))
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "address": np.asarray(addrs, dtype=np.uint32),
-            "start": np.asarray(starts, dtype=np.float64),
-            "end": np.asarray(ends, dtype=np.float64),
-            "complete_start": np.asarray(complete_start, dtype=np.uint8),
-            "complete_end": np.asarray(complete_end, dtype=np.uint8),
-        }
-        return cls({}, columns)
+        return cls.from_arrays(
+            np.asarray(pids, dtype=np.int64),
+            np.asarray(offsets, dtype=np.int64),
+            np.asarray(addrs, dtype=np.uint32),
+            np.asarray(starts, dtype=np.float64),
+            np.asarray(ends, dtype=np.float64),
+            np.asarray(complete_start, dtype=np.uint8),
+            np.asarray(complete_end, dtype=np.uint8))
 
-    def to_map(self) -> dict:
-        pids = self.columns["probe_ids"].tolist()
-        offsets = self.columns["offsets"].tolist()
-        addrs = self.columns["address"].tolist()
-        starts = self.columns["start"].tolist()
-        ends = self.columns["end"].tolist()
-        complete_start = self.columns["complete_start"].tolist()
-        complete_end = self.columns["complete_end"].tolist()
-        addr = _address_memo()
-        spans_by_probe: dict[int, list[AddressSpan]] = {}
-        for row, pid in enumerate(pids):
-            lo, hi = offsets[row], offsets[row + 1]
-            spans_by_probe[pid] = [
-                AddressSpan(pid, addr(addrs[index]), starts[index],
-                            ends[index], bool(complete_start[index]),
-                            bool(complete_end[index]))
-                for index in range(lo, hi)]
-        return spans_by_probe
+    @classmethod
+    def from_arrays(cls, probe_ids, offsets, address, start, end,
+                    complete_start, complete_end) -> "ColumnarSpanMap":
+        """Wrap ready columns (the spans kernel's output)."""
+        return cls({}, {
+            "probe_ids": probe_ids, "offsets": offsets, "address": address,
+            "start": start, "end": end, "complete_start": complete_start,
+            "complete_end": complete_end})
+
+    def _records(self, pid: int, lists: dict[str, list], lo: int,
+                 hi: int) -> list:
+        addresses: dict[int, IPv4Address] = {}
+        spans = []
+        for value, start, end, first, last in zip(
+                lists["address"][lo:hi], lists["start"][lo:hi],
+                lists["end"][lo:hi], lists["complete_start"][lo:hi],
+                lists["complete_end"][lo:hi]):
+            address = addresses.get(value)
+            if address is None:
+                address = addresses[value] = IPv4Address(value)
+            spans.append(AddressSpan(pid, address, start, end, first == 1,
+                                     last == 1))
+        return spans
 
 
 @colpack.register
 class ColumnarFloatMap(_ColumnarMapBase):
-    """A ``dict[int, list[float]]`` artifact (``durations_by_probe``).
+    """A ``Mapping[int, list[float]]`` artifact (``durations_by_probe``).
 
     Persists across processes and code versions — a wire contract
     (RPR010).
@@ -277,24 +396,24 @@ class ColumnarFloatMap(_ColumnarMapBase):
         for values in values_by_probe.values():
             flat.extend(values)
             offsets.append(len(flat))
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "values": np.asarray(flat, dtype=np.float64),
-        }
-        return cls({}, columns)
+        return cls.from_arrays(np.asarray(pids, dtype=np.int64),
+                               np.asarray(offsets, dtype=np.int64),
+                               np.asarray(flat, dtype=np.float64))
 
-    def to_map(self) -> dict:
-        pids = self.columns["probe_ids"].tolist()
-        offsets = self.columns["offsets"].tolist()
-        values = self.columns["values"].tolist()
-        return {pid: values[offsets[row]:offsets[row + 1]]
-                for row, pid in enumerate(pids)}
+    @classmethod
+    def from_arrays(cls, probe_ids, offsets, values) -> "ColumnarFloatMap":
+        """Wrap ready columns (the spans kernel's durations)."""
+        return cls({}, {"probe_ids": probe_ids, "offsets": offsets,
+                        "values": values})
+
+    def _records(self, pid: int, lists: dict[str, list], lo: int,
+                 hi: int) -> list:
+        return lists["values"][lo:hi]
 
 
 @colpack.register
 class ColumnarGapEventMap(_ColumnarMapBase):
-    """``gap_events_by_probe`` (``dict[int, list[GapEvent]]``) as columns.
+    """``gap_events_by_probe`` (``Mapping[int, list[GapEvent]]``) as columns.
 
     Cause codes index the cause-name list carried in ``meta`` (the file
     stays self-describing if the enum ever gains members).  Persists
@@ -306,7 +425,6 @@ class ColumnarGapEventMap(_ColumnarMapBase):
 
     @classmethod
     def from_map(cls, events_by_probe: dict) -> "ColumnarGapEventMap":
-        code_of = {cause: code for code, cause in enumerate(GapCause)}
         pids: list[int] = []
         offsets: list[int] = [0]
         gap_starts: list[float] = []
@@ -323,50 +441,79 @@ class ColumnarGapEventMap(_ColumnarMapBase):
                         "encoded" % (event.probe_id, pid))
                 gap_starts.append(event.gap_start)
                 gap_ends.append(event.gap_end)
-                causes.append(code_of[event.cause])
+                causes.append(CAUSE_CODES[event.cause])
                 changed.append(1 if event.address_changed else 0)
                 outage.append(event.outage_duration)
             offsets.append(len(causes))
-        meta = {"causes": [cause.name for cause in GapCause]}
-        columns = {
-            "probe_ids": np.asarray(pids, dtype=np.int64),
-            "offsets": np.asarray(offsets, dtype=np.int64),
-            "gap_start": np.asarray(gap_starts, dtype=np.float64),
-            "gap_end": np.asarray(gap_ends, dtype=np.float64),
-            "cause": np.asarray(causes, dtype=np.uint8),
-            "address_changed": np.asarray(changed, dtype=np.uint8),
-            "outage_duration": np.asarray(outage, dtype=np.float64),
-        }
-        return cls(meta, columns)
+        return cls.from_arrays(
+            np.asarray(pids, dtype=np.int64),
+            np.asarray(offsets, dtype=np.int64),
+            np.asarray(gap_starts, dtype=np.float64),
+            np.asarray(gap_ends, dtype=np.float64),
+            np.asarray(causes, dtype=np.uint8),
+            np.asarray(changed, dtype=np.uint8),
+            np.asarray(outage, dtype=np.float64))
 
-    def to_map(self) -> dict:
+    @classmethod
+    def from_arrays(cls, probe_ids, offsets, gap_start, gap_end, cause,
+                    address_changed, outage_duration
+                    ) -> "ColumnarGapEventMap":
+        """Wrap ready columns (the gaps kernel's output); ``cause``
+        holds :data:`CAUSE_CODES` values."""
+        return cls({"causes": [cause.name for cause in GapCause]}, {
+            "probe_ids": probe_ids, "offsets": offsets,
+            "gap_start": gap_start, "gap_end": gap_end, "cause": cause,
+            "address_changed": address_changed,
+            "outage_duration": outage_duration})
+
+    def cause_code(self, cause: GapCause) -> int:
+        """The ``cause`` column value that stands for ``cause``."""
+        return self.meta["causes"].index(cause.name)
+
+    def outages(self) -> dict[int, list[GapEvent]]:
+        """Each probe's gaps attributed to an outage (cause other than
+        NONE), in stored order, every probe keyed.
+
+        Decodes only those rows — a small share of all gaps — so the
+        outage figures need not decode every gap event.
+        """
+        columns = self.columns
+        counts = np.diff(columns["offsets"])
+        owner = np.repeat(np.arange(len(counts)), counts)
+        rows = np.flatnonzero(columns["cause"]
+                              != self.cause_code(GapCause.NONE))
+        outages: dict[int, list[GapEvent]] = {pid: [] for pid in self}
         causes = [GapCause[name] for name in self.meta["causes"]]
-        pids = self.columns["probe_ids"].tolist()
-        offsets = self.columns["offsets"].tolist()
-        gap_starts = self.columns["gap_start"].tolist()
-        gap_ends = self.columns["gap_end"].tolist()
-        codes = self.columns["cause"].tolist()
-        changed = self.columns["address_changed"].tolist()
-        outage = self.columns["outage_duration"].tolist()
-        events_by_probe: dict[int, list[GapEvent]] = {}
-        for row, pid in enumerate(pids):
-            lo, hi = offsets[row], offsets[row + 1]
-            events_by_probe[pid] = [
-                GapEvent(pid, gap_starts[index], gap_ends[index],
-                         causes[codes[index]], bool(changed[index]),
-                         outage[index])
-                for index in range(lo, hi)]
-        return events_by_probe
+        pids = columns["probe_ids"].tolist()
+        for row, start, end, code, changed, outage in zip(
+                owner[rows].tolist(), columns["gap_start"][rows].tolist(),
+                columns["gap_end"][rows].tolist(),
+                columns["cause"][rows].tolist(),
+                columns["address_changed"][rows].tolist(),
+                columns["outage_duration"][rows].tolist()):
+            pid = pids[row]
+            outages[pid].append(GapEvent(pid, start, end, causes[code],
+                                         changed == 1, outage))
+        return outages
+
+    def _records(self, pid: int, lists: dict[str, list], lo: int,
+                 hi: int) -> list:
+        causes = [GapCause[name] for name in self.meta["causes"]]
+        return [GapEvent(pid, start, end, causes[code], changed == 1,
+                         outage)
+                for start, end, code, changed, outage in zip(
+                    lists["gap_start"][lo:hi], lists["gap_end"][lo:hi],
+                    lists["cause"][lo:hi], lists["address_changed"][lo:hi],
+                    lists["outage_duration"][lo:hi])]
 
 
 def decode_value(value: object) -> object:
-    """Decode one cached artifact value; non-columnar values pass through.
+    """Decode one cached artifact value; other values pass through.
 
     The single dispatch point the executor's cache-revive path uses.
+    Only the filter artifact decodes: the span, duration and gap maps
+    are the stage outputs themselves.
     """
     if isinstance(value, ColumnarFilterArtifact):
         return value.to_report()
-    if isinstance(value, (ColumnarSpanMap, ColumnarFloatMap,
-                          ColumnarGapEventMap)):
-        return value.to_map()
     return value

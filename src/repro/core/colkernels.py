@@ -4,18 +4,19 @@ The hot per-probe kernels of the analysis: probe classification (stage
 ``filter``, including change extraction and the batched IP-to-AS
 lookups), span extraction (stage ``spans``), uptime-reset detection
 (stage ``reboots``) and gap association (stage ``gaps``).  Each must
-produce objects **bit-identical** to the per-record reference kernels
+produce output **bit-identical** to the per-record reference kernels
 built from :mod:`repro.core.changes`, :mod:`repro.core.reboots` and
 :mod:`repro.core.association` — the frozen oracle in ``tests/oracle.py``
 and the differential suites in ``tests/core`` and ``tests/runtime`` pin
-this.
+this.  The spans and gaps kernels emit their output as the columnar
+maps of :mod:`repro.core.colartifact`, which decode to those records.
 
 Exactness rules the implementations follow:
 
-* every float that reaches a result dataclass is taken from the
-  columns via ``tolist()`` (bit-identical to the source records) or
-  computed with the same scalar IEEE operation the record kernel used
-  (elementwise float64 add/sub equals the CPython scalar op);
+* every float that reaches a result is taken from the columns as is
+  (bit-identical to the source records) or computed with the same
+  scalar IEEE operation the record kernel used (elementwise float64
+  add/sub equals the CPython scalar op);
 * order-sensitive reductions (the 30-day connected-time threshold)
   use sequential ``sum`` over native floats, never pairwise numpy
   summation;
@@ -40,8 +41,14 @@ import numpy as np
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.atlas.kroot import DEFAULT_CADENCE, HEALTHY_LTS, KRootSeries
 from repro.core import association
-from repro.core.association import WINDOW_MARGIN, GapCause, GapEvent
-from repro.core.changes import AddressChange, AddressSpan
+from repro.core.association import WINDOW_MARGIN, GapCause
+from repro.core.changes import AddressChange
+from repro.core.colartifact import (
+    CAUSE_CODES,
+    ColumnarFloatMap,
+    ColumnarGapEventMap,
+    ColumnarSpanMap,
+)
 from repro.core.filtering import (
     MULTIHOMED_MIN_RUNS,
     ProbeCategory,
@@ -177,42 +184,66 @@ def classify_probes(col: ColumnarConnlog, archive, ip2as: IpToAsDataset,
 
 # -- stage ``spans`` ----------------------------------------------------------
 
+def _csr_offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR offsets (leading zero, then running totals) of ``counts``."""
+    return np.concatenate((np.zeros(1, dtype=np.int64),
+                           np.cumsum(counts, dtype=np.int64)))
+
+
 def probe_spans_col(col: ColumnarConnlog, probe_ids: Sequence[int]
-                    ) -> dict[int, tuple[list[AddressSpan], list[float]]]:
+                    ) -> tuple[ColumnarSpanMap, ColumnarFloatMap]:
     """Address spans and known durations for a batch of probes.
 
     Only valid for analyzable (pure-IPv4) probes: runs of equal
     addresses merge into spans, the first/last span of a probe has an
-    unknown boundary, interior spans are the known durations.
+    unknown boundary, interior spans are the known durations.  Every
+    probe gets a span entry (possibly empty); only probes with at least
+    one known duration get a durations entry.
     """
-    run_starts = col.run_starts()
-    starts = col.starts.tolist()
-    ends = col.ends.tolist()
-    out: dict[int, tuple[list[AddressSpan], list[float]]] = {}
-    for pid in probe_ids:
-        pid = int(pid)
-        lo, hi = col.slice_of(pid)
-        slo = _strip_offset(col, lo, hi)
-        if slo >= hi:
-            out[pid] = ([], [])
-            continue
-        heads = [slo] + (np.nonzero(run_starts[slo + 1:hi])[0]
-                         + (slo + 1)).tolist()
-        values = col.addrs[heads].tolist()
-        last = len(heads) - 1
-        spans: list[AddressSpan] = []
-        for position, head in enumerate(heads):
-            tail = (heads[position + 1] if position < last else hi) - 1
-            spans.append(AddressSpan(
-                probe_id=pid,
-                address=IPv4Address(values[position]),
-                start=starts[head],
-                end=ends[tail],
-                complete_start=position > 0,
-                complete_end=position < last))
-        durations = [span.end - span.start for span in spans[1:-1]]
-        out[pid] = (spans, durations)
-    return out
+    pids = [int(pid) for pid in probe_ids]
+    ids = np.asarray(pids, dtype=np.int64)
+    bounds = [col.slice_of(pid) for pid in pids]
+    slo = np.asarray([_strip_offset(col, lo, hi) for lo, hi in bounds],
+                     dtype=np.int64)
+    hi = np.asarray([bound[1] for bound in bounds], dtype=np.int64)
+    lengths = hi - slo
+    # Every kept row of the batch, probe after probe; a row heads a span
+    # when it opens an address run or is its probe's first kept row.
+    row_offsets = _csr_offsets(lengths)
+    firsts = row_offsets[:-1]
+    rows = (np.repeat(slo - firsts, lengths)
+            + np.arange(row_offsets[-1], dtype=np.int64))
+    is_head = col.run_starts()[rows]
+    is_head[firsts[lengths > 0]] = True
+    heads = rows[is_head]
+    head_totals = _csr_offsets(is_head)
+    span_counts = head_totals[row_offsets[1:]] - head_totals[firsts]
+    span_offsets = _csr_offsets(span_counts)
+    nonempty = span_counts > 0
+    first_span = span_offsets[:-1][nonempty]
+    last_span = span_offsets[1:][nonempty] - 1
+    # A span ends on the row before the next head, or on its probe's
+    # last row.
+    tails = np.empty(len(heads), dtype=np.int64)
+    tails[:-1] = heads[1:] - 1
+    tails[last_span] = hi[nonempty] - 1
+    complete_start = np.ones(len(heads), dtype=np.uint8)
+    complete_start[first_span] = 0
+    complete_end = np.ones(len(heads), dtype=np.uint8)
+    complete_end[last_span] = 0
+    starts = col.starts[heads]
+    ends = col.ends[tails]
+    spans = ColumnarSpanMap.from_arrays(
+        ids, span_offsets, col.addrs[heads].astype(np.uint32), starts,
+        ends, complete_start, complete_end)
+    # Interior spans carry the known durations; the elementwise f64
+    # subtract equals AddressSpan.duration exactly.
+    interior = (complete_start & complete_end).astype(bool)
+    known = np.maximum(span_counts - 2, 0)
+    durations = ColumnarFloatMap.from_arrays(
+        ids[known > 0], _csr_offsets(known[known > 0]),
+        (ends - starts)[interior])
+    return spans, durations
 
 
 # -- stage ``reboots`` --------------------------------------------------------
@@ -330,11 +361,14 @@ class KRootOutageIndex:
         self.grow = grow
 
 
-def _classify_slow(pid: int, gap_start: float, gap_end: float,
-                   changed: bool, index: KRootOutageIndex, j0: int, j1: int,
+def _classify_slow(gap_start: float, gap_end: float,
+                   index: KRootOutageIndex, j0: int, j1: int,
                    series: KRootSeries, ordered_reboots: list[Reboot],
-                   i0: int, i1: int) -> GapEvent:
-    """Exact classification of one gap that is near lost ticks/reboots."""
+                   i0: int, i1: int) -> tuple[int, float]:
+    """Exact classification of one gap that is near lost ticks/reboots.
+
+    Returns the gap's ``(cause code, outage duration)``.
+    """
     run = index.run
     a = j0
     while a < j1:
@@ -346,8 +380,7 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
             start = index.times_list[a]
             end = index.times_list[b - 1]
             if start <= gap_end and gap_start <= end:
-                return GapEvent(pid, gap_start, gap_end, GapCause.NETWORK,
-                                changed, end - start)
+                return CAUSE_CODES[GapCause.NETWORK], end - start
         a = b
     for reboot in ordered_reboots[i0:i1]:
         # The record path's round-bracketing scan stays the oracle for
@@ -355,35 +388,43 @@ def _classify_slow(pid: int, gap_start: float, gap_end: float,
         missing, duration = association._missing_rounds_around(
             series, reboot.time)
         if missing:
-            return GapEvent(pid, gap_start, gap_end, GapCause.POWER,
-                            changed, duration)
-    return GapEvent(pid, gap_start, gap_end, GapCause.NONE, changed, 0.0)
+            return CAUSE_CODES[GapCause.POWER], duration
+    return CAUSE_CODES[GapCause.NONE], 0.0
 
 
 def gap_events_col(col: ColumnarConnlog, kroot,
                    items: Sequence[tuple[int, list[Reboot]]]
-                   ) -> dict[int, list[GapEvent]]:
+                   ) -> ColumnarGapEventMap:
     """:func:`~repro.core.association.associate_probe_gaps` over a batch.
 
     ``items`` pairs each probe id with its firmware-filtered reboots,
     exactly like the gap shard payloads.  The fast path proves NONE for
     every gap whose corroboration window contains no all-lost tick and
-    no reboot; the remainder go through :func:`_classify_slow`.
+    no reboot, by mask; the remainder go through :func:`_classify_slow`.
     """
-    out: dict[int, list[GapEvent]] = {}
+    pids: list[int] = []
+    counts: list[int] = []
+    starts: list[np.ndarray] = []
+    ends: list[np.ndarray] = []
+    changes: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
+    outages: list[np.ndarray] = []
     for pid, reboots in items:
         pid = int(pid)
+        pids.append(pid)
         series = kroot.series(pid)
         lo, hi = col.slice_of(pid)
         slo = _strip_offset(col, lo, hi)
-        count = hi - slo - 1
-        if count < 1:
-            out[pid] = []
+        count = max(hi - slo - 1, 0)
+        counts.append(count)
+        if not count:
             continue
         gap_starts = col.ends[slo:hi - 1]
         gap_ends = col.starts[slo + 1:hi]
-        changed = ((col.v6[slo:hi - 1] == 0) & (col.v6[slo + 1:hi] == 0)
-                   & (col.addrs[slo:hi - 1] != col.addrs[slo + 1:hi]))
+        starts.append(gap_starts)
+        ends.append(gap_ends)
+        changes.append((col.v6[slo:hi - 1] == 0) & (col.v6[slo + 1:hi] == 0)
+                       & (col.addrs[slo:hi - 1] != col.addrs[slo + 1:hi]))
         index = KRootOutageIndex(series)
         window_lo = np.maximum(gap_starts - WINDOW_MARGIN,
                                series.observed_start)
@@ -400,23 +441,24 @@ def gap_events_col(col: ColumnarConnlog, kroot,
             rb_hi = np.searchsorted(reboot_times, gap_ends, side="right")
         else:
             rb_lo = rb_hi = np.zeros(count, dtype=np.int64)
-        quiet = ((lost_hi <= lost_lo) & (rb_hi <= rb_lo)).tolist()
-        gs_list = gap_starts.tolist()
-        ge_list = gap_ends.tolist()
-        changed_list = changed.tolist()
-        jlo = lost_lo.tolist()
-        jhi = lost_hi.tolist()
-        ilo = rb_lo.tolist()
-        ihi = rb_hi.tolist()
-        events: list[GapEvent] = []
-        for k in range(count):
-            if quiet[k]:
-                events.append(GapEvent(pid, gs_list[k], ge_list[k],
-                                       GapCause.NONE, changed_list[k], 0.0))
-            else:
-                events.append(_classify_slow(
-                    pid, gs_list[k], ge_list[k], changed_list[k], index,
-                    jlo[k], max(jlo[k], jhi[k]), series, ordered,
-                    ilo[k], max(ilo[k], ihi[k])))
-        out[pid] = events
-    return out
+        cause = np.full(count, CAUSE_CODES[GapCause.NONE], dtype=np.uint8)
+        outage = np.zeros(count, dtype=np.float64)
+        for k in np.flatnonzero((lost_hi > lost_lo)
+                                | (rb_hi > rb_lo)).tolist():
+            cause[k], outage[k] = _classify_slow(
+                float(gap_starts[k]), float(gap_ends[k]), index,
+                int(lost_lo[k]), int(max(lost_lo[k], lost_hi[k])), series,
+                ordered, int(rb_lo[k]), int(max(rb_lo[k], rb_hi[k])))
+        codes.append(cause)
+        outages.append(outage)
+
+    def joined(arrays: list[np.ndarray], dtype) -> np.ndarray:
+        return (np.concatenate(arrays).astype(dtype, copy=False) if arrays
+                else np.zeros(0, dtype=dtype))
+
+    return ColumnarGapEventMap.from_arrays(
+        np.asarray(pids, dtype=np.int64),
+        _csr_offsets(np.asarray(counts, dtype=np.int64)),
+        joined(starts, np.float64), joined(ends, np.float64),
+        joined(codes, np.uint8), joined(changes, np.uint8),
+        joined(outages, np.float64))

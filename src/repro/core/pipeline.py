@@ -23,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from repro.atlas.archive import ProbeArchive
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
 from repro.atlas.connlog import ConnectionLog
@@ -30,15 +32,19 @@ from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ProbeVersion
 from repro.core import colkernels, geography
-from repro.core.association import GapEvent
-from repro.core.changes import AddressChange, AddressSpan
+from repro.core.association import GapCause, GapEvent
+from repro.core.changes import AddressChange
+from repro.core.colartifact import (
+    ColumnarFloatMap,
+    ColumnarGapEventMap,
+    ColumnarSpanMap,
+)
 from repro.core.conditional import (
     OutageRenumberingRow,
     ProbeOutageStats,
     conditional_cdf_network,
     conditional_cdf_power,
     outage_renumbering_table,
-    probe_outage_stats,
     stats_for_asn,
 )
 from repro.core.filtering import FilterReport, report_from_verdicts
@@ -60,7 +66,7 @@ from repro.core.timefraction import DEFAULT_BIN
 from repro.net.pfx2as import IpToAsDataset
 from repro.util import timeutil
 from repro.util.heap import frozen_heap
-from repro.util.ordering import ordered, ordered_items
+from repro.util.ordering import ordered
 from repro.util.stats import CdfPoint
 
 
@@ -74,15 +80,15 @@ class AnalysisResults:
     as_names: dict[int, str]
     as_countries: dict[int, str]
     #: Spans per analyzable (geography) probe, testing entry removed.
-    spans_by_probe: dict[int, list[AddressSpan]]
+    spans_by_probe: ColumnarSpanMap
     #: Known durations per analyzable (geography) probe.
-    durations_by_probe: dict[int, list[float]]
+    durations_by_probe: ColumnarFloatMap
     #: All changes per single-AS (AS-level) probe.
     changes_by_probe: dict[int, list[AddressChange]]
     #: Home AS per single-AS probe.
     asn_by_probe: dict[int, int]
     #: Classified gaps per single-AS probe.
-    gap_events_by_probe: dict[int, list[GapEvent]]
+    gap_events_by_probe: ColumnarGapEventMap
     #: Outage statistics per single-AS probe.
     stats_by_probe: dict[int, ProbeOutageStats]
     #: Unique probes rebooting per day of year (raw, Figure 6).
@@ -180,13 +186,14 @@ class AnalysisResults:
     def figure45_histogram(self, asn: int, period: float) -> list[int]:
         """Figures 4-5: hour-of-day histogram of periodic changes."""
         hours: list[int] = []
-        for pid, spans in self.spans_by_probe.items():
+        for pid in self.spans_by_probe:
             if self.asn_by_probe.get(pid) != asn:
                 continue
             verdict = classify_probe(pid,
                                      self.durations_by_probe.get(pid, []))
             if verdict.is_periodic and verdict.period == period:
-                hours.extend(periodic_change_hours(spans, period))
+                hours.extend(periodic_change_hours(self.spans_by_probe[pid],
+                                                   period))
         return hour_histogram(hours)
 
     def figure6_series(self) -> tuple[dict[int, int], list[int]]:
@@ -226,12 +233,11 @@ class AnalysisResults:
         only from v3 probes, per Section 5.4.
         """
         events: list[GapEvent] = []
-        from repro.core.association import GapCause
-        for pid, gaps in self.gap_events_by_probe.items():
+        for pid, outages in self.gap_events_by_probe.outages().items():
             if self.asn_by_probe.get(pid) != asn:
                 continue
             is_v3 = pid in self._v3_probes
-            for event in gaps:
+            for event in outages:
                 if event.cause is GapCause.NETWORK or (
                         event.cause is GapCause.POWER and is_v3):
                     events.append(event)
@@ -260,17 +266,12 @@ def stage_filter_col(col: ColumnarConnlog, archive: ProbeArchive,
 
 
 def stage_spans_col(col: ColumnarConnlog, filter_report: FilterReport
-                    ) -> tuple[dict[int, list[AddressSpan]],
-                               dict[int, list[float]]]:
-    """Stage ``spans``: address spans/durations per geography probe."""
-    payload = colkernels.probe_spans_col(col, filter_report.analyzable_geo())
-    spans_by_probe: dict[int, list[AddressSpan]] = {}
-    durations_by_probe: dict[int, list[float]] = {}
-    for probe_id, (spans, durations) in payload.items():
-        spans_by_probe[probe_id] = spans
-        if durations:
-            durations_by_probe[probe_id] = durations
-    return spans_by_probe, durations_by_probe
+                    ) -> tuple[ColumnarSpanMap, ColumnarFloatMap]:
+    """Stage ``spans``: address spans/durations per geography probe.
+
+    Durations exist only for probes that have some.
+    """
+    return colkernels.probe_spans_col(col, filter_report.analyzable_geo())
 
 
 def stage_changes(filter_report: FilterReport
@@ -312,7 +313,7 @@ def stage_reboots_col(colup: ColumnarUptime
 def stage_gaps_col(col: ColumnarConnlog, kroot: KRootDataset,
                    filter_report: FilterReport,
                    filtered_reboots: Mapping[int, list]
-                   ) -> dict[int, list[GapEvent]]:
+                   ) -> ColumnarGapEventMap:
     """Stage ``gaps``: associate connection gaps with observed outages."""
     # analyzable_as() is sorted already; the explicit barrier lets
     # RPR009 prove the output's key order without trusting that.
@@ -322,17 +323,32 @@ def stage_gaps_col(col: ColumnarConnlog, kroot: KRootDataset,
     return colkernels.gap_events_col(col, kroot, items)
 
 
-def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
+def stage_stats(gap_events_by_probe: ColumnarGapEventMap
                 ) -> dict[int, ProbeOutageStats]:
     """Stage ``stats``: per-probe conditional outage statistics.
 
-    Iterates in sorted-key order rather than insertion order: the input
-    mapping is sorted however it was produced (serial kernel or shard
-    merge), but this stage's output feeds the digest, so its order must
-    not *depend* on that (RPR009).
+    Tallies the cause and address-changed columns per probe with one
+    ``bincount`` over item rows (probes without gaps count zero).  Rows
+    come out in sorted-key order rather than stored order: the input is
+    sorted however it was produced (serial kernel or shard concat), but
+    this stage's output feeds the digest, so its order must not
+    *depend* on that (RPR009).
     """
-    return {probe_id: probe_outage_stats(probe_id, events)
-            for probe_id, events in ordered_items(gap_events_by_probe)}
+    columns = gap_events_by_probe.columns
+    probes = len(gap_events_by_probe)
+    owner = np.repeat(np.arange(probes), np.diff(columns["offsets"]))
+    changed = columns["address_changed"].astype(bool)
+
+    def tally(mask: np.ndarray) -> list[int]:
+        return np.bincount(owner[mask], minlength=probes).tolist()
+
+    network = columns["cause"] == gap_events_by_probe.cause_code(
+        GapCause.NETWORK)
+    power = columns["cause"] == gap_events_by_probe.cause_code(
+        GapCause.POWER)
+    rows = zip(columns["probe_ids"].tolist(), tally(network),
+               tally(network & changed), tally(power), tally(power & changed))
+    return {row[0]: ProbeOutageStats(*row) for row in ordered(rows)}
 
 
 def stage_v3(asn_by_probe: Mapping[int, int],

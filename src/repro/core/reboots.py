@@ -14,14 +14,16 @@ rebooting probes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import UptimeRecord
 from repro.util.stats import median
-from repro.util.timeutil import day_of_year
+from repro.util.timeutil import DAY
 
 
 @dataclass(frozen=True)
@@ -55,12 +57,33 @@ def detect_all_reboots(dataset: UptimeDataset) -> dict[int, list[Reboot]]:
 
 def reboots_per_day(reboots_by_probe: Mapping[int, Sequence[Reboot]]
                     ) -> dict[int, int]:
-    """Unique probes rebooting on each day of the year (Figure 6)."""
-    probes_by_day: dict[int, set[int]] = defaultdict(set)
-    for probe_id, reboots in reboots_by_probe.items():
-        for reboot in reboots:
-            probes_by_day[day_of_year(reboot.time)].add(probe_id)
-    return {day: len(probes) for day, probes in sorted(probes_by_day.items())}
+    """Unique probes rebooting on each day of the year (Figure 6).
+
+    Days are numbered as :func:`~repro.util.timeutil.day_of_year` numbers
+    them, computed for all reboots at once: the epoch second (carrying
+    the microsecond rounding ``datetime.fromtimestamp`` applies), floor
+    divided by ``DAY``, then the ``datetime64`` day of year.  The result
+    maps each day to its count of unique probes, sorted by day.
+    """
+    probes = np.asarray([probe_id
+                         for probe_id, reboots in reboots_by_probe.items()
+                         for _ in reboots], dtype=np.int64)
+    times = np.asarray([reboot.time for reboots in reboots_by_probe.values()
+                        for reboot in reboots], dtype=np.float64)
+    fraction, seconds = np.modf(times)
+    micros = np.round(fraction * 1e6)  # half to even, like fromtimestamp
+    seconds = seconds + (micros >= 1e6) - (micros < 0)
+    dates = np.floor_divide(seconds, DAY).astype(np.int64).astype(
+        "datetime64[D]")
+    doy = (dates - dates.astype("datetime64[Y]")).astype(np.int64) + 1
+    order = np.lexsort((probes, doy))
+    doy, probes = doy[order], probes[order]
+    # Count each (day, probe) pair once: its first row in sorted order.
+    first = np.ones(len(doy), dtype=bool)
+    first[1:] = (doy[1:] != doy[:-1]) | (probes[1:] != probes[:-1])
+    counts = np.bincount(doy[first])
+    days = np.flatnonzero(counts)
+    return dict(zip(days.tolist(), counts[days].tolist()))
 
 
 def detect_firmware_days(per_day: Mapping[int, int],

@@ -33,6 +33,7 @@ import queue
 import selectors
 import socket
 import threading
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -166,12 +167,16 @@ class _Loop:
     """Everything the loop thread mutates; no other thread sees it."""
 
     selector: selectors.BaseSelector
-    #: ``(fingerprint, min_connected)`` of the bound runner.
-    identity: tuple[str, float] | None = None
+    #: ``(fingerprint, min_connected, code version)`` of the bound runner.
+    identity: tuple[str, float, str] | None = None
     serving: _StageServing | None = None
     finished: bool = False
     accepted: int = 0
     workers: dict[str, _WorkerState] = field(default_factory=dict)
+    #: Lease pulls no shard was ready for, in arrival order: connection
+    #: serial -> (connection, when to give up and answer "not ready").
+    parked: dict[int, tuple[_Connection, float]] = field(
+        default_factory=dict)
 
 
 class LeaseServer:
@@ -217,13 +222,20 @@ class LeaseServer:
             pass  # the loop is already awake (full pipe) or gone
 
     def bind(self, runner: "ShardedRunner") -> None:
-        """Attach the runner whose identity HELLO replies speak for."""
+        """Attach the runner whose identity HELLO replies speak for.
+
+        The code version is hashed here, in the runner's thread, before
+        any worker dials: the loop never hashes the tree, and loopback
+        workers find the process-wide cache warm.
+        """
         self._fingerprint = runner.fingerprint
         self._post((runner.fingerprint,
-                    getattr(runner, "_min_connected", 0.0)))
+                    getattr(runner, "_min_connected", 0.0),
+                    code_version()))
 
     def finish(self) -> None:
-        """The run is over: answer every future pull with DRAIN(done)."""
+        """The run is over: answer every pull, parked ones included, with
+        DRAIN(done)."""
         self._post("finish")
 
     def close(self) -> None:
@@ -296,6 +308,9 @@ class LeaseServer:
                     at = board.wakeup_at()
                     if at is not None:
                         timeout = min(timeout, max(0.0, at - board.clock()))
+                if loop.parked:
+                    due = min(due for _, due in loop.parked.values())
+                    timeout = min(timeout, max(0.0, due - time.monotonic()))
                 events = selector.select(timeout)
                 if not self._take_commands(loop):
                     return
@@ -309,10 +324,12 @@ class LeaseServer:
                 serving = loop.serving
                 if serving is not None:
                     serving.board.expire()
-                    if serving.board.done:
-                        # Hand the board back the moment it drains.
-                        loop.serving = None
-                        self._drained.put(serving)
+                if loop.parked:
+                    self._answer_parked(loop)
+                if serving is not None and serving.board.done:
+                    # Hand the board back the moment it drains.
+                    loop.serving = None
+                    self._drained.put(serving)
         # Whatever kills the loop also goes to the runner, which raises
         # it from serve_stage rather than waiting on a dead loop; the
         # exception is re-raised untouched.
@@ -360,10 +377,7 @@ class LeaseServer:
                 return
             reply = self._dispatch(loop, message, connection)
             if reply is not None:
-                frame = protocol.pack(reply)
-                connection.sock.sendall(frame)
-                connection.bytes_sent += len(frame)
-                obs.count("dist.bytes.sent", len(frame))
+                self._send(connection, reply)
         # A protocol violation (garbled frame) or socket error ends the
         # conversation; recovery happens through lease reassignment, so
         # dropping the connection is the whole remedy.
@@ -371,6 +385,34 @@ class LeaseServer:
             connection.closing = True
         if connection.closing:
             self._drop(loop, connection)
+
+    @staticmethod
+    def _send(connection: _Connection, reply: object) -> None:
+        frame = protocol.pack(reply)
+        connection.sock.sendall(frame)
+        connection.bytes_sent += len(frame)
+        obs.count("dist.bytes.sent", len(frame))
+
+    def _answer_parked(self, loop: _Loop) -> None:
+        """Answer parked pulls, oldest first: a lease for each one a
+        shard is ready for, DRAIN(done) once the run finished, and
+        DRAIN(not ready) for those parked too long."""
+        now = time.monotonic()
+        for serial, (connection, due) in list(loop.parked.items()):
+            if loop.finished:
+                reply = protocol.Drain(done=True, reason="run complete")
+            else:
+                reply = self._grant(loop, connection)
+                if reply is None:
+                    if now < due:
+                        continue
+                    reply = protocol.Drain(done=False, reason="not ready",
+                                           retry_after_s=self.config.poll_s)
+            del loop.parked[serial]
+            try:
+                self._send(connection, reply)
+            except OSError:
+                self._drop(loop, connection)
 
     @staticmethod
     def _read(connection: _Connection) -> object | None:
@@ -404,6 +446,7 @@ class LeaseServer:
         """Forget one connection and charge the leases it held."""
         loop.selector.unregister(connection.sock)
         connection.sock.close()
+        loop.parked.pop(connection.serial, None)
         state = loop.workers.get(connection.worker_id)
         if state is not None:
             state.bytes_sent += connection.bytes_sent
@@ -435,8 +478,7 @@ class LeaseServer:
         if loop.identity is None:
             return protocol.Drain(done=False, reason="not ready",
                                   retry_after_s=self.config.poll_s)
-        fingerprint, min_connected = loop.identity
-        version = code_version()
+        fingerprint, min_connected, version = loop.identity
         reject = ""
         if hello.protocol_version != protocol.PROTOCOL_VERSION:
             reject = ("protocol version mismatch (worker %d, coordinator "
@@ -466,20 +508,31 @@ class LeaseServer:
             min_connected=min_connected, role="coordinator")
 
     def _on_lease_request(self, loop: _Loop,
-                          connection: _Connection) -> object:
+                          connection: _Connection) -> object | None:
         if not connection.worker_id:
             connection.closing = True
             return protocol.Drain(done=True, reason="HELLO first")
         if loop.finished:
             return protocol.Drain(done=True, reason="run complete")
+        grant = self._grant(loop, connection)
+        if grant is None:
+            # Between stages, or every shard leased: park the pull until
+            # a shard is ready, the run finishes, or it has waited half
+            # the workers' socket timeout (_answer_parked).
+            loop.parked[connection.serial] = (
+                connection,
+                time.monotonic() + timeutil.DIST_SOCKET_TIMEOUT_S / 2)
+        return grant
+
+    def _grant(self, loop: _Loop,
+               connection: _Connection) -> protocol.Lease | None:
+        """Lease the connection the next ready shard, if there is one."""
         serving = loop.serving
         if serving is None:
-            return protocol.Drain(done=False, reason="between stages",
-                                  retry_after_s=self.config.poll_s)
+            return None
         record = serving.board.lease(connection.holder)
         if record is None:
-            return protocol.Drain(done=False, reason="no shard ready",
-                                  retry_after_s=self.config.poll_s)
+            return None
         loop.workers[connection.worker_id].leases += 1
         obs.count("dist.leases.granted")
         obs.count("dist.leases.worker.%s" % connection.worker_id)

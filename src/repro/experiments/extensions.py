@@ -16,7 +16,6 @@ duration at which renumbering becomes likely.
 
 from __future__ import annotations
 
-from repro.core.association import GapCause
 from repro.core.pipeline import AnalysisResults
 from repro.experiments.registry import ExperimentOutput, experiment
 from repro.util import timeutil
@@ -73,11 +72,12 @@ def ext_lease(results: AnalysisResults) -> ExperimentOutput:
     from repro.core.outage_buckets import bucket_outages
     rows = []
     estimates: dict[int, float | None] = {}
+    outages_by_probe = results.gap_events_by_probe.outages()
     for asn in sorted(set(results.asn_by_probe.values())):
         events = [event
-                  for pid, gaps in results.gap_events_by_probe.items()
+                  for pid, outages in outages_by_probe.items()
                   if results.asn_by_probe.get(pid) == asn
-                  for event in gaps if event.cause is not GapCause.NONE]
+                  for event in outages]
         buckets = bucket_outages(events)
         total = sum(b.total for b in buckets)
         if total < 30:

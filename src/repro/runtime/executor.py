@@ -34,7 +34,6 @@ from repro.core.colartifact import (
     ColumnarGapEventMap,
     ColumnarSpanMap,
 )
-from repro.core.filtering import report_from_verdicts
 from repro.core.pipeline import (
     AnalysisResults,
     aggregate_reboots,
@@ -388,8 +387,8 @@ class ShardedRunner:
     def _cacheable(spec: StageSpec, outputs: dict) -> dict:
         """What actually goes to disk for one stage's outputs.
 
-        The fat object-graph artifacts (filter report, span/duration and
-        gap-event maps) are stored in their columnar forms: the cache
+        The filter report is stored in its columnar form, like the span,
+        duration and gap-event maps the stages already return: the cache
         writes each to a memory-mappable ``.col`` sidecar instead of a
         pickle graph.  Verdict entry lists are dropped on the way — no
         stage reads them.
@@ -397,19 +396,11 @@ class ShardedRunner:
         if spec.name == "filter":
             return {"filter_report": ColumnarFilterArtifact.from_report(
                 outputs["filter_report"])}
-        if spec.name == "spans":
-            return {"spans_by_probe":
-                    ColumnarSpanMap.from_map(outputs["spans_by_probe"]),
-                    "durations_by_probe":
-                    ColumnarFloatMap.from_map(outputs["durations_by_probe"])}
-        if spec.name == "gaps":
-            return {"gap_events_by_probe": ColumnarGapEventMap.from_map(
-                outputs["gap_events_by_probe"])}
         return outputs
 
     @staticmethod
     def _revive(outputs: object) -> object:
-        """Decode columnar cache artifacts back into stage outputs."""
+        """Decode the cached filter artifact back into its report."""
         if isinstance(outputs, dict):
             revived = None
             for name, item in outputs.items():
@@ -463,30 +454,27 @@ class ShardedRunner:
         """Fan one per-probe stage out over shards; merge canonically.
 
         Probe ids are sorted (dataset accessors return them sorted) and
-        shards are contiguous chunks, so :func:`ordered_merge`'s
-        sorted-key result is bit-identical to the old shard-order fold —
-        but no longer *relies* on those two invariants holding, and the
-        merge stays deterministic if shard boundaries ever change.
+        shards are contiguous chunks, so the columnar shard outputs
+        concatenated in shard order are the serial output, keys sorted;
+        :func:`_concat_sorted` checks that instead of re-sorting.  The
+        reboot records still merge through :func:`ordered_merge`.
         """
         if spec.name == "filter":
             shards = self._shards_of(self._connlog.probe_ids())
-            verdicts = ordered_merge(
-                *self._stage_payloads("filter", shards))
-            return {"filter_report": report_from_verdicts(verdicts)}
+            artifact = _concat_sorted(
+                ColumnarFilterArtifact,
+                self._stage_payloads("filter", shards))
+            return {"filter_report": artifact.to_report()}
 
         if spec.name == "spans":
             filter_report = artifacts["filter_report"]
             shards = self._shards_of(filter_report.analyzable_geo())
-            merged = ordered_merge(
-                *self._stage_payloads("spans", shards))
-            spans_by_probe: dict = {}
-            durations_by_probe: dict = {}
-            for probe_id, (spans, durations) in merged.items():
-                spans_by_probe[probe_id] = spans
-                if durations:
-                    durations_by_probe[probe_id] = durations
-            return {"spans_by_probe": spans_by_probe,
-                    "durations_by_probe": durations_by_probe}
+            payloads = self._stage_payloads("spans", shards)
+            return {"spans_by_probe": _concat_sorted(
+                        ColumnarSpanMap, [spans for spans, _ in payloads]),
+                    "durations_by_probe": _concat_sorted(
+                        ColumnarFloatMap,
+                        [durations for _, durations in payloads])}
 
         if spec.name == "reboots":
             shards = self._shards_of(self._uptime.probe_ids())
@@ -504,10 +492,10 @@ class ShardedRunner:
                         if self._kroot.has_probe(pid)]
             items = [(pid, filtered.get(pid, [])) for pid in eligible]
             shards = self._shards_of(items)
-            gap_events = ordered_merge(
-                *self._stage_payloads("gaps", shards,
-                                      probe_of=lambda item: item[0]))
-            return {"gap_events_by_probe": gap_events}
+            return {"gap_events_by_probe": _concat_sorted(
+                ColumnarGapEventMap,
+                self._stage_payloads("gaps", shards,
+                                     probe_of=lambda item: item[0]))}
 
         raise ValueError("stage %r is not fan-out capable" % (spec.name,))
 
@@ -530,6 +518,20 @@ class ShardedRunner:
             firmware_days=artifacts["firmware_days"],
             _v3_probes=artifacts["v3_probes"],
         )
+
+
+def _concat_sorted(kind, payloads: list):
+    """Join columnar shard payloads in shard order; keys must ascend.
+
+    Contiguous shards of sorted probe ids give sorted keys by
+    construction, so unsorted keys mean the shards were not such chunks.
+    """
+    merged = kind.concat(payloads)
+    ids = merged.columns["probe_ids"]
+    if not bool((ids[1:] > ids[:-1]).all()):
+        raise RuntimeError("%s shard payloads are not contiguous chunks of "
+                           "sorted probe ids" % (kind.__name__,))
+    return merged
 
 
 def world_fingerprint(config) -> str:

@@ -8,6 +8,9 @@ pipe, keeping per-task pickling traffic tiny.  The context's columnar
 views are built once per process (once per run under fork), and every
 shard runs the same vectorized kernels the serial path runs, so a
 payload is exactly the slice of the serial result for its probes.  The
+filter, spans and gaps payloads are CSR columns
+(:mod:`repro.core.colartifact`), so shipping one pickles a few arrays
+instead of a graph of records; reboot payloads are still records.  The
 distributed worker (:mod:`repro.dist.worker`) runs the same
 :func:`run_shard` behind a socket instead of a pipe.
 
@@ -44,6 +47,13 @@ from repro.atlas.connlog import ConnectionLog
 from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.core import colkernels
+from repro.core.colartifact import (
+    ColumnarFilterArtifact,
+    ColumnarFloatMap,
+    ColumnarGapEventMap,
+    ColumnarSpanMap,
+)
+from repro.core.filtering import report_from_verdicts
 from repro.core.reboots import Reboot
 from repro.errors import EnvelopeCorruptError
 from repro.net.pfx2as import IpToAsDataset
@@ -215,14 +225,16 @@ def _inject_envelope(envelope: ShardResult, stage: str, shard_index: int,
 
 # -- shard kernels (payload = exactly what the serial path computes) ---------
 
-def _filter_payload(probe_ids: list[int]) -> dict:
+def _filter_payload(probe_ids: list[int]) -> ColumnarFilterArtifact:
     context = _require_context()
-    return colkernels.classify_probes(
-        _colconn, context.archive, context.ip2as, context.min_connected,
-        probe_ids)
+    return ColumnarFilterArtifact.from_report(report_from_verdicts(
+        colkernels.classify_probes(
+            _colconn, context.archive, context.ip2as, context.min_connected,
+            probe_ids)))
 
 
-def _spans_payload(probe_ids: list[int]) -> dict:
+def _spans_payload(probe_ids: list[int]
+                   ) -> tuple[ColumnarSpanMap, ColumnarFloatMap]:
     _require_context()
     return colkernels.probe_spans_col(_colconn, probe_ids)
 
@@ -232,7 +244,8 @@ def _reboots_payload(probe_ids: list[int]) -> dict:
     return colkernels.detect_reboots_col(_colup, probe_ids)
 
 
-def _gaps_payload(items: list[tuple[int, list[Reboot]]]) -> dict:
+def _gaps_payload(items: list[tuple[int, list[Reboot]]]
+                  ) -> ColumnarGapEventMap:
     """``items`` pairs each probe with its firmware-filtered reboots,
     computed by the parent after the global reboot barrier."""
     context = _require_context()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.changes import AddressChange, AddressSpan
+from repro.core.colartifact import ColumnarSpanMap
 from repro.core.churn import (
     churn_series,
     daily_active_addresses,
@@ -28,19 +29,22 @@ def span(address, start_day, end_day, probe=1):
 
 class TestDailyActiveAddresses:
     def test_span_covers_its_days(self):
-        daily = daily_active_addresses({1: [span("11.0.0.1", 0, 2)]},
-                                       T0, T0 + 5 * DAY)
+        daily = daily_active_addresses(
+            ColumnarSpanMap.from_map({1: [span("11.0.0.1", 0, 2)]}),
+            T0, T0 + 5 * DAY)
         assert set(daily) == {0, 1, 2}
         assert all(addr("11.0.0.1").value in v for v in daily.values())
 
     def test_multiple_probes_union(self):
         daily = daily_active_addresses(
-            {1: [span("11.0.0.1", 0, 1)], 2: [span("11.0.0.2", 0, 1, 2)]},
+            ColumnarSpanMap.from_map({1: [span("11.0.0.1", 0, 1)],
+                                      2: [span("11.0.0.2", 0, 1, 2)]}),
             T0, T0 + 3 * DAY)
         assert len(daily[0]) == 2
 
     def test_empty(self):
-        assert daily_active_addresses({}, T0, T0 + DAY) == {}
+        assert daily_active_addresses(ColumnarSpanMap.from_map({}),
+                                      T0, T0 + DAY) == {}
 
 
 class TestChurnSeries:

@@ -25,7 +25,7 @@ from repro.dist.coordinator import (
     dist_runner_for_bundle,
 )
 from repro.dist.loopback import run_loopback
-from repro.errors import DistError
+from repro.errors import DistError, WireProtocolError
 from repro.runtime import workers
 from repro.runtime.board import LeaseBoard
 from repro.runtime.cache import code_version
@@ -230,3 +230,147 @@ def test_one_coordinator_thread_and_no_heartbeat_threads(bundle,
     for names in seen:
         assert names == ["repro-dist-coordinator", "repro-dist-w0",
                          "repro-dist-w1"]
+
+
+# -- parked pulls --------------------------------------------------------------
+
+def _pull_in_background(channel: transport.Channel):
+    """Send one lease pull from a thread; returns (thread, replies), where
+    ``replies`` receives ``(reply, arrival time)`` — the reply is the
+    error if the channel closed under the pull."""
+    replies = []
+
+    def pull():
+        try:
+            reply = channel.request(protocol.Lease.request())
+        except (OSError, WireProtocolError) as error:
+            reply = error
+        replies.append((reply, time.monotonic()))
+
+    thread = threading.Thread(target=pull, daemon=True)
+    thread.start()
+    return thread, replies
+
+
+def _serve_in_background(server: LeaseServer, shards):
+    outcomes = []
+    thread = threading.Thread(target=lambda: outcomes.append(
+        server.serve_stage("filter", shards, lambda item: item,
+                           tainted=False, version="v", params="p")))
+    thread.start()
+    return thread, outcomes
+
+
+def test_a_pull_before_the_stage_is_parked_then_granted_when_posted():
+    """With a 5 s poll, a pull that arrives between stages waits at the
+    coordinator (no "poll again" answer) and gets its lease as soon as
+    the stage is posted, not a poll period later."""
+    server = LeaseServer(DistConfig(workers=1, poll_s=5.0))
+    server.bind(SimpleNamespace(fingerprint="", _min_connected=0.0))
+    channel = _hello(server, "w0")
+    try:
+        puller, replies = _pull_in_background(channel)
+        puller.join(timeout=0.5)
+        assert puller.is_alive() and not replies, replies
+        posted = time.monotonic()
+        stage, outcomes = _serve_in_background(server, [[1]])
+        puller.join(timeout=10.0)
+        [(lease, arrived)] = replies
+        assert isinstance(lease, protocol.Lease), lease
+        assert arrived - posted < 2.0
+        ack = channel.request(protocol.Result(
+            lease_id=lease.lease_id, stage="filter", shard_index=0,
+            attempt=0, envelope=_envelope(0, {1: "done"})))
+        assert isinstance(ack, protocol.Heartbeat)
+        stage.join(timeout=10.0)
+        assert not stage.is_alive()
+    finally:
+        channel.close()
+        server.finish()
+        server.close()
+    [outcome] = outcomes
+    assert outcome.payloads == [{1: "done"}]
+
+
+def test_finish_answers_a_parked_pull_with_drain_done():
+    server = LeaseServer(DistConfig(workers=1, poll_s=5.0))
+    server.bind(SimpleNamespace(fingerprint="", _min_connected=0.0))
+    channel = _hello(server, "w0")
+    try:
+        puller, replies = _pull_in_background(channel)
+        puller.join(timeout=0.5)
+        assert puller.is_alive() and not replies, replies
+        server.finish()
+        puller.join(timeout=2.0)
+        [(reply, _)] = replies
+        assert isinstance(reply, protocol.Drain) and reply.done, reply
+    finally:
+        channel.close()
+        server.close()
+
+
+def test_a_parked_connection_that_closes_is_forgotten_and_charged_nothing():
+    """w1's pull parks while w0 holds the only shard; w1 then hangs up.
+    The stage still resolves with no failure charged, and the loop goes
+    on answering parked pulls (w0's, on finish) without tripping over
+    the closed one."""
+    server = LeaseServer(DistConfig(workers=2, poll_s=5.0,
+                                    backoff_base_s=0.0))
+    server.bind(SimpleNamespace(fingerprint="", _min_connected=0.0))
+    stage, outcomes = _serve_in_background(server, [[1]])
+    holder = _hello(server, "w0")
+    parked = _hello(server, "w1")
+    try:
+        lease = _pull(holder)
+        puller, replies = _pull_in_background(parked)
+        puller.join(timeout=0.5)
+        assert puller.is_alive() and not replies, replies
+        before = _disconnects()
+        parked.close()
+        puller.join(timeout=10.0)
+        time.sleep(0.2)  # let the loop see the hang-up
+        ack = holder.request(protocol.Result(
+            lease_id=lease.lease_id, stage="filter", shard_index=0,
+            attempt=0, envelope=_envelope(0, {1: "done"})))
+        assert isinstance(ack, protocol.Heartbeat)
+        stage.join(timeout=10.0)
+        assert not stage.is_alive()
+        assert _disconnects() == before
+        waiting, answers = _pull_in_background(holder)
+        waiting.join(timeout=0.5)
+        assert waiting.is_alive(), "a pull between stages was not parked"
+        server.finish()
+        waiting.join(timeout=2.0)
+        [(reply, _)] = answers
+        assert isinstance(reply, protocol.Drain) and reply.done, reply
+    finally:
+        holder.close()
+        parked.close()
+        server.close()
+    [outcome] = outcomes
+    row = outcome.resilience
+    assert row.failures == () and row.retries == 0
+    assert row.reassignments == 0 and not row.abandoned
+    assert outcome.payloads == [{1: "done"}]
+
+
+@pytest.mark.slow
+def test_a_loopback_run_hashes_the_code_tree_once(bundle, serial_digest,
+                                                  monkeypatch):
+    """The runner thread hashes the tree when it binds the server; the
+    loop and both worker threads reuse that hash."""
+    calls = []
+    hash_files = fp.hash_files
+
+    def counted(paths):
+        calls.append(1)
+        return hash_files(paths)
+
+    monkeypatch.setattr(fp, "hash_files", counted)
+    code_version.cache_clear()
+    runner, _ = _loopback(bundle)
+    run = run_loopback(runner, context_for(bundle, runner),
+                       worker_count=2)
+    assert run.worker_errors == {}
+    assert run.digest == serial_digest
+    assert len(calls) == 1

@@ -6,7 +6,11 @@ vectorized kernels of :mod:`repro.core.colkernels` replaced them.  They
 walk the record containers one ``ConnectionLogEntry`` at a time and are
 deliberately simple, so they serve as the reference the production
 kernels are pinned bit-identical to: the differential suites compare
-verdicts, spans, reboots, gap events and whole-run digests.
+verdicts, spans, reboots, gap events and whole-run digests.  The record
+versions of the stage ``stats`` tally, the Figure 6 ``reboots_per_day``
+count and the churn extension's ``daily_active_addresses`` live here too,
+as does :func:`canonical_payload`, the recursive record-by-record
+rendering the production ``results_digest`` must reproduce byte for byte.
 
 The ingest section holds the line-by-line connection-log, SOS-uptime and
 pfx2as readers the vectorized readers replaced: the same per-line parsers
@@ -26,8 +30,9 @@ changes what "correct" means for the production kernels.
 
 from __future__ import annotations
 
+import enum
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from repro.atlas.archive import ProbeArchive
@@ -53,26 +58,30 @@ from repro.core.filtering import (
 )
 from repro.core.pipeline import (
     AnalysisResults,
-    aggregate_reboots,
     default_min_connected,
     stage_changes,
-    stage_stats,
     stage_v3,
 )
 from repro.atlas.sosuptime import UPTIME_WRAP_MODULUS
 from repro.atlas.types import UptimeRecord
-from repro.core.reboots import detect_all_reboots
+from repro.core.conditional import ProbeOutageStats, probe_outage_stats
+from repro.core.reboots import (
+    Reboot,
+    detect_all_reboots,
+    detect_firmware_days,
+    firmware_filtered_reboots,
+)
 from repro.errors import DatasetError, ParseError
 from repro.core.churn import AdministrativeRenumbering
 from repro.core.prefixes import PrefixChangeRow
 from repro.net.ipv4 import TESTING_ADDRESS, IPv4Address, IPv4Prefix
 from repro.net.pfx2as import DATASET_NAME as PFX2AS
 from repro.net.pfx2as import IpToAsDataset, Pfx2AsSnapshot
-from repro.runtime.digest import results_digest
 from repro.util.ingest import IngestReport, ReadPolicy, format_line_error
 from repro.util.ordering import ordered
 from repro.util.stats import fraction
-from repro.util.timeutil import DAY
+from repro.util.fingerprint import hash_text
+from repro.util.timeutil import DAY, YEAR_2015_START, day_of_year
 
 
 # -- stage ``filter`` ---------------------------------------------------------
@@ -219,6 +228,27 @@ def stage_spans(filter_report: FilterReport
 
 # -- stage ``reboots`` --------------------------------------------------------
 
+def reboots_per_day(reboots_by_probe: Mapping[int, Sequence[Reboot]]
+                    ) -> dict[int, int]:
+    """Unique probes rebooting on each day of the year (Figure 6)."""
+    probes_by_day: dict[int, set[int]] = defaultdict(set)
+    for probe_id, reboots in reboots_by_probe.items():
+        for reboot in reboots:
+            probes_by_day[day_of_year(reboot.time)].add(probe_id)
+    return {day: len(probes) for day, probes in sorted(probes_by_day.items())}
+
+
+def aggregate_reboots(raw_reboots: Mapping[int, list]
+                      ) -> tuple[dict[int, int], list[int], dict[int, list]]:
+    """The reboot barrier over the record :func:`reboots_per_day`."""
+    day_counts = reboots_per_day(raw_reboots)
+    firmware_days = detect_firmware_days(day_counts)
+    campaign_times = [YEAR_2015_START + (day - 1) * DAY
+                      for day in firmware_days]
+    filtered = firmware_filtered_reboots(raw_reboots, campaign_times)
+    return day_counts, firmware_days, filtered
+
+
 def stage_reboots(uptime: UptimeDataset
                   ) -> tuple[dict[int, int], list[int], dict[int, list]]:
     """Stage ``reboots``: day counts, firmware days, filtered reboots."""
@@ -244,6 +274,31 @@ def stage_gaps(filter_report: FilterReport, kroot: KRootDataset,
             filter_report.verdicts[probe_id].entries, kroot.series(probe_id),
             filtered_reboots.get(probe_id, []))
     return gap_events_by_probe
+
+
+# -- stage ``stats`` and the churn extension -----------------------------------
+
+def stage_stats(gap_events_by_probe: Mapping[int, list[GapEvent]]
+                ) -> dict[int, ProbeOutageStats]:
+    """Stage ``stats``: per-probe conditional outage statistics."""
+    return {probe_id: probe_outage_stats(probe_id, events)
+            for probe_id, events in sorted(gap_events_by_probe.items())}
+
+
+def daily_active_addresses(spans_by_probe: Mapping[int, Sequence[AddressSpan]],
+                           start: float, end: float
+                           ) -> dict[int, set[int]]:
+    """Per-span reference for
+    :func:`repro.core.churn.daily_active_addresses`."""
+    total_days = int((end - start) // DAY) + 1
+    active: dict[int, set[int]] = defaultdict(set)
+    for spans in spans_by_probe.values():
+        for span in spans:
+            first = max(0, int((span.start - start) // DAY))
+            last = min(total_days - 1, int((span.end - start) // DAY))
+            for day in range(first, last + 1):
+                active[day].add(span.address.value)
+    return dict(active)
 
 
 # -- whole runs ---------------------------------------------------------------
@@ -283,9 +338,61 @@ def oracle_results(bundle, min_connected: float | None = None
     )
 
 
+#: Types rendered by ``repr`` (exact-type match, so subclasses such as
+#: ``IntEnum`` members still reach the general path).
+_SCALARS = frozenset({float, int, str, bool, type(None)})
+
+
+def canon(value: object) -> str:
+    """Deterministic, type-tagged rendering of one value, recursively.
+
+    The whole-payload rendering ``results_digest`` hashed before it
+    formatted rows from columns; the production digest must produce
+    exactly these bytes.
+    """
+    kind = type(value)
+    # repr() of float is the shortest exact round-trip representation, so
+    # any bit-level numeric divergence changes the digest.
+    if kind in _SCALARS:
+        return repr(value)
+    if kind is list or kind is tuple:
+        return "[%s]" % ",".join([canon(item) for item in value])
+    if is_dataclass(value):
+        return "%s(%s)" % (kind.__name__, ",".join(
+            ["%s=%s" % (item.name, canon(getattr(value, item.name)))
+             for item in fields(value)]))
+    if isinstance(value, Mapping):
+        return "{%s}" % ",".join(["%s:%s" % (canon(key), canon(value[key]))
+                                  for key in sorted(value)])
+    if isinstance(value, enum.Enum):
+        return "%s.%s" % (kind.__name__, value.name)
+    if isinstance(value, (set, frozenset)):
+        return "{%s}" % ",".join([canon(item) for item in sorted(value)])
+    if isinstance(value, (list, tuple)):
+        return "[%s]" % ",".join([canon(item) for item in value])
+    return repr(value)
+
+
+def canonical_payload(results: AnalysisResults) -> str:
+    """The canonical text ``results_digest`` hashes, rendered record by
+    record from any results object (record dicts or columnar maps)."""
+    return canon({
+        "table2": results.table2_rows(),
+        "spans": results.spans_by_probe,
+        "durations": results.durations_by_probe,
+        "changes": results.changes_by_probe,
+        "asn": results.asn_by_probe,
+        "gaps": results.gap_events_by_probe,
+        "stats": results.stats_by_probe,
+        "reboot_days": results.reboot_day_counts,
+        "firmware_days": results.firmware_days,
+        "v3": results._v3_probes,
+    })
+
+
 def oracle_digest(bundle) -> str:
-    """``results_digest`` of :func:`oracle_results`."""
-    return results_digest(oracle_results(bundle))
+    """The digest of :func:`oracle_results`, rendered by :func:`canon`."""
+    return hash_text(canonical_payload(oracle_results(bundle)))
 
 
 # -- ingest -------------------------------------------------------------------
