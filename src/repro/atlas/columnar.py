@@ -35,8 +35,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.util import colpack
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.atlas.connlog import ConnectionLog
     from repro.atlas.sosuptime import UptimeDataset
@@ -100,6 +98,9 @@ class _ProbeIndexed:
     spawned processes); derived and memoized state is rebuilt.
     """
 
+    #: The constructor's column keywords: what an instance pickles as.
+    COLUMNS: tuple[str, ...] = ("probe_ids", "offsets")
+
     def __init__(self, probe_ids, offsets) -> None:
         self.probe_ids = probe_ids
         self.offsets = offsets
@@ -130,17 +131,16 @@ class _ProbeIndexed:
         return int(self.offsets[row]), int(self.offsets[row + 1])
 
     def __getstate__(self) -> dict:
-        return self.to_columns()[1]
+        return {name: getattr(self, name) for name in self.COLUMNS}
 
     def __setstate__(self, state: dict) -> None:
         self.__init__(**state)
 
 
-@colpack.register
 class ColumnarConnlog(_ProbeIndexed):
     """The columns of a :class:`ConnectionLog`."""
 
-    __columnar__ = "connlog-columnar"
+    COLUMNS = ("probe_ids", "offsets", "starts", "ends", "addrs", "v6")
 
     def __init__(self, probe_ids, offsets, starts, ends, addrs, v6) -> None:
         super().__init__(probe_ids, offsets)
@@ -191,26 +191,11 @@ class ColumnarConnlog(_ProbeIndexed):
             self._run_starts = mask
         return self._run_starts
 
-    # -- codec ---------------------------------------------------------------
 
-    def to_columns(self):
-        return {}, {"probe_ids": self.probe_ids, "offsets": self.offsets,
-                    "starts": self.starts, "ends": self.ends,
-                    "addrs": self.addrs, "v6": self.v6}
-
-    @classmethod
-    def from_columns(cls, meta, columns) -> "ColumnarConnlog":
-        return cls(probe_ids=columns["probe_ids"],
-                   offsets=columns["offsets"],
-                   starts=columns["starts"], ends=columns["ends"],
-                   addrs=columns["addrs"], v6=columns["v6"])
-
-
-@colpack.register
 class ColumnarUptime(_ProbeIndexed):
     """The columns of an :class:`UptimeDataset`."""
 
-    __columnar__ = "uptime-columnar"
+    COLUMNS = ("probe_ids", "offsets", "timestamps", "uptimes")
 
     def __init__(self, probe_ids, offsets, timestamps, uptimes) -> None:
         super().__init__(probe_ids, offsets)
@@ -221,14 +206,3 @@ class ColumnarUptime(_ProbeIndexed):
     def from_uptime(cls, uptime: "UptimeDataset") -> "ColumnarUptime":
         """The dataset's sealed columns (no copy)."""
         return uptime.columns()
-
-    def to_columns(self):
-        return {}, {"probe_ids": self.probe_ids, "offsets": self.offsets,
-                    "timestamps": self.timestamps, "uptimes": self.uptimes}
-
-    @classmethod
-    def from_columns(cls, meta, columns) -> "ColumnarUptime":
-        return cls(probe_ids=columns["probe_ids"],
-                   offsets=columns["offsets"],
-                   timestamps=columns["timestamps"],
-                   uptimes=columns["uptimes"])

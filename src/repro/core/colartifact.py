@@ -5,9 +5,10 @@ The hot stages' outputs used to be object graphs — the entry-stripped
 ``AddressSpan``/``GapEvent`` lists — tens of thousands of small objects
 pickled across every shard boundary, re-walked on every warm load and
 re-serialized on every cold store.  The classes here hold the same
-information as a handful of parallel arrays plus a tiny JSON meta block,
-stored through :mod:`repro.util.colpack` so runs memory-map columns
-instead of walking pickle graphs.  The span, duration and gap maps are
+information as a handful of parallel arrays plus a tiny meta block, and
+pickle as exactly those: the worker pipes, the dist sockets, the shard
+checkpoints and the artifact cache all carry a few array buffers instead
+of an object graph.  The span, duration and gap maps are
 the ``spans`` and ``gaps`` stage outputs themselves, in every execution
 mode: read-only mappings that decode a probe's records on lookup.
 
@@ -30,7 +31,6 @@ from repro.core.association import GapCause, GapEvent
 from repro.core.changes import AddressChange, AddressSpan
 from repro.core.filtering import FilterReport, ProbeCategory, ProbeVerdict
 from repro.net.ipv4 import IPv4Address
-from repro.util import colpack
 
 #: ``cause`` column value of each gap cause, in the order the gap map's
 #: ``meta["causes"]`` names them.
@@ -55,7 +55,6 @@ def _address_memo():
     return addr
 
 
-@colpack.register
 class ColumnarFilterArtifact:
     """The slim filter report as named columns.
 
@@ -72,21 +71,11 @@ class ColumnarFilterArtifact:
     column set and meta keys are a wire contract (RPR010).
     """
 
-    __columnar__ = "filter-artifact-columnar"
     __wire_contract__ = "filter-artifact-columnar"
 
     def __init__(self, meta: dict, columns: dict) -> None:
         self.meta = meta
         self.columns = columns
-
-    # -- codec ---------------------------------------------------------------
-
-    def to_columns(self):
-        return self.meta, self.columns
-
-    @classmethod
-    def from_columns(cls, meta, columns) -> "ColumnarFilterArtifact":
-        return cls(meta, columns)
 
     @classmethod
     def concat(cls, parts) -> "ColumnarFilterArtifact":
@@ -250,13 +239,6 @@ class _ColumnarMapBase(Mapping):
         self._lists: dict[str, list] | None = None
         self._memo: dict[int, list] = {}
 
-    def to_columns(self):
-        return self.meta, self.columns
-
-    @classmethod
-    def from_columns(cls, meta, columns):
-        return cls(meta, columns)
-
     def __getstate__(self) -> dict:
         return {"meta": self.meta, "columns": self.columns}
 
@@ -310,7 +292,6 @@ class _ColumnarMapBase(Mapping):
         raise NotImplementedError
 
 
-@colpack.register
 class ColumnarSpanMap(_ColumnarMapBase):
     """``spans_by_probe`` (``Mapping[int, list[AddressSpan]]``) as columns.
 
@@ -318,7 +299,6 @@ class ColumnarSpanMap(_ColumnarMapBase):
     (RPR010).
     """
 
-    __columnar__ = "span-map-columnar"
     __wire_contract__ = "span-map-columnar"
 
     @classmethod
@@ -377,7 +357,6 @@ class ColumnarSpanMap(_ColumnarMapBase):
         return spans
 
 
-@colpack.register
 class ColumnarFloatMap(_ColumnarMapBase):
     """A ``Mapping[int, list[float]]`` artifact (``durations_by_probe``).
 
@@ -385,7 +364,6 @@ class ColumnarFloatMap(_ColumnarMapBase):
     (RPR010).
     """
 
-    __columnar__ = "float-map-columnar"
     __wire_contract__ = "float-map-columnar"
 
     @classmethod
@@ -411,7 +389,6 @@ class ColumnarFloatMap(_ColumnarMapBase):
         return lists["values"][lo:hi]
 
 
-@colpack.register
 class ColumnarGapEventMap(_ColumnarMapBase):
     """``gap_events_by_probe`` (``Mapping[int, list[GapEvent]]``) as columns.
 
@@ -420,7 +397,6 @@ class ColumnarGapEventMap(_ColumnarMapBase):
     across processes and code versions — a wire contract (RPR010).
     """
 
-    __columnar__ = "gap-event-map-columnar"
     __wire_contract__ = "gap-event-map-columnar"
 
     @classmethod

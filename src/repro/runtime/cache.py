@@ -15,19 +15,14 @@ those do not change outputs, so a cache written by a parallel run warms
 a serial one and vice versa.
 
 The store is a flat directory of ``<key-prefix>/<key>.pkl`` files with
-atomic writes (temp file + rename), corrupt-entry self-healing (a
-truncated pickle is treated as a miss and deleted), and LRU eviction by
-access time once the store exceeds ``max_bytes``.
+atomic writes (temp file + rename), corrupt-entry self-healing (an entry
+that fails to unpickle is treated as a miss and deleted), and LRU
+eviction by access time once the store exceeds ``max_bytes``.
 
-Columnar sidecars: output values registered with
-:mod:`repro.util.colpack` are not pickled at all — each is written as a
-``<key>.<name>.col`` container next to the entry's pickle, which holds a
-:class:`ColumnarSidecarRef` placeholder instead.  Loads resolve the
-placeholders via :func:`colpack.load_object`, memory-mapping the columns
-so a warm run faults in only what it touches.  An entry and its sidecars
-live and die together: eviction, healing and ``clear`` treat them as one
-group, and a missing/corrupt/unreadable sidecar heals the whole entry
-into a miss.
+Column-backed outputs (the maps and the filter artifact of
+:mod:`repro.core.colartifact`) need no second codec: they pickle as
+their meta block and numpy arrays, the same form they take on the
+worker pipes, the dist sockets and the shard checkpoints.
 """
 
 from __future__ import annotations
@@ -39,7 +34,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import repro
-from repro.util import colpack
 from repro.util import fingerprint as fp
 
 #: Packages whose source feeds the code-version hash: everything at or
@@ -59,21 +53,6 @@ DEFAULT_MAX_BYTES = 2 * 1024 ** 3
 #: changes what invalidates the cache and must be a reviewed, versioned
 #: event in ``wire-contracts.json``.
 __wire_contract__ = {"cache-entry": ("CODE_VERSION_PACKAGES",)}
-
-
-class ColumnarSidecarRef:
-    """Pickled placeholder for a value stored as a ``.col`` sidecar file.
-
-    Appears inside cached artifact dicts on disk, read back by later
-    runs of different processes — a wire contract (RPR010).
-    """
-
-    __wire_contract__ = "columnar-sidecar-ref"
-
-    def __init__(self, name: str) -> None:
-        #: The output name within the artifact dict (doubles as the
-        #: sidecar file-name component).
-        self.name = name
 
 
 @lru_cache(maxsize=1)
@@ -133,21 +112,9 @@ class ArtifactCache:
     def _path(self, key: str) -> Path:
         return self.directory / key[:2] / (key + ".pkl")
 
-    def _sidecar(self, key: str, name: str) -> Path:
-        return self.directory / key[:2] / ("%s.%s.col" % (key, name))
-
-    @staticmethod
-    def _group(path: Path) -> list[Path]:
-        """The entry's pickle plus its columnar sidecars, pickle first.
-
-        Keys are hex digests, so ``path.stem`` is glob-safe.
-        """
-        return [path] + sorted(path.parent.glob(path.stem + ".*.col"))
-
     def _heal(self, path: Path, stage: str, key: str) -> tuple[bool, object]:
-        """Delete a broken entry (with sidecars) and serve a miss."""
-        for member in self._group(path):
-            member.unlink(missing_ok=True)
+        """Delete a broken entry and serve a miss."""
+        path.unlink(missing_ok=True)
         # Each handle has one thread at a time (the coordinator's passes
         # from the runner thread to the loop thread with each stage); the
         # analyzer cannot tell handles or the handoff apart.
@@ -169,54 +136,23 @@ class ArtifactCache:
             self.stats.miss_stages.append(stage or key)
             return False, None
         except (pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError):
-            # A truncated or stale entry (e.g. a class that no longer
-            # unpickles) must behave exactly like a miss.
-            return self._heal(path, stage, key)
-        try:
-            value = self._resolve_sidecars(key, value)
-        except (colpack.ColpackError, OSError, RuntimeError):
-            # Truncated/missing sidecar, or a numpy-free process reading
-            # a columnar entry: the whole entry behaves like a miss.
+                ImportError, ValueError, TypeError, IndexError,
+                OverflowError, MemoryError, SystemError):
+            # A stale entry (a class that no longer unpickles) or a
+            # damaged one must behave exactly like a miss.  A flipped
+            # byte can land in a name (UnicodeDecodeError, a ValueError),
+            # an opcode's argument or a length (huge or negative sizes),
+            # or the dtype state numpy rebuilds from (SystemError).
             return self._heal(path, stage, key)
         os.utime(path)  # refresh LRU access time
         self.stats.hits += 1
         self.stats.hit_stages.append(stage or key)
         return True, value
 
-    def _resolve_sidecars(self, key: str, value: object) -> object:
-        """Swap :class:`ColumnarSidecarRef` placeholders for mmap'd objects."""
-        if not isinstance(value, dict):
-            return value
-        resolved = None
-        for name, item in value.items():
-            if isinstance(item, ColumnarSidecarRef):
-                if resolved is None:
-                    resolved = dict(value)
-                resolved[name] = colpack.load_object(
-                    self._sidecar(key, item.name))
-        return value if resolved is None else resolved
-
     def store(self, key: str, value: object) -> None:
-        """Write an artifact atomically, then enforce the size budget.
-
-        Colpack-registered values inside a dict artifact go to ``.col``
-        sidecars (written first — the pickle's rename publishes the
-        entry, and healing covers a crash in between).
-        """
+        """Write an artifact atomically, then enforce the size budget."""
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        if isinstance(value, dict):
-            slim = None
-            for name, item in value.items():
-                if colpack.schema_of(item) is not None:
-                    if slim is None:
-                        slim = dict(value)
-                    self.stats.bytes_stored += colpack.write_object(
-                        self._sidecar(key, name), item)
-                    slim[name] = ColumnarSidecarRef(name)
-            if slim is not None:
-                value = slim
         tmp = path.with_suffix(".tmp.%d" % os.getpid())
         with open(tmp, "wb") as stream:
             pickle.dump(value, stream, protocol=pickle.HIGHEST_PROTOCOL)
@@ -249,14 +185,8 @@ class ArtifactCache:
         return [path for path, _ in self._entries_with_stats()]
 
     def total_bytes(self) -> int:
-        """Bytes currently stored (pickles and columnar sidecars)."""
-        total = sum(stat.st_size for _, stat in self._entries_with_stats())
-        for path in self.directory.glob("*/*.col"):
-            try:
-                total += path.stat().st_size
-            except FileNotFoundError:
-                continue
-        return total
+        """Bytes currently stored."""
+        return sum(stat.st_size for _, stat in self._entries_with_stats())
 
     def evict(self) -> int:
         """Drop least-recently-used artifacts until under ``max_bytes``.
@@ -264,40 +194,29 @@ class ArtifactCache:
         "Recently used" is ``st_mtime``, which :meth:`load` refreshes via
         ``os.utime`` on every hit — so an entry a warm run just served is
         the *last* eviction candidate even though it was written first.
-        An entry's sidecars count toward its size and are removed with
-        it.
         """
+        entries = self._entries_with_stats()
+        total = sum(stat.st_size for _, stat in entries)
         removed = 0
-        groups = []
-        total = 0
-        for path, stat in self._entries_with_stats():
-            members = self._group(path)
-            size = stat.st_size
-            for member in members[1:]:
-                try:
-                    size += member.stat().st_size
-                except FileNotFoundError:
-                    continue
-            groups.append((members, size))
-            total += size
-        for members, size in groups:
+        for path, stat in entries:
             if total <= self.max_bytes:
                 break
-            total -= size
-            for member in members:
-                member.unlink(missing_ok=True)
+            total -= stat.st_size
+            path.unlink(missing_ok=True)
             removed += 1
         self.stats.evicted += removed
         return removed
 
     def clear(self) -> int:
-        """Remove every artifact (``repro-run --clear-cache``)."""
+        """Remove every artifact (``repro-run --clear-cache``).
+
+        Also sweeps the ``<key>.<name>.col`` sidecar files that earlier
+        versions of the cache wrote next to their entries.
+        """
         removed = 0
         for path in self.entries():
-            for member in self._group(path):
-                member.unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
             removed += 1
-        # Orphaned sidecars (their pickle healed away separately).
         for path in self.directory.glob("*/*.col"):
             path.unlink(missing_ok=True)
         return removed

@@ -388,10 +388,9 @@ class ShardedRunner:
         """What actually goes to disk for one stage's outputs.
 
         The filter report is stored in its columnar form, like the span,
-        duration and gap-event maps the stages already return: the cache
-        writes each to a memory-mappable ``.col`` sidecar instead of a
-        pickle graph.  Verdict entry lists are dropped on the way — no
-        stage reads them.
+        duration and gap-event maps the stages already return, so the
+        entry pickles a few arrays instead of a record graph.  Verdict
+        entry lists are dropped on the way — no stage reads them.
         """
         if spec.name == "filter":
             return {"filter_report": ColumnarFilterArtifact.from_report(

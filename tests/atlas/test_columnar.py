@@ -3,11 +3,13 @@
 The views are derived from the record containers, so the suite checks
 the DESIGN.md §16 invariants (sorted probe rows, CSR offsets, v6 flag
 with a zero address placeholder), the lazily derived columns
-(durations, run starts) against hand-computed values, and the colpack
-round-trip both views register for.
+(durations, run starts) against hand-computed values, and the pickle
+round-trip spawned workers rely on.
 """
 
 from __future__ import annotations
+
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +19,6 @@ from repro.atlas.connlog import ConnectionLog
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ConnectionLogEntry, UptimeRecord
 from repro.net.ipv4 import IPv4Address
-from repro.util import colpack
 
 
 def v4(probe, start, end, text):
@@ -26,6 +27,14 @@ def v4(probe, start, end, text):
 
 def v6(probe, start, end, text="2001:db8::1"):
     return ConnectionLogEntry(probe, start, end, None, ipv6_address=text)
+
+
+def assert_same_columns(back, original) -> None:
+    """Every stored column survived with its values and dtype."""
+    for name in original.COLUMNS:
+        got, want = getattr(back, name), getattr(original, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.fixture
@@ -88,15 +97,17 @@ class TestColumnarConnlog:
         assert col.offsets.tolist() == [0]
         assert col.run_starts().tolist() == []
 
-    def test_colpack_round_trip(self, connlog):
+    def test_pickle_round_trip(self, connlog):
         col = ColumnarConnlog.from_connlog(connlog)
-        back = colpack.unpack_object(colpack.pack_object(col))
+        col.run_starts()  # derived state is rebuilt, not shipped
+        assert list(col.__getstate__()) == ["probe_ids", "offsets", "starts",
+                                            "ends", "addrs", "v6"]
+        back = pickle.loads(pickle.dumps(col, pickle.HIGHEST_PROTOCOL))
         assert isinstance(back, ColumnarConnlog)
-        for name in ("probe_ids", "offsets", "starts", "ends",
-                     "addrs", "v6"):
-            np.testing.assert_array_equal(getattr(back, name),
-                                          getattr(col, name))
+        assert_same_columns(back, col)
+        assert back.probe_ids.tolist() == [3, 7, 9]
         assert back.slice_of(3) == col.slice_of(3)
+        assert back.run_starts().tolist() == col.run_starts().tolist()
 
 
 class TestColumnarUptime:
@@ -118,10 +129,11 @@ class TestColumnarUptime:
                                                     for r in records]
         assert colup.uptimes[lo:hi].tolist() == [r.uptime for r in records]
 
-    def test_colpack_round_trip(self, uptime):
+    def test_pickle_round_trip(self, uptime):
         colup = ColumnarUptime.from_uptime(uptime)
-        back = colpack.unpack_object(colpack.pack_object(colup))
+        back = pickle.loads(pickle.dumps(colup, pickle.HIGHEST_PROTOCOL))
         assert isinstance(back, ColumnarUptime)
-        np.testing.assert_array_equal(back.timestamps, colup.timestamps)
-        np.testing.assert_array_equal(back.uptimes, colup.uptimes)
+        assert list(back.__getstate__()) == ["probe_ids", "offsets",
+                                             "timestamps", "uptimes"]
+        assert_same_columns(back, colup)
         assert back.slice_of(2) == colup.slice_of(2)

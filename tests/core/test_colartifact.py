@@ -3,13 +3,16 @@
 Round-trip contract under test: ``decode(encode(value))`` reproduces the
 original artifact exactly — same dict iteration order, equal values,
 ``within_as_changes`` aliasing the matching ``changes`` objects — both
-in memory and through a colpack file (the shape the artifact cache's
-sidecars store).  Entry lists are dropped by design; the oracle's
-``restore_entries`` (``tests/oracle.py``) rebuilds them exactly.
+in memory and through a pickle (the form the artifact cache, the worker
+pipes and the dist sockets carry).  Entry lists are dropped by design;
+the oracle's ``restore_entries`` (``tests/oracle.py``) rebuilds them exactly.
 """
 
 from __future__ import annotations
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.atlas.columnar import ColumnarConnlog
@@ -22,13 +25,27 @@ from repro.core.colartifact import (
     ColumnarSpanMap,
     decode_value,
 )
+from repro.core.filtering import FilterReport
 from repro.core.pipeline import stage_filter_col
 from repro.experiments.scenarios import small_world
 from repro.net.ipv4 import IPv4Address
-from repro.util import colpack, timeutil
+from repro.util import timeutil
 from tests.oracle import restore_entries
 
 MIN_CONNECTED = 4 * timeutil.DAY
+
+
+def pickled(value):
+    return pickle.loads(pickle.dumps(value, pickle.HIGHEST_PROTOCOL))
+
+
+def assert_same_columns(back, original) -> None:
+    """Meta, column names in stored order, dtypes and values all equal."""
+    assert back.meta == original.meta
+    assert list(back.columns) == list(original.columns)
+    for name, column in original.columns.items():
+        assert back.columns[name].dtype == column.dtype, name
+        np.testing.assert_array_equal(back.columns[name], column)
 
 
 @pytest.fixture(scope="module")
@@ -77,17 +94,28 @@ class TestFilterArtifact:
         for pid, original in report.verdicts.items():
             assert back.verdicts[pid].entries == original.entries, pid
 
-    def test_colpack_file_round_trip(self, report, tmp_path):
+    def test_pickle_round_trip(self, report):
         artifact = ColumnarFilterArtifact.from_report(report)
-        path = tmp_path / "filter.col"
-        colpack.write_object(path, artifact)
-        loaded = colpack.load_object(path)
-        assert isinstance(loaded, ColumnarFilterArtifact)
-        decoded = loaded.to_report()
+        back = pickled(artifact)
+        assert isinstance(back, ColumnarFilterArtifact)
+        assert_same_columns(back, artifact)
+        decoded = back.to_report()
         assert list(decoded.verdicts) == list(report.verdicts)
-        assert decoded.verdicts == report.verdicts or all(
-            decoded.verdicts[pid].changes == v.changes
-            for pid, v in report.verdicts.items())
+        for pid, verdict in report.verdicts.items():
+            assert decoded.verdicts[pid].changes == verdict.changes
+
+    def test_pickled_shards_concat_to_the_whole(self, report):
+        pids = list(report.verdicts)
+        chunks = (pids[:len(pids) // 2], pids[len(pids) // 2:])
+        parts = [ColumnarFilterArtifact.from_report(FilterReport(
+            verdicts={pid: report.verdicts[pid] for pid in chunk},
+            total=len(chunk))) for chunk in chunks]
+        joined = ColumnarFilterArtifact.concat(pickled(part)
+                                               for part in parts)
+        whole = ColumnarFilterArtifact.from_report(
+            FilterReport(verdicts=report.verdicts, total=len(pids)))
+        assert_same_columns(joined, whole)
+        assert list(joined.to_report().verdicts) == pids
 
 
 class TestSpanMap:
@@ -141,11 +169,21 @@ class TestGapEventMap:
             ColumnarGapEventMap.from_map(
                 {1: [GapEvent(2, 0.0, 1.0, GapCause.NONE, False, 0.0)]})
 
-    def test_colpack_file_round_trip(self, tmp_path):
-        events = {3: [GapEvent(3, 0.0, 4.0, GapCause.NETWORK, True, 4.0)]}
-        path = tmp_path / "gaps.col"
-        colpack.write_object(path, ColumnarGapEventMap.from_map(events))
-        assert colpack.load_object(path).to_map() == events
+    def test_pickle_round_trip_and_concat(self):
+        first = {6: [GapEvent(6, 0.0, 4.0, GapCause.NETWORK, True, 4.0)],
+                 2: []}
+        second = {3: [GapEvent(3, 1.0, 2.0, GapCause.NONE, False, 0.0),
+                      GapEvent(3, 5.0, 9.0, GapCause.POWER, False, 4.0)]}
+        part = ColumnarGapEventMap.from_map(first)
+        back = pickled(part)
+        assert_same_columns(back, part)
+        assert back.to_map() == first
+        assert list(back) == [6, 2]  # stored order, never re-sorted
+        joined = ColumnarGapEventMap.concat(
+            [back, pickled(ColumnarGapEventMap.from_map(second))])
+        assert_same_columns(joined,
+                            ColumnarGapEventMap.from_map({**first, **second}))
+        assert joined.to_map() == {**first, **second}
 
 
 class TestDecodeValue:

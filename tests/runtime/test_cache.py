@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import random
+
+from repro.runtime import RuntimeConfig, runner_for_bundle
 from repro.runtime.cache import ArtifactCache, code_version
 
 
@@ -145,3 +148,48 @@ def test_bytes_stored_accumulates_written_sizes(tmp_path):
     cache.store(_key("b"), list(range(50)))
     assert cache.stats.bytes_stored == cache.total_bytes()
     assert cache.stats.bytes_stored > 0
+
+
+def test_flipped_bytes_in_any_entry_heal_instead_of_raising(bundle,
+                                                           tmp_path):
+    """A damaged entry never escapes ``load`` as an exception.
+
+    One flipped byte per load, at seeded positions across every entry a
+    real run stores; each file is restored after its load (a heal
+    deletes it), so every flip damages an otherwise intact cache.
+    """
+    cache_dir = tmp_path / "cache"
+    runner_for_bundle(bundle, RuntimeConfig(cache_dir=cache_dir)).run()
+    entries = sorted(cache_dir.rglob("*.pkl"))
+    assert entries
+    rng = random.Random(2015)
+    cache = ArtifactCache(cache_dir)
+    for path in entries:
+        original = path.read_bytes()
+        for _ in range(150):
+            damaged = bytearray(original)
+            damaged[rng.randrange(len(damaged))] ^= rng.randrange(1, 256)
+            path.write_bytes(bytes(damaged))
+            try:
+                cache.load(path.stem)
+            finally:
+                path.write_bytes(original)
+    assert cache.stats.healed > 0  # the flips did reach the structure
+
+
+def test_clear_sweeps_sidecar_groups_of_older_caches(tmp_path):
+    """Caches written by earlier versions kept columns in
+    ``<key>.<name>.col`` sidecar files next to each entry's pickle;
+    ``--clear-cache`` must leave none of either behind."""
+    cache = ArtifactCache(tmp_path)
+    cache.store(_key("spans"), {"spans_by_probe": "placeholder"})
+    (entry,) = cache.entries()
+    for name in ("spans_by_probe", "durations_by_probe"):
+        entry.with_name("%s.%s.col" % (entry.stem, name)).write_bytes(
+            b"RCOL" + bytes(60))
+    orphan = tmp_path / "ab" / ("ab" + "0" * 62 + ".gaps.col")
+    orphan.parent.mkdir(exist_ok=True)
+    orphan.write_bytes(b"RCOL" + bytes(60))
+    assert cache.clear() == 1
+    assert not list(tmp_path.rglob("*.pkl"))
+    assert not list(tmp_path.rglob("*.col"))

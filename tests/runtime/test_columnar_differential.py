@@ -65,36 +65,41 @@ class TestKernelModesAgree:
 
 
 class TestCrossModeCache:
-    """Warm runs over the columnar cache: the fat artifacts live in
-    ``.col`` sidecars, and a damaged sidecar heals into a recompute
-    without moving the digest."""
+    """Warm runs over the cache: the column-backed outputs pickle into
+    the entries as their arrays, and a damaged entry heals into a
+    recompute without moving the digest."""
 
-    def test_deleted_sidecar_heals_and_digest_survives(self, bundle,
-                                                       legacy_digest,
-                                                       tmp_path):
+    @staticmethod
+    def _largest_entry(cache_dir):
+        return max(sorted(cache_dir.rglob("*.pkl")),
+                   key=lambda path: path.stat().st_size)
+
+    def test_truncated_entry_heals_and_rewarms(self, bundle, legacy_digest,
+                                               tmp_path):
         cache_dir = tmp_path / "cache"
         runner_for_bundle(bundle, RuntimeConfig(cache_dir=cache_dir)).run()
-        victim = next(iter(sorted(cache_dir.rglob("*.col"))))
-        victim.unlink()
+        assert not list(cache_dir.rglob("*.col"))
+        victim = self._largest_entry(cache_dir)
+        victim.write_bytes(victim.read_bytes()[:victim.stat().st_size // 2])
 
         warm = runner_for_bundle(bundle, RuntimeConfig(cache_dir=cache_dir))
         assert results_digest(warm.run()) == legacy_digest
-        # The orphaned entry healed into a miss and was recomputed.
+        # The truncated entry healed into a miss and was recomputed.
         assert warm.cache.stats.healed >= 1
         assert warm.cache.stats.misses >= 1
 
-        # The re-store repaired the group: next run is fully warm.
+        # The re-store repaired the entry: next run is fully warm.
         rewarm = runner_for_bundle(bundle,
                                    RuntimeConfig(cache_dir=cache_dir))
         assert results_digest(rewarm.run()) == legacy_digest
         assert rewarm.cache.stats.misses == 0
 
-    def test_corrupt_sidecar_heals_like_missing(self, bundle, legacy_digest,
+    def test_garbled_entry_heals_like_truncated(self, bundle, legacy_digest,
                                                 tmp_path):
         cache_dir = tmp_path / "cache"
         runner_for_bundle(bundle, RuntimeConfig(cache_dir=cache_dir)).run()
-        victim = next(iter(sorted(cache_dir.rglob("*.col"))))
-        victim.write_bytes(b"RCOLgarbage")
+        victim = self._largest_entry(cache_dir)
+        victim.write_bytes(b"\x80\x05garbage" + victim.read_bytes()[13:])
 
         warm = runner_for_bundle(bundle, RuntimeConfig(cache_dir=cache_dir))
         assert results_digest(warm.run()) == legacy_digest
