@@ -68,10 +68,7 @@ class ProbeArchive:
             raise DatasetError("probe %d already registered" % meta.probe_id)
         if meta.continent not in CONTINENTS:
             raise DatasetError("unknown continent %r" % meta.continent)
-        # The archive is populated while the bundle loads, strictly
-        # before any server thread is spawned; it is read-only from then
-        # on, so the build-time writes never overlap the handler reads.
-        self._probes[meta.probe_id] = meta  # repro: noqa[RPR011] -- archive is frozen after dataset load, before the coordinator accepts connections
+        self._probes[meta.probe_id] = meta
 
     def get(self, probe_id: int) -> ProbeMeta:
         """Return a probe's metadata; raises when absent."""

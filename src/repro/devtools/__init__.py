@@ -24,15 +24,19 @@ the invariants this reproduction depends on:
   pass a sort barrier before reaching digests, serialization or cached
   artifacts (RPR009);
 * **wire contracts** — serialized boundary types match the checked-in
-  ``wire-contracts.json``, with a version bump on change (RPR010).
+  ``wire-contracts.json``, with a version bump on change (RPR010);
+* **resource lifecycles** — sockets, channels, files, executors and
+  temporary directories are closed on every path (RPR012).
 
-RPR001–005 are per-file AST checks.  RPR006–010 are *interprocedural*:
+RPR001–005 are per-file AST checks.  RPR006–010 and RPR012 are
+*interprocedural*:
 :mod:`repro.devtools.callgraph` summarizes every file into a project-wide
 call graph and import-reachability map, :mod:`repro.devtools.effects`
 infers each function's position on the effect lattice
 ``PURE < READS_ENV < MUTATES_GLOBAL < IO < NONDETERMINISTIC`` by fixpoint
-over that graph, and :mod:`repro.devtools.ordering` runs the order-taint
-dataflow the same way.
+over that graph, :mod:`repro.devtools.ordering` runs the order-taint
+dataflow the same way, and :mod:`repro.devtools.concurrency` the
+must-close walk.
 
 Run it as ``repro-lint src/repro`` (or ``python -m repro.devtools``); findings
 on a line can be suppressed with a ``# repro: noqa[RPR001]`` comment.  The

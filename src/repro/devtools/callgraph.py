@@ -158,8 +158,8 @@ class FileSummary:
     imports: tuple[str, ...] = ()
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
     classes: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: Class name -> env-resolved dotted base refs (RPR011 walks these
-    #: so typed method resolution honours inheritance).
+    #: Class name -> env-resolved dotted base refs (the effect analysis
+    #: walks these so method resolution honours inheritance).
     class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     module_names: frozenset[str] = frozenset()
     stage_decls: tuple[StageDecl, ...] = ()
@@ -173,7 +173,7 @@ class FileSummary:
     #: Wire-contract declarations (RPR010);
     #: :class:`~repro.devtools.wire.WireDecl` tuples.
     wire_decls: tuple = ()
-    #: Non-trivial concurrency/lifecycle summaries (RPR011/RPR012),
+    #: Non-trivial resource-lifecycle summaries (RPR012),
     #: keyed like ``functions``; values are :class:`~repro.devtools.\
     #: concurrency.FunctionConcurrencySummary`.
     concurrency: dict = field(default_factory=dict)
@@ -524,7 +524,6 @@ def summarize_source(tree: ast.Module, module: str, path: str,
     env, targets = _import_env(tree, module, is_package)
 
     module_names: set[str] = set(env)
-    data_names: set[str] = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -533,13 +532,10 @@ def summarize_source(tree: ast.Module, module: str, path: str,
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     module_names.add(target.id)
-                    data_names.add(target.id)
         elif isinstance(node, ast.AnnAssign):
             if isinstance(node.target, ast.Name):
                 module_names.add(node.target.id)
-                data_names.add(node.target.id)
     frozen_names = frozenset(module_names)
-    frozen_data = frozenset(data_names)
 
     functions: dict[str, FunctionSummary] = {}
     classes: dict[str, tuple[str, ...]] = {}
@@ -556,8 +552,7 @@ def summarize_source(tree: ast.Module, module: str, path: str,
         flow = order_summary(node, qualname, env)
         if flow is not None:
             order[qualname] = flow
-        facts = concurrency_summary(node, qualname, class_name, env,
-                                    module, frozen_data)
+        facts = concurrency_summary(node, qualname, class_name, env)
         if facts is not None:
             concurrency[qualname] = facts
 
@@ -758,7 +753,7 @@ class Project:
         Initializers are ``ProcessPoolExecutor(initializer=F)`` and
         ``Process(target=F)`` functions.  Helpers an initializer
         delegates to in its own module install worker state too, so the
-        closure owns their module-level writes (RPR008/RPR011).
+        closure owns their module-level writes (RPR008).
         """
         queue: list[str] = []
         for module in sorted(self.summaries):

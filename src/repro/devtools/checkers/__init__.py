@@ -13,13 +13,12 @@ RPR007  cache-key soundness — stage closure ⊆ hashed code_version set
 RPR008  worker state — picklable worker tasks, initializer-owned globals
 RPR009  order taint — no order-unstable values into digests/artifacts
 RPR010  wire contracts — serialized boundary types match the contract file
-RPR011  thread roles — cross-thread shared state locked/confined/safe
 RPR012  resource lifecycle — acquisitions closed on every path
 ======  ==========================================================
 
-RPR001–005 are per-file AST checks; RPR006–012 are whole-project
-(interprocedural) checks over the call graph, effect lattice,
-order-dataflow and concurrency summaries built by
+RPR001–005 are per-file AST checks; RPR006–010 and RPR012 are
+whole-project (interprocedural) checks over the call graph, effect
+lattice, order-dataflow and resource-lifecycle summaries built by
 :mod:`repro.devtools.callgraph`, :mod:`repro.devtools.effects`,
 :mod:`repro.devtools.ordering`, and :mod:`repro.devtools.concurrency`.
 """
@@ -33,7 +32,6 @@ from repro.devtools.checkers import (  # noqa: F401  (registration imports)
     order_taint,
     resource_lifecycle,
     stage_purity,
-    thread_roles,
     time_units,
     wire_contracts,
     worker_state,

@@ -1,79 +1,28 @@
-"""Thread-role and resource-lifecycle analysis (the RPR011/RPR012 engine).
+"""Resource-lifecycle analysis (the RPR012 engine).
 
-PR 8's distributed layer made the codebase genuinely concurrent: the
-coordinator spawns one handler thread per worker connection, workers run
-daemon heartbeat threads, and sockets, channels and executors are opened
-on many error paths.  The reproducibility story — bit-identical digests
-and exact accounting — now depends on hand-maintained thread discipline
-that nothing in RPR001–010 can see.  This module supplies the two
-missing interprocedural analyses:
+Sockets, channels, file handles, executors and temporary
+files/directories are opened on many error paths of the dist and
+runtime layers.  A path-sensitive walk of each function tracks an
+obligation per acquisition: every one must be discharged on all paths
+by a ``with`` block, a close call reached from every path
+(``try``/``finally`` or a closing handler), or an ownership transfer —
+returning the resource, passing it to a callee (e.g. registering a
+socket with the selector loop that closes it), or storing it on a field
+that some method of the class releases.  Calls to project functions
+that *return* an open resource (found by a fixpoint over return facts)
+create the same obligation in the caller, which is what makes the
+witness chains interprocedural.
 
-* **Thread roles (RPR011).**  Every function starts in the implicit
-  ``main`` role; each ``threading.Thread(target=...)`` site (and each
-  ``add_done_callback`` registration) roots a new role at its resolved
-  target, and roles propagate along resolved call edges.  A shared
-  location — a ``self`` attribute or a module-level data global —
-  written from one role and accessed from another is a race unless
-  every access holds one *consistent* ``with <lock>`` guard (locks are
-  matched textually, and lock context propagates interprocedurally:
-  a callee whose every in-role call site sits under ``with self._lock``
-  inherits that guard as an entry guard), the attribute is
-  thread-confined (written only in ``__init__``/``__post_init__``,
-  before the object can be shared), or it is an intrinsically safe
-  type (:data:`SAFE_TYPE_NAMES`, pinned as an RPR010 wire contract) or
-  a sanctioned RPR008 initializer-owned worker global.
-
-* **Resource lifecycles (RPR012).**  A path-sensitive walk of each
-  function tracks obligations for sockets, channels, file handles,
-  executors and temporary files/directories: every acquisition must be
-  discharged on all paths by a ``with`` block, a close call reached
-  from every path (``try``/``finally`` or a closing handler), or an
-  ownership transfer — returning the resource, passing it to a callee
-  (e.g. handing a socket to a handler thread), or storing it on a
-  field that some method of the class releases.  Calls to project
-  functions that *return* an open resource (found by a fixpoint over
-  return facts) create the same obligation in the caller, which is
-  what makes the witness chains interprocedural.
-
-Both analyses run from serializable per-function facts
+The analysis runs from serializable per-function facts
 (:class:`FunctionConcurrencySummary`) stored on the
 :class:`~repro.devtools.callgraph.FileSummary`, so warm incremental
 runs replay the whole-project pass without re-parsing.
-
-Known under-approximations (documented in DESIGN.md §15): closure
-variables shared with nested thread targets are not tracked; lock
-identity is textual (two locks spelled ``self._lock`` on different
-objects unify); constructor accesses are assumed to happen before any
-thread can see the object; and cross-instance aliasing is ignored, so
-distinct per-thread instances of one class share an attribute group
-(suppress with a justified noqa when instances are thread-confined).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-
-#: Types whose instances are intrinsically safe to share across thread
-#: roles (internally synchronized by CPython).  Pinned as an RPR010 wire
-#: contract: growing this set is a reviewed, versioned change.
-SAFE_TYPE_NAMES = (
-    "threading.Event",
-    "threading.Lock",
-    "threading.RLock",
-    "threading.Condition",
-    "threading.Semaphore",
-    "threading.BoundedSemaphore",
-    "threading.Barrier",
-    "queue.Queue",
-    "queue.LifoQueue",
-    "queue.PriorityQueue",
-    "queue.SimpleQueue",
-)
-
-__wire_contract__ = {"concurrency-safe-types": ("SAFE_TYPE_NAMES",)}
-
-SAFE_TYPES = frozenset(SAFE_TYPE_NAMES)
 
 #: Methods that release a tracked resource.
 CLOSE_METHODS = frozenset({"close", "shutdown", "terminate", "cleanup"})
@@ -97,95 +46,9 @@ RESOURCE_CLASSES: dict[str, str] = {
     "FaultyChannel": "channel",
 }
 
-#: The implicit role every function can run under.
-MAIN_ROLE = "<main>"
-
-#: Cap on class-hierarchy candidates consulted per method call.
-_MAX_CANDIDATES = 8
-
 
 def _tuple_dicts(items) -> list:
     return [item.to_dict() for item in items]
-
-
-@dataclass(frozen=True)
-class ThreadSpawn:
-    """One thread-root site: a Thread target or a done-callback."""
-
-    target: str  # dotted, ``<nested:NAME>``, ``<self:NAME>`` or ``<lambda>``
-    line: int
-    kind: str  # ``thread`` | ``callback``
-
-    def to_dict(self) -> dict[str, object]:
-        return {"target": self.target, "line": self.line, "kind": self.kind}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ThreadSpawn":
-        return cls(target=str(payload["target"]), line=int(payload["line"]),
-                   kind=str(payload["kind"]))
-
-
-@dataclass(frozen=True)
-class SharedAccess:
-    """One read or write of a shared location, with its lock context.
-
-    ``owner`` is the name of the first-level nested function the access
-    occurs in (thread targets are often nested), or ``""`` for the
-    function body proper; ``guards`` are the textual ``with`` contexts
-    (non-call name/attribute expressions, i.e. lock-shaped) active at
-    the access.
-    """
-
-    scope: str  # ``attr`` | ``global``
-    name: str
-    line: int
-    mode: str  # ``read`` | ``write``
-    guards: tuple[str, ...] = ()
-    owner: str = ""
-
-    def to_dict(self) -> dict[str, object]:
-        return {"scope": self.scope, "name": self.name, "line": self.line,
-                "mode": self.mode, "guards": list(self.guards),
-                "owner": self.owner}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SharedAccess":
-        return cls(scope=str(payload["scope"]), name=str(payload["name"]),
-                   line=int(payload["line"]), mode=str(payload["mode"]),
-                   guards=tuple(payload.get("guards", ())),
-                   owner=str(payload.get("owner", "")))
-
-
-@dataclass(frozen=True)
-class GuardedCall:
-    """One call site annotated with lock context and nested-def owner.
-
-    ``recv`` is a receiver-type hint for ``method`` calls: ``"<self>"``
-    for ``self.meth()``, ``"<attr:NAME>"`` for ``self.NAME.meth()``
-    (resolved through the class's recorded attribute types), or the
-    dotted constructor type of a local receiver.  Empty means unknown,
-    in which case resolution falls back to name-based CHA.
-    """
-
-    kind: str  # ``dotted`` | ``local`` | ``method``
-    target: str
-    line: int
-    guards: tuple[str, ...] = ()
-    owner: str = ""
-    recv: str = ""
-
-    def to_dict(self) -> dict[str, object]:
-        return {"kind": self.kind, "target": self.target, "line": self.line,
-                "guards": list(self.guards), "owner": self.owner,
-                "recv": self.recv}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "GuardedCall":
-        return cls(kind=str(payload["kind"]), target=str(payload["target"]),
-                   line=int(payload["line"]),
-                   guards=tuple(payload.get("guards", ())),
-                   owner=str(payload.get("owner", "")),
-                   recv=str(payload.get("recv", "")))
 
 
 @dataclass(frozen=True)
@@ -279,17 +142,10 @@ class FieldTransfer:
 
 @dataclass(frozen=True)
 class FunctionConcurrencySummary:
-    """The concurrency/lifecycle facts of one function, serializable."""
+    """The lifecycle facts of one function, serializable."""
 
     name: str
     class_name: str | None = None
-    is_ctor: bool = False
-    spawns: tuple[ThreadSpawn, ...] = ()
-    accesses: tuple[SharedAccess, ...] = ()
-    calls: tuple[GuardedCall, ...] = ()
-    #: ``(attr, dotted constructor)`` for ``self.x = threading.Lock()``-
-    #: style assigns; safe-type matching happens at project level.
-    attr_types: tuple[tuple[str, str], ...] = ()
     leaks: tuple[Leak, ...] = ()
     pending_leaks: tuple[PendingLeak, ...] = ()
     field_transfers: tuple[FieldTransfer, ...] = ()
@@ -304,8 +160,7 @@ class FunctionConcurrencySummary:
 
     @property
     def is_trivial(self) -> bool:
-        return not (self.spawns or self.accesses or self.calls
-                    or self.attr_types or self.leaks or self.pending_leaks
+        return not (self.leaks or self.pending_leaks
                     or self.field_transfers or self.attr_closes
                     or self.returns_resource or self.pending_returns)
 
@@ -313,12 +168,6 @@ class FunctionConcurrencySummary:
         return {
             "name": self.name,
             "class_name": self.class_name,
-            "is_ctor": self.is_ctor,
-            "spawns": _tuple_dicts(self.spawns),
-            "accesses": _tuple_dicts(self.accesses),
-            "calls": _tuple_dicts(self.calls),
-            "attr_types": [[attr, dotted]
-                           for attr, dotted in self.attr_types],
             "leaks": _tuple_dicts(self.leaks),
             "pending_leaks": _tuple_dicts(self.pending_leaks),
             "field_transfers": _tuple_dicts(self.field_transfers),
@@ -335,15 +184,6 @@ class FunctionConcurrencySummary:
         return cls(
             name=str(payload["name"]),
             class_name=payload.get("class_name"),
-            is_ctor=bool(payload.get("is_ctor", False)),
-            spawns=tuple(ThreadSpawn.from_dict(entry)
-                         for entry in payload.get("spawns", ())),
-            accesses=tuple(SharedAccess.from_dict(entry)
-                           for entry in payload.get("accesses", ())),
-            calls=tuple(GuardedCall.from_dict(entry)
-                        for entry in payload.get("calls", ())),
-            attr_types=tuple((str(attr), str(dotted)) for attr, dotted
-                             in payload.get("attr_types", ())),
             leaks=tuple(Leak.from_dict(entry)
                         for entry in payload.get("leaks", ())),
             pending_leaks=tuple(PendingLeak.from_dict(entry)
@@ -362,469 +202,36 @@ class FunctionConcurrencySummary:
         )
 
 
-# -- role/guard fact extraction ----------------------------------------------
-
-def _guard_text(expr: ast.expr) -> str | None:
-    """The lock-shaped text of a ``with`` context, or ``None``.
-
-    Lock-shaped means a bare name or attribute chain (``lock``,
-    ``self._lock``) — a call (``open(...)``, ``TemporaryDirectory()``)
-    manages something, but does not name a re-enterable guard.
-    """
+def _self_attr(expr: ast.expr) -> str | None:
+    """First-level attribute name of a ``self.x...`` chain, if any."""
     current = expr
-    while isinstance(current, ast.Attribute):
+    while isinstance(current, (ast.Attribute, ast.Subscript)):
+        if isinstance(current, ast.Attribute) and isinstance(
+                current.value, ast.Name) and current.value.id == "self":
+            return current.attr
         current = current.value
-    if not isinstance(current, ast.Name):
-        return None
-    try:
-        return ast.unparse(expr)
-    except (ValueError, AttributeError):  # pragma: no cover - unparse is
-        return None                       # total on Name/Attribute chains
+    return None
 
 
-class _ConcurrencyExtractor:
-    """Collects spawns, shared accesses and guarded calls from one def."""
-
-    def __init__(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
-                 env: dict[str, str], module: str, class_name: str | None,
-                 data_globals: frozenset[str]) -> None:
-        self.node = node
-        self.env = env
-        self.module = module
-        self.class_name = class_name
-        self.data_globals = data_globals
-        self.spawns: list[ThreadSpawn] = []
-        self.accesses: list[SharedAccess] = []
-        self.calls: list[GuardedCall] = []
-        self.attr_types: list[tuple[str, str]] = []
-        self.attr_closes: list[str] = []
-        self._guards: list[str] = []
-        self._owner = ""
-        self._global_decls: set[str] = set()
-        self._locals: set[str] = set()
-        self._local_defs: frozenset[str] = frozenset()
-        #: local name -> dotted constructor type (``board = LeaseBoard()``)
-        self._local_types: dict[str, str] = {}
-        #: local name -> element type of a list/comp of constructor calls
-        self._elem_types: dict[str, str] = {}
-
-    def run(self) -> None:
-        node = self.node
-        local_defs: set[str] = set()
-        for child in ast.walk(node):
-            if isinstance(child, ast.Global):
-                self._global_decls.update(child.names)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                    ast.ClassDef)) and child is not node:
-                local_defs.add(child.name)
-            elif isinstance(child, ast.Name) and isinstance(
-                    child.ctx, ast.Store):
-                self._locals.add(child.id)
-        args = node.args
-        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs,
-                    *([args.vararg] if args.vararg else []),
-                    *([args.kwarg] if args.kwarg else [])):
-            self._locals.add(arg.arg)
-            if arg.annotation is not None:
-                dotted = self._annotation_type(arg.annotation)
-                if dotted is not None:
-                    self._local_types[arg.arg] = dotted
-        self._locals -= self._global_decls
-        self._local_defs = frozenset(local_defs)
-        self._stmts(node.body)
-
-    # -- recording helpers ---------------------------------------------------
-
-    def _access(self, scope: str, name: str, line: int, mode: str) -> None:
-        self.accesses.append(SharedAccess(
-            scope=scope, name=name, line=line, mode=mode,
-            guards=tuple(self._guards), owner=self._owner))
-
-    def _self_attr(self, expr: ast.expr) -> str | None:
-        """First-level attribute name of a ``self.x...`` chain, if any."""
-        if self.class_name is None:
-            return None
-        current = expr
-        while isinstance(current, (ast.Attribute, ast.Subscript)):
-            if isinstance(current, ast.Attribute) and isinstance(
-                    current.value, ast.Name) and current.value.id == "self":
-                return current.attr
-            current = current.value
-        return None
-
-    def _is_shared_global(self, name: str) -> bool:
-        return (name in self.data_globals and name not in self._locals
-                and name != name.upper())
-
-    # -- statements ----------------------------------------------------------
-
-    def _stmts(self, body: list[ast.stmt]) -> None:
-        for stmt in body:
-            self._stmt(stmt)
-
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # A first-level nested def is a potential thread target: its
-            # body runs in the spawned thread, with no inherited locks.
-            outer_owner, outer_guards = self._owner, self._guards
-            if not self._owner:
-                self._owner = stmt.name
-            self._guards = []
-            try:
-                self._stmts(stmt.body)
-            finally:
-                self._owner, self._guards = outer_owner, outer_guards
-            return
-        if isinstance(stmt, ast.ClassDef):
-            return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            pushed = 0
-            for item in stmt.items:
-                guard = _guard_text(item.context_expr)
-                if guard is not None:
-                    self._guards.append(guard)
-                    pushed += 1
-                else:
-                    self._expr(item.context_expr)
-                if item.optional_vars is not None:
-                    self._store_target(item.optional_vars, stmt.lineno)
-            try:
-                self._stmts(stmt.body)
-            finally:
-                for _ in range(pushed):
-                    self._guards.pop()
-            return
-        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            self._assign(stmt)
-            return
-        if isinstance(stmt, ast.Expr):
-            self._expr(stmt.value)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._expr(stmt.iter)
-            self._seed_loop_types(stmt.target, stmt.iter)
-            self._store_target(stmt.target, stmt.lineno)
-            self._stmts(stmt.body)
-            self._stmts(stmt.orelse)
-            return
-        if isinstance(stmt, ast.While):
-            self._expr(stmt.test)
-            self._stmts(stmt.body)
-            self._stmts(stmt.orelse)
-            return
-        if isinstance(stmt, ast.If):
-            self._expr(stmt.test)
-            self._stmts(stmt.body)
-            self._stmts(stmt.orelse)
-            return
-        if isinstance(stmt, ast.Try):
-            self._stmts(stmt.body)
-            for handler in stmt.handlers:
-                self._stmts(handler.body)
-            self._stmts(stmt.orelse)
-            self._stmts(stmt.finalbody)
-            return
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._expr(stmt.value)
-            return
-        if isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._expr(stmt.exc)
-            if stmt.cause is not None:
-                self._expr(stmt.cause)
-            return
-        if isinstance(stmt, ast.Assert):
-            self._expr(stmt.test)
-            if stmt.msg is not None:
-                self._expr(stmt.msg)
-            return
-        if isinstance(stmt, ast.Delete):
-            return
-        if stmt.__class__.__name__ == "Match":
-            self._expr(stmt.subject)  # type: ignore[attr-defined]
-            for case in stmt.cases:  # type: ignore[attr-defined]
-                self._stmts(case.body)
-            return
-        # Pass / Break / Continue / Import / Global / Nonlocal: no facts.
-
-    def _assign(self, stmt) -> None:
-        if isinstance(stmt, ast.AugAssign):
-            targets = [stmt.target]
-            # ``self.x += 1`` reads and writes; record the read too.
-            attr = self._self_attr(stmt.target)
+def _closed_attrs(node: ast.FunctionDef | ast.AsyncFunctionDef,
+                  ) -> tuple[str, ...]:
+    """``self`` attributes the body calls a close method on
+    (``self.x.close()``, ``self.x[k].shutdown()``), nested defs included
+    and nested classes skipped."""
+    closed: list[str] = []
+    todo: list[ast.AST] = list(node.body)
+    while todo:
+        child = todo.pop()
+        if isinstance(child, ast.ClassDef):
+            continue
+        if (isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Attribute)
+                and child.func.attr in CLOSE_METHODS):
+            attr = _self_attr(child.func.value)
             if attr is not None:
-                self._access("attr", attr, stmt.lineno, "read")
-        else:
-            targets = (stmt.targets if isinstance(stmt, ast.Assign)
-                       else [stmt.target])
-        if stmt.value is not None:
-            self._expr(stmt.value)
-        for target in targets:
-            self._store_target(target, stmt.lineno)
-        if isinstance(stmt, ast.Assign) and stmt.value is not None:
-            self._bind_types(targets, stmt.value)
-        elif isinstance(stmt, ast.AnnAssign):
-            self._bind_types(targets, stmt.value,
-                             annotation=stmt.annotation)
-
-    def _ctor_type(self, expr: ast.expr) -> str | None:
-        """Dotted type of a direct constructor call, if recognizable."""
-        if not isinstance(expr, ast.Call):
-            return None
-        from repro.devtools.callgraph import _call_site
-
-        site = _call_site(expr, self.env)
-        if site.kind == "dotted":
-            return site.target
-        if site.kind == "local":
-            return "%s.%s" % (self.module, site.target)
-        return None
-
-    def _annotation_type(self, ann: ast.expr) -> str | None:
-        """Dotted type named by a plain annotation (``Channel``,
-        ``socket.socket``, ``"Channel"``); subscripted forms stay unknown."""
-        if isinstance(ann, ast.Constant) and isinstance(ann.value, str) \
-                and ann.value.isidentifier():
-            name = ann.value
-            return self.env.get(name, "%s.%s" % (self.module, name))
-        if isinstance(ann, ast.Name):
-            return self.env.get(ann.id, "%s.%s" % (self.module, ann.id))
-        if isinstance(ann, ast.Attribute):
-            from repro.devtools.callgraph import _attribute_parts
-
-            parts, rooted = _attribute_parts(ann)
-            if rooted and parts:
-                root = parts[0]
-                if root in self.env:
-                    return ".".join([self.env[root]] + parts[1:])
-                return ".".join(parts)
-        return None
-
-    def _bind_types(self, targets: list[ast.expr], value: ast.expr | None,
-                    annotation: ast.expr | None = None) -> None:
-        """Track constructed types: ``self.x = Lock()``, ``b = Board()``,
-        annotated bindings, and element types of ``[Worker(...) for ...]``."""
-        dotted = None
-        if value is not None:
-            dotted = self._ctor_type(value)
-            if dotted is None and isinstance(value, ast.Name):
-                dotted = self._local_types.get(value.id)
-            if dotted is None and isinstance(value, ast.Attribute) \
-                    and isinstance(value.value, ast.Name):
-                # ``server = runner._server`` — defer to the project
-                # pass, which knows the field types of ``runner``'s
-                # class, via a symbolic ``<attrof:TYPE:ATTR>`` marker.
-                base = value.value.id
-                if base == "self" and self.class_name is not None:
-                    base_type: str | None = "%s.%s" % (self.module,
-                                                       self.class_name)
-                else:
-                    base_type = self._local_types.get(base)
-                if base_type is not None and not base_type.startswith("<"):
-                    dotted = "<attrof:%s:%s>" % (base_type, value.attr)
-        if dotted is None and annotation is not None:
-            dotted = self._annotation_type(annotation)
-        if value is None:
-            for target in targets:
-                if isinstance(target, ast.Name) and dotted is not None:
-                    self._local_types[target.id] = dotted
-            return
-        elem: str | None = None
-        if dotted is None:
-            if isinstance(value, (ast.ListComp, ast.SetComp,
-                                  ast.GeneratorExp)):
-                elem = self._ctor_type(value.elt)
-            elif isinstance(value, (ast.List, ast.Tuple)) and value.elts:
-                kinds = {self._ctor_type(e) for e in value.elts}
-                if len(kinds) == 1:
-                    elem = kinds.pop()
-        for target in targets:
-            if isinstance(target, ast.Name):
-                # Rebinding invalidates any earlier inference for safety.
-                self._local_types.pop(target.id, None)
-                self._elem_types.pop(target.id, None)
-                if dotted is not None:
-                    self._local_types[target.id] = dotted
-                elif elem is not None:
-                    self._elem_types[target.id] = elem
-            elif dotted is not None:
-                attr = self._self_attr(target)
-                if attr is not None and isinstance(target, ast.Attribute):
-                    # ``self.x = threading.Lock()`` — the project pass
-                    # uses these to spot intrinsically safe attributes
-                    # and to type ``self.x.meth()`` receivers.
-                    self.attr_types.append((attr, dotted))
-
-    def _seed_loop_types(self, target: ast.expr, iterable: ast.expr) -> None:
-        """``for w in workers`` gives ``w`` the tracked element type."""
-        elem: str | None = None
-        bind: ast.expr | None = target
-        if isinstance(iterable, ast.Name):
-            elem = self._elem_types.get(iterable.id)
-        elif (isinstance(iterable, ast.Call)
-              and isinstance(iterable.func, ast.Name)
-              and iterable.func.id == "enumerate" and iterable.args
-              and isinstance(iterable.args[0], ast.Name)):
-            elem = self._elem_types.get(iterable.args[0].id)
-            bind = (target.elts[1]
-                    if isinstance(target, ast.Tuple)
-                    and len(target.elts) == 2 else None)
-        if elem is not None and isinstance(bind, ast.Name):
-            self._local_types[bind.id] = elem
-
-    def _store_target(self, target: ast.expr, line: int) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                self._store_target(element, line)
-            return
-        if isinstance(target, ast.Starred):
-            self._store_target(target.value, line)
-            return
-        if isinstance(target, ast.Name):
-            if (target.id in self._global_decls
-                    and self._is_shared_global(target.id)):
-                self._access("global", target.id, line, "write")
-            return
-        if isinstance(target, (ast.Attribute, ast.Subscript)):
-            attr = self._self_attr(target)
-            if attr is not None:
-                self._access("attr", attr, line, "write")
-                return
-            from repro.devtools.callgraph import _root_name
-
-            root = _root_name(target)
-            if root is not None and self._is_shared_global(root):
-                self._access("global", root, line, "write")
-            # Subscript/attribute stores evaluate their inner parts.
-            if isinstance(target, ast.Subscript):
-                self._expr(target.slice)
-
-    # -- expressions ---------------------------------------------------------
-
-    def _expr(self, expr: ast.expr) -> None:
-        if isinstance(expr, ast.Call):
-            self._call(expr)
-            return
-        if isinstance(expr, ast.Attribute):
-            attr = self._self_attr(expr)
-            if attr is not None:
-                self._access("attr", attr, expr.lineno, "read")
-                # ``self.x.prop`` on a typed field may dispatch into a
-                # property of its class; record the edge so lock context
-                # reaches property bodies too.
-                if (isinstance(expr.value, ast.Attribute)
-                        and isinstance(expr.value.value, ast.Name)
-                        and expr.value.value.id == "self"):
-                    self.calls.append(GuardedCall(
-                        kind="method", target=expr.attr, line=expr.lineno,
-                        guards=tuple(self._guards), owner=self._owner,
-                        recv="<attr:%s>" % expr.value.attr))
-                return
-            if (isinstance(expr.value, ast.Name)
-                    and expr.value.id in self._local_types):
-                # ``board.done`` — a property read on a typed local.
-                self.calls.append(GuardedCall(
-                    kind="method", target=expr.attr, line=expr.lineno,
-                    guards=tuple(self._guards), owner=self._owner,
-                    recv=self._local_types[expr.value.id]))
-                return
-            self._expr(expr.value)
-            return
-        if isinstance(expr, ast.Name):
-            if isinstance(expr.ctx, ast.Load) and self._is_shared_global(
-                    expr.id):
-                self._access("global", expr.id, expr.lineno, "read")
-            return
-        if isinstance(expr, ast.Lambda):
-            self._expr(expr.body)
-            return
-        for child in ast.iter_child_nodes(expr):
-            if isinstance(child, ast.expr):
-                self._expr(child)
-            elif isinstance(child, ast.comprehension):
-                self._expr(child.iter)
-                for cond in child.ifs:
-                    self._expr(cond)
-            elif isinstance(child, ast.keyword):
-                self._expr(child.value)
-
-    def _spawn_ref(self, expr: ast.expr) -> str | None:
-        """Resolve a thread-target reference, including ``self`` methods."""
-        from repro.devtools.callgraph import _resolve_ref
-
-        if (isinstance(expr, ast.Attribute)
-                and isinstance(expr.value, ast.Name)
-                and expr.value.id == "self"):
-            return "<self:%s>" % expr.attr
-        ref = _resolve_ref(expr, self.env, self.module, self._local_defs)
-        return ref
-
-    def _call(self, call: ast.Call) -> None:
-        from repro.devtools.callgraph import (MUTATOR_METHODS, _call_site,
-                                              _root_name)
-
-        site = _call_site(call, self.env)
-        if site.kind in ("dotted", "local", "method", "super"):
-            recv = ""
-            kind = site.kind
-            if site.kind == "super":
-                # ``super().meth()`` dispatches up the MRO; base-class
-                # methods are analyzed directly, so don't let the bare
-                # name smear across unrelated classes via CHA.  Recorded
-                # as a method call so stored facts keep one vocabulary.
-                kind = "method"
-                recv = "<super>"
-            elif site.kind == "method" \
-                    and isinstance(call.func, ast.Attribute):
-                base = call.func.value
-                if isinstance(base, ast.Name):
-                    recv = ("<self>" if base.id == "self"
-                            else self._local_types.get(base.id, ""))
-                elif (isinstance(base, ast.Attribute)
-                        and isinstance(base.value, ast.Name)
-                        and base.value.id == "self"):
-                    recv = "<attr:%s>" % base.attr
-            self.calls.append(GuardedCall(
-                kind=kind, target=site.target, line=call.lineno,
-                guards=tuple(self._guards), owner=self._owner, recv=recv))
-
-        last = site.target.rsplit(".", 1)[-1] if site.target else ""
-        if last == "Thread":
-            for keyword in call.keywords:
-                if keyword.arg == "target":
-                    ref = self._spawn_ref(keyword.value)
-                    if ref is not None:
-                        self.spawns.append(ThreadSpawn(
-                            target=ref, line=call.lineno, kind="thread"))
-        elif site.kind == "method" and site.target == "add_done_callback" \
-                and call.args:
-            ref = self._spawn_ref(call.args[0])
-            if ref is not None:
-                self.spawns.append(ThreadSpawn(
-                    target=ref, line=call.lineno, kind="callback"))
-
-        func = call.func
-        if isinstance(func, ast.Attribute):
-            attr = self._self_attr(func.value)
-            if attr is not None:
-                if func.attr in CLOSE_METHODS:
-                    self.attr_closes.append(attr)
-                    self._access("attr", attr, call.lineno, "read")
-                elif func.attr in MUTATOR_METHODS:
-                    self._access("attr", attr, call.lineno, "write")
-                else:
-                    self._access("attr", attr, call.lineno, "read")
-            else:
-                root = _root_name(func.value)
-                if (root is not None and func.attr in MUTATOR_METHODS
-                        and self._is_shared_global(root)):
-                    self._access("global", root, call.lineno, "write")
-                self._expr(func.value)
-        for arg in call.args:
-            self._expr(arg)
-        for keyword in call.keywords:
-            self._expr(keyword.value)
+                closed.append(attr)
+        todo.extend(ast.iter_child_nodes(child))
+    return tuple(dict.fromkeys(closed))
 
 
 # -- resource-lifecycle tracking ---------------------------------------------
@@ -1303,525 +710,35 @@ class _LifecycleTracker:
 
 def concurrency_summary(node: ast.FunctionDef | ast.AsyncFunctionDef,
                         qualname: str, class_name: str | None,
-                        env: dict[str, str], module: str,
-                        data_globals: frozenset[str],
+                        env: dict[str, str],
                         ) -> FunctionConcurrencySummary | None:
-    """Concurrency/lifecycle facts of one function; ``None`` when trivial."""
-    extractor = _ConcurrencyExtractor(node, env, module, class_name,
-                                      data_globals)
-    extractor.run()
+    """Lifecycle facts of one function; ``None`` when trivial."""
     tracker = _LifecycleTracker(node, env, class_name)
     tracker.run()
-
-    seen_access: set[tuple[str, str, str, tuple[str, ...], str]] = set()
-    accesses = []
-    for access in extractor.accesses:
-        key = (access.scope, access.name, access.mode, access.guards,
-               access.owner)
-        if key not in seen_access:
-            seen_access.add(key)
-            accesses.append(access)
-    seen_call: set[tuple[str, str, tuple[str, ...], str]] = set()
-    calls = []
-    for call in extractor.calls:
-        ckey = (call.kind, call.target, call.guards, call.owner)
-        if ckey not in seen_call:
-            seen_call.add(ckey)
-            calls.append(call)
-
-    last = qualname.split(".")[-1]
     summary = FunctionConcurrencySummary(
         name=qualname, class_name=class_name,
-        is_ctor=last in ("__init__", "__post_init__"),
-        spawns=tuple(extractor.spawns),
-        accesses=tuple(accesses),
-        calls=tuple(calls),
-        attr_types=tuple(dict.fromkeys(extractor.attr_types)),
         leaks=tuple(tracker.leaks),
         pending_leaks=tuple(tracker.pending_leaks),
         field_transfers=tuple(tracker.field_transfers),
-        attr_closes=tuple(dict.fromkeys(extractor.attr_closes)),
+        attr_closes=(_closed_attrs(node) if class_name is not None
+                     else ()),
         returns_resource=tracker.returns_resource,
         pending_returns=tuple(dict.fromkeys(tracker.pending_returns)),
     )
     return None if summary.is_trivial else summary
 
 
-# -- the interprocedural role/race analysis ----------------------------------
-
 @dataclass(frozen=True)
 class ConcurrencyFinding:
-    """One RPR011/RPR012 finding, ready for a project diagnostic."""
+    """One RPR012 finding, ready for a project diagnostic."""
 
     path: str
     line: int
     message: str
 
 
-_RACE_REMEDY = ("hold one consistent lock at every cross-thread access, "
-                "confine writes to the constructor, use an intrinsically "
-                "safe type, or suppress with a justified noqa[RPR011]")
-
 _LEAK_REMEDY = ("close it with a with-block or try/finally, transfer "
                 "ownership, or suppress with a justified noqa[RPR012]")
-
-
-class RaceAnalysis:
-    """Thread-role inference and cross-role shared-state race detection."""
-
-    def __init__(self, project) -> None:
-        self.project = project
-        # qualname -> (module, FunctionConcurrencySummary)
-        self._funcs: dict[str, tuple[str, FunctionConcurrencySummary]] = {}
-        for module, summary in project.summaries.items():
-            for name, facts in getattr(summary, "concurrency", {}).items():
-                self._funcs["%s.%s" % (module, name)] = (module, facts)
-        #: role id -> human label
-        self._role_labels: dict[str, str] = {MAIN_ROLE: "main"}
-        #: (qual, owner) -> role for nested thread targets
-        self._nested_roles: dict[tuple[str, str], str] = {}
-        self._roles: dict[str, set[str]] = {
-            qual: {MAIN_ROLE} for qual in self._funcs}
-        #: (role, qual) -> (caller qual, line) provenance, None at roots
-        self._parents: dict[tuple[str, str], tuple[str, int] | None] = {}
-        self._entry_cache: dict[str, dict[str, frozenset | None]] = {}
-        self._resolved: dict[tuple, tuple[str, ...]] = {}
-        self._attr_type_cache: dict[tuple[str, str], dict[str, str]] = {}
-        self._seed_roles()
-        self._propagate_roles()
-
-    # -- resolution ----------------------------------------------------------
-
-    def _attr_type_map(self, module: str, class_name: str) -> dict[str, str]:
-        """attr -> dotted constructor type, merged over a class's methods."""
-        key = (module, class_name)
-        cached = self._attr_type_cache.get(key)
-        if cached is not None:
-            return cached
-        merged: dict[str, str] = {}
-        summary = self.project.summaries.get(module)
-        if summary is not None:
-            for facts in getattr(summary, "concurrency", {}).values():
-                if facts.class_name != class_name:
-                    continue
-                for attr, dotted in facts.attr_types:
-                    merged.setdefault(attr, dotted)
-        self._attr_type_cache[key] = merged
-        return merged
-
-    def _mro_method(self, class_qual: str, meth: str,
-                    depth: int = 0) -> str | None:
-        """Qualname of ``meth`` on the class or a project base, if any.
-
-        Unresolvable bases are treated as external: a method found
-        nowhere on the project-visible MRO dispatches outside the
-        project (or is a plain data attribute) and yields no edge.
-        """
-        if depth > 5:
-            return None
-        module, _, cls = class_qual.rpartition(".")
-        summary = self.project.summaries.get(module)
-        if summary is None:
-            return None
-        if meth in summary.classes.get(cls, ()):
-            return "%s.%s" % (class_qual, meth)
-        for ref in getattr(summary, "class_bases", {}).get(cls, ()):
-            resolved = self.project.resolve_callable(ref)
-            if resolved is not None and resolved[0] == "class":
-                found = self._mro_method(resolved[1], meth, depth + 1)
-                if found is not None:
-                    return found
-        return None
-
-    def _typed_method(self, meth: str, recv: str, module: str,
-                      class_name: str | None) -> tuple[str, ...] | None:
-        """Receiver-typed method resolution; ``None`` = fall back to CHA.
-
-        A known receiver type that resolves to no project class (e.g.
-        ``threading.Lock``) dispatches outside the project — the empty
-        tuple; so does a project class whose visible MRO lacks the
-        method (a data attribute, or an external base's method).
-        """
-        if not recv:
-            return None
-        if recv == "<super>":
-            # ``super().meth()``: dispatch starts at the first base.
-            if class_name is None:
-                return ()
-            summary = self.project.summaries.get(module)
-            if summary is None:
-                return ()
-            for ref in getattr(summary, "class_bases", {}).get(
-                    class_name, ()):
-                resolved = self.project.resolve_callable(ref)
-                if resolved is not None and resolved[0] == "class":
-                    found = self._mro_method(resolved[1], meth)
-                    if found is not None:
-                        return (found,) if found in self._funcs else ()
-            return ()
-        if recv == "<self>":
-            if class_name is None:
-                return None
-            dotted = "%s.%s" % (module, class_name)
-        elif recv.startswith("<attr:"):
-            if class_name is None:
-                return None
-            dotted = self._attr_type_map(module, class_name).get(recv[6:-1])
-            if dotted is None:
-                return None
-        else:
-            dotted = recv
-        for _ in range(3):  # ``<attrof:...>`` markers may chain briefly
-            if not dotted.startswith("<attrof:"):
-                break
-            type_ref, _, attr = dotted[len("<attrof:"):-1].rpartition(":")
-            resolved = self.project.resolve_callable(type_ref)
-            if resolved is None or resolved[0] != "class":
-                return None
-            owner_mod, _, owner_cls = resolved[1].rpartition(".")
-            next_dotted = self._attr_type_map(owner_mod,
-                                              owner_cls).get(attr)
-            if next_dotted is None:
-                return None
-            dotted = next_dotted
-        else:
-            return None
-        resolved = self.project.resolve_callable(dotted)
-        if resolved is None:
-            return ()
-        if resolved[0] != "class":
-            return None
-        found = self._mro_method(resolved[1], meth)
-        if found is None:
-            return ()
-        return (found,) if found in self._funcs else ()
-
-    def _resolve(self, kind: str, target: str, module: str,
-                 recv: str = "", class_name: str | None = None,
-                 ) -> tuple[str, ...]:
-        """Project function qualnames one call may dispatch to."""
-        key = (kind, target, module, recv, class_name)
-        cached = self._resolved.get(key)
-        if cached is not None:
-            return cached
-        project = self.project
-        quals: list[str] = []
-        if kind == "dotted":
-            resolved = project.resolve_callable(target)
-            if resolved is not None:
-                if resolved[0] == "function":
-                    quals.append(resolved[1])
-                elif resolved[0] == "class":
-                    quals.extend(project.constructor_functions(resolved[1]))
-        elif kind == "local":
-            summary = project.summaries.get(module)
-            if summary is not None:
-                if target in summary.functions:
-                    quals.append("%s.%s" % (module, target))
-                elif target in summary.classes:
-                    quals.extend(project.constructor_functions(
-                        "%s.%s" % (module, target)))
-        else:  # method
-            typed = self._typed_method(target, recv, module, class_name)
-            if typed is not None:
-                quals.extend(typed)
-            else:
-                quals.extend(project.methods_named_from(
-                    target, module)[:_MAX_CANDIDATES])
-        found = tuple(qual for qual in quals if qual in self._funcs)
-        self._resolved[key] = found
-        return found
-
-    def _resolve_call(self, call: GuardedCall, module: str,
-                      facts: FunctionConcurrencySummary) -> tuple[str, ...]:
-        return self._resolve(call.kind, call.target, module,
-                             recv=call.recv, class_name=facts.class_name)
-
-    def _spawn_target(self, qual: str, module: str,
-                      facts: FunctionConcurrencySummary,
-                      spawn: ThreadSpawn) -> tuple[str, str | None] | None:
-        """``(role id, rooted qual | None)`` for one spawn site.
-
-        A rooted qual of ``None`` means the role lives in the spawning
-        function's nested def (``<nested:NAME>`` targets).
-        """
-        target = spawn.target
-        if target == "<lambda>":
-            return None
-        if target.startswith("<nested:"):
-            name = target[len("<nested:"):-1]
-            role = "%s.<%s>" % (qual, name)
-            self._nested_roles[(qual, name)] = role
-            return role, None
-        if target.startswith("<self:"):
-            name = target[len("<self:"):-1]
-            if facts.class_name is None:
-                return None
-            rooted = "%s.%s.%s" % (module, facts.class_name, name)
-            return rooted, rooted
-        resolved = self._resolve("dotted", target, module)
-        if resolved:
-            return resolved[0], resolved[0]
-        return None
-
-    # -- role propagation ----------------------------------------------------
-
-    def _seed_roles(self) -> None:
-        for qual, (module, facts) in self._funcs.items():
-            for spawn in facts.spawns:
-                entry = self._spawn_target(qual, module, facts, spawn)
-                if entry is None:
-                    continue
-                role, rooted = entry
-                self._role_labels[role] = "thread '%s'" % role
-                if rooted is not None and rooted in self._roles:
-                    self._roles[rooted].add(role)
-                    self._parents[(role, rooted)] = None
-
-    def _call_roles(self, qual: str, call: GuardedCall) -> set[str]:
-        """Roles a call site runs under (nested spawn bodies excepted)."""
-        if call.owner:
-            nested = self._nested_roles.get((qual, call.owner))
-            if nested is not None:
-                return {nested}
-        return self._roles[qual]
-
-    def _propagate_roles(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for qual, (module, facts) in self._funcs.items():
-                for call in facts.calls:
-                    roles = self._call_roles(qual, call)
-                    if not roles:
-                        continue
-                    for callee in self._resolve_call(call, module, facts):
-                        for role in roles:
-                            if role not in self._roles[callee]:
-                                self._roles[callee].add(role)
-                                self._parents[(role, callee)] = (qual,
-                                                                 call.line)
-                                changed = True
-
-    # -- interprocedural lock domination -------------------------------------
-
-    def _entry_guards(self, role: str) -> dict[str, frozenset | None]:
-        """Entry-guard map for one role; ``None`` values mean unknown.
-
-        A function's entry guards are the locks provably held at *every*
-        in-role call site reaching it.  Role roots (thread targets, and
-        main-role functions nobody in the project calls) enter with no
-        locks held; everything else intersects over its incoming edges.
-        Unknown (unreached) stays ``None``, which the race check treats
-        as fully guarded — conservative toward silence.
-        """
-        cached = self._entry_cache.get(role)
-        if cached is not None:
-            return cached
-        edges: dict[str, list[tuple[str | None, tuple[str, ...]]]] = {}
-        for qual, (module, facts) in self._funcs.items():
-            for call in facts.calls:
-                roles = self._call_roles(qual, call)
-                if role not in roles:
-                    continue
-                # A call inside a spawned nested def starts from a clean
-                # stack: the thread entered holding nothing.
-                caller: str | None = qual
-                if call.owner and self._nested_roles.get(
-                        (qual, call.owner)) == role:
-                    caller = None
-                for callee in self._resolve_call(call, module, facts):
-                    edges.setdefault(callee, []).append(
-                        (caller, call.guards))
-        roots: set[str] = set()
-        if role == MAIN_ROLE:
-            for qual in self._funcs:
-                if qual not in edges:
-                    roots.add(qual)
-        else:
-            for (seen_role, qual), parent in self._parents.items():
-                if seen_role == role and parent is None:
-                    roots.add(qual)
-        entry: dict[str, frozenset | None] = {root: frozenset()
-                                              for root in roots}
-        changed = True
-        while changed:
-            changed = False
-            for callee, incoming in edges.items():
-                if role not in self._roles.get(callee, ()):
-                    continue
-                values = []
-                for caller, guards in incoming:
-                    if caller is None:
-                        values.append(frozenset(guards))
-                        continue
-                    caller_entry = entry.get(caller)
-                    if caller_entry is None:
-                        continue  # unknown caller: identity for ∩
-                    values.append(caller_entry | frozenset(guards))
-                if not values:
-                    continue
-                new = values[0]
-                for value in values[1:]:
-                    new = new & value
-                if callee in roots:
-                    new = frozenset()
-                if entry.get(callee) != new:
-                    entry[callee] = new
-                    changed = True
-        self._entry_cache[role] = entry
-        return entry
-
-    def _access_roles(self, qual: str, access: SharedAccess) -> set[str]:
-        if access.owner:
-            nested = self._nested_roles.get((qual, access.owner))
-            if nested is not None:
-                return {nested}
-        return self._roles[qual]
-
-    def _effective_guards(self, qual: str, access: SharedAccess,
-                          role: str) -> frozenset | None:
-        """Locks held at one access under one role; ``None`` = unknown."""
-        if access.owner and self._nested_roles.get(
-                (qual, access.owner)) == role:
-            entry: frozenset | None = frozenset()
-        else:
-            entry = self._entry_guards(role).get(qual)
-        if entry is None:
-            return None
-        return entry | frozenset(access.guards)
-
-    # -- safe/sanctioned sets ------------------------------------------------
-
-    def _safe_attrs(self, module: str, class_name: str) -> set[str]:
-        """Attributes of one class constructed as intrinsically safe."""
-        summary = self.project.summaries.get(module)
-        safe: set[str] = set()
-        if summary is None:
-            return safe
-        for facts in getattr(summary, "concurrency", {}).values():
-            if facts.class_name != class_name:
-                continue
-            for attr, dotted in facts.attr_types:
-                for name in SAFE_TYPES:
-                    if dotted == name or dotted.endswith("." + name) \
-                            or dotted.endswith("." + name.split(".")[-1]):
-                        safe.add(attr)
-        return safe
-
-    def _sanctioned_globals(self) -> dict[str, set[str]]:
-        """module -> RPR008 initializer-owned global names."""
-        project = self.project
-        sanctioned: dict[str, set[str]] = {}
-        for qual in sorted(project.initializers()):
-            module = project.resolve_module(qual)
-            function = project.function(qual)
-            if module is not None and function is not None:
-                sanctioned.setdefault(module, set()).update(
-                    name for name, _ in function.global_writes)
-        return sanctioned
-
-    # -- findings ------------------------------------------------------------
-
-    def _role_chain(self, role: str, qual: str) -> list[str]:
-        chain = [qual]
-        seen = {qual}
-        current = qual
-        while True:
-            parent = self._parents.get((role, current))
-            if parent is None:
-                break
-            caller, _line = parent
-            if caller in seen:
-                break
-            chain.append(caller)
-            seen.add(caller)
-            current = caller
-        chain.reverse()
-        return chain
-
-    def _describe(self, role: str, qual: str, line: int,
-                  mode: str) -> str:
-        label = self._role_labels.get(role, role)
-        chain = self._role_chain(role, qual)
-        route = " -> ".join(chain) if len(chain) > 1 else chain[0]
-        return "%s via %s (line %d, %s)" % (label, route, line, mode)
-
-    def findings(self) -> list[ConcurrencyFinding]:
-        groups: dict[tuple, list[tuple[str, SharedAccess]]] = {}
-        for qual, (module, facts) in self._funcs.items():
-            for access in facts.accesses:
-                if access.scope == "attr":
-                    if facts.class_name is None:
-                        continue
-                    key = ("attr", module, facts.class_name, access.name)
-                else:
-                    key = ("global", module, "", access.name)
-                groups.setdefault(key, []).append((qual, access))
-
-        sanctioned = self._sanctioned_globals()
-        found: list[ConcurrencyFinding] = []
-        for key in sorted(groups):
-            scope, module, class_name, name = key
-            entries = groups[key]
-            if scope == "global" and name in sanctioned.get(module, set()):
-                continue
-            if scope == "attr" and name in self._safe_attrs(module,
-                                                            class_name):
-                continue
-            writes = [(qual, access) for qual, access in entries
-                      if access.mode == "write"
-                      and not self._funcs[qual][1].is_ctor]
-            if not writes:
-                continue
-            if not any(True for qual, _ in entries
-                       if not self._funcs[qual][1].is_ctor):
-                continue
-            # thread-confined: every write happens in a constructor
-            # (checked above: ``writes`` excludes constructors already).
-            finding = self._race_in_group(scope, module, class_name, name,
-                                          entries, writes)
-            if finding is not None:
-                found.append(finding)
-        return sorted(found, key=lambda f: (f.path, f.line, f.message))
-
-    def _race_in_group(self, scope: str, module: str, class_name: str,
-                       name: str, entries, writes,
-                       ) -> ConcurrencyFinding | None:
-        for w_qual, write in sorted(writes,
-                                    key=lambda e: (e[0], e[1].line)):
-            for r1 in sorted(self._access_roles(w_qual, write)):
-                g1 = self._effective_guards(w_qual, write, r1)
-                for a_qual, access in sorted(
-                        entries, key=lambda e: (e[0], e[1].line)):
-                    if self._funcs[a_qual][1].is_ctor:
-                        continue
-                    for r2 in sorted(self._access_roles(a_qual, access)):
-                        if r1 == r2:
-                            continue
-                        g2 = self._effective_guards(a_qual, access, r2)
-                        if g1 is None or g2 is None:
-                            continue
-                        if g1 & g2:
-                            continue
-                        label = ("attribute '%s.%s'" % (class_name, name)
-                                 if scope == "attr"
-                                 else "module global '%s.%s'" % (module,
-                                                                 name))
-                        w_path = self.project.summaries[
-                            self._funcs[w_qual][0]].path
-                        message = (
-                            "shared %s is written by %s and accessed by "
-                            "%s with no common lock guard (%s)" % (
-                                label,
-                                self._describe(r1, w_qual, write.line,
-                                               "write"),
-                                self._describe(r2, a_qual, access.line,
-                                               access.mode),
-                                _RACE_REMEDY))
-                        return ConcurrencyFinding(w_path, write.line,
-                                                  message)
-        return None
 
 
 # -- the interprocedural lifecycle analysis ----------------------------------

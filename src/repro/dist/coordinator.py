@@ -298,19 +298,9 @@ class LeaseServer:
         selector.register(self._listener, selectors.EVENT_READ)
         selector.register(self._wake_loop, selectors.EVENT_READ)
         loop = _Loop(selector=selector)
+        timeout = self.config.poll_s
         try:
             while True:
-                # Sleep until traffic, a command, or the next lease
-                # deadline or backoff end; at most poll_s.
-                timeout = self.config.poll_s
-                if loop.serving is not None:
-                    board = loop.serving.board
-                    at = board.wakeup_at()
-                    if at is not None:
-                        timeout = min(timeout, max(0.0, at - board.clock()))
-                if loop.parked:
-                    due = min(due for _, due in loop.parked.values())
-                    timeout = min(timeout, max(0.0, due - time.monotonic()))
                 events = selector.select(timeout)
                 if not self._take_commands(loop):
                     return
@@ -321,15 +311,30 @@ class LeaseServer:
                         self._accept(loop)
                     else:
                         self._wake_loop.recv(4096)
+                # One clock reading for the board's expiry, the parked
+                # grants and the next wakeup (see the board's module doc).
+                now = time.monotonic()
                 serving = loop.serving
                 if serving is not None:
-                    serving.board.expire()
+                    serving.board.expire(now)
                 if loop.parked:
-                    self._answer_parked(loop)
+                    self._answer_parked(loop, now)
                 if serving is not None and serving.board.done:
                     # Hand the board back the moment it drains.
                     loop.serving = None
                     self._drained.put(serving)
+                # Sleep until traffic, a command, the next lease
+                # deadline or backoff end, or a parked pull's due time;
+                # at most poll_s.
+                timeout = self.config.poll_s
+                if loop.serving is not None:
+                    at = loop.serving.board.wakeup_at(now)
+                    if at is not None:
+                        timeout = min(timeout,
+                                      max(0.0, at - time.monotonic()))
+                if loop.parked:
+                    due = min(due for _, due in loop.parked.values())
+                    timeout = min(timeout, max(0.0, due - time.monotonic()))
         # Whatever kills the loop also goes to the runner, which raises
         # it from serve_stage rather than waiting on a dead loop; the
         # exception is re-raised untouched.
@@ -393,16 +398,15 @@ class LeaseServer:
         connection.bytes_sent += len(frame)
         obs.count("dist.bytes.sent", len(frame))
 
-    def _answer_parked(self, loop: _Loop) -> None:
+    def _answer_parked(self, loop: _Loop, now: float) -> None:
         """Answer parked pulls, oldest first: a lease for each one a
-        shard is ready for, DRAIN(done) once the run finished, and
-        DRAIN(not ready) for those parked too long."""
-        now = time.monotonic()
+        shard is ready for at ``now``, DRAIN(done) once the run
+        finished, and DRAIN(not ready) for those parked too long."""
         for serial, (connection, due) in list(loop.parked.items()):
             if loop.finished:
                 reply = protocol.Drain(done=True, reason="run complete")
             else:
-                reply = self._grant(loop, connection)
+                reply = self._grant(loop, connection, now)
                 if reply is None:
                     if now < due:
                         continue
@@ -524,13 +528,14 @@ class LeaseServer:
                 time.monotonic() + timeutil.DIST_SOCKET_TIMEOUT_S / 2)
         return grant
 
-    def _grant(self, loop: _Loop,
-               connection: _Connection) -> protocol.Lease | None:
-        """Lease the connection the next ready shard, if there is one."""
+    def _grant(self, loop: _Loop, connection: _Connection,
+               now: float | None = None) -> protocol.Lease | None:
+        """Lease the connection the next shard ready at ``now`` (default:
+        the clock), if there is one."""
         serving = loop.serving
         if serving is None:
             return None
-        record = serving.board.lease(connection.holder)
+        record = serving.board.lease(connection.holder, now)
         if record is None:
             return None
         loop.workers[connection.worker_id].leases += 1

@@ -102,9 +102,7 @@ class DistWorker:
             # reconnect instead of replaying the fault that killed the
             # last connection forever.
             channel_id = "%s#%d" % (self.worker_id, self._connections)
-            # One thread drives an instance (see the module doc); the
-            # analyzer conflates the two deployments into one role pair.
-            self._connections += 1  # repro: noqa[RPR011] -- instance is confined to its single driving thread (dist main xor loopback serve thread)
+            self._connections += 1
             try:
                 channel = transport.connect(
                     self.host, self.port, self.socket_timeout_s,
@@ -149,7 +147,7 @@ class DistWorker:
                 if self.install_context is not None \
                         and not self._context_installed:
                     self.install_context(reply.min_connected)
-                    self._context_installed = True  # repro: noqa[RPR011] -- instance is confined to its single driving thread (dist main xor loopback serve thread)
+                    self._context_installed = True
             # Cleanup-only handler: the channel must not outlive a fatal
             # verification failure (including KeyboardInterrupt), and the
             # exception is re-raised untouched.
@@ -184,7 +182,7 @@ class DistWorker:
         injected = getattr(channel, "injected", None)
         if injected:
             for kind, count in injected.items():
-                self.summary.injected[kind] = (  # repro: noqa[RPR011] -- instance is confined to its single driving thread (dist main xor loopback serve thread)
+                self.summary.injected[kind] = (
                     self.summary.injected.get(kind, 0) + count)
             injected.clear()
 

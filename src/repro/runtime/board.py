@@ -32,18 +32,21 @@ directly:
   kernel error, a corrupt envelope — each names its shard), so charges
   exceed the retry budget honestly or not at all.
 
-A board has one driver at a time: the local supervisor's thread, or
-the coordinator's loop thread from the moment the runner thread hands
-it over until the loop hands it back drained.  So the leaf lock every
-public method takes is never contended.  It stays only because RPR011
-matches attributes per class, not per instance, and cannot see the
-queue handoff: without the lock it reports the supervisor's thread and
-the coordinator's loop thread racing on every board attribute.
+A board has one driver at a time, so it takes no lock: the local
+supervisor's thread, or the coordinator's loop thread from the moment
+the runner thread hands it over until the loop hands it back drained
+(``tests/dist/test_confinement.py`` pins the handoff).
+
+A scheduler's loop turn reads the clock once and passes that reading to
+:meth:`LeaseBoard.expire`, :meth:`LeaseBoard.lease` and
+:meth:`LeaseBoard.wakeup_at`.  Separate readings would lose every
+deadline or backoff end that falls between them: ``expire`` would run
+before it and ``wakeup_at`` would skip it as past, and the scheduler
+would then wait on worker I/O that may never come.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -166,7 +169,6 @@ class LeaseBoard:
         self.shards = shards
         self.policy = policy
         self.clock = clock
-        self._lock = threading.Lock()
         #: index -> verified payload (checkpoint loads pre-fill this).
         self.resolved: dict[int, object] = dict(resolved or {})
         #: index -> the envelope that resolved it (absent for shards
@@ -192,39 +194,40 @@ class LeaseBoard:
 
     # -- grants --------------------------------------------------------------
 
-    def lease(self, worker_id: str) -> LeaseRecord | None:
-        """Grant the next grantable shard, or ``None`` if nothing is.
+    def lease(self, worker_id: str,
+              now: float | None = None) -> LeaseRecord | None:
+        """Grant the next shard grantable at ``now``, or ``None``.
 
         Grant order is queue order (sorted at init, requeues appended),
         skipping shards that resolved meanwhile, are mid-backoff, or
-        already have an active lease.
+        already have an active lease.  ``now`` defaults to the clock.
         """
-        with self._lock:
+        if now is None:
             now = self.clock()
-            picked: int | None = None
-            keep: deque[int] = deque()
-            while self.ready:
-                index = self.ready.popleft()
-                if index in self.resolved or index in self.abandoned:
-                    continue  # resolved by a late envelope while queued
-                if (picked is None and index not in self._active_by_shard
-                        and self.next_ready_at.get(index, 0.0) <= now):
-                    picked = index
-                    continue
-                keep.append(index)
-            self.ready = keep
-            if picked is None:
-                return None
-            self._next_lease_id += 1
-            record = LeaseRecord(
-                lease_id=self._next_lease_id, worker_id=worker_id,
-                stage=self.stage, shard_index=picked,
-                attempt=self.attempts[picked],
-                deadline=now + self.policy.shard_deadline_s)
-            self.active[record.lease_id] = record
-            self._active_by_shard[picked] = record.lease_id
-            self.leases_granted += 1
-            return record
+        picked: int | None = None
+        keep: deque[int] = deque()
+        while self.ready:
+            index = self.ready.popleft()
+            if index in self.resolved or index in self.abandoned:
+                continue  # resolved by a late envelope while queued
+            if (picked is None and index not in self._active_by_shard
+                    and self.next_ready_at.get(index, 0.0) <= now):
+                picked = index
+                continue
+            keep.append(index)
+        self.ready = keep
+        if picked is None:
+            return None
+        self._next_lease_id += 1
+        record = LeaseRecord(
+            lease_id=self._next_lease_id, worker_id=worker_id,
+            stage=self.stage, shard_index=picked,
+            attempt=self.attempts[picked],
+            deadline=now + self.policy.shard_deadline_s)
+        self.active[record.lease_id] = record
+        self._active_by_shard[picked] = record.lease_id
+        self.leases_granted += 1
+        return record
 
     def _release(self, lease_id: int) -> LeaseRecord | None:
         record = self.active.pop(lease_id, None)
@@ -234,20 +237,20 @@ class LeaseBoard:
             del self._active_by_shard[record.shard_index]
         return record
 
-    def wakeup_at(self) -> float | None:
-        """The next future instant a deadline or backoff window ends.
+    def wakeup_at(self, now: float) -> float | None:
+        """The first instant after ``now`` a deadline or backoff ends.
 
         A scheduler that waits for worker I/O must wake by then: an
         active lease may expire, or a backed-off shard become grantable.
-        ``None`` when nothing time-driven is pending.
+        ``now`` must be the reading the same loop turn passed to
+        :meth:`expire` and :meth:`lease`, which handled every earlier
+        instant.  ``None`` when nothing time-driven is pending.
         """
-        with self._lock:
-            now = self.clock()
-            instants = [record.deadline
-                        for record in self.active.values()]
-            instants.extend(self.next_ready_at.get(index, 0.0)
-                            for index in self.ready)
-            return min((at for at in instants if at > now), default=None)
+        instants = [record.deadline
+                    for record in self.active.values()]
+        instants.extend(self.next_ready_at.get(index, 0.0)
+                        for index in self.ready)
+        return min((at for at in instants if at > now), default=None)
 
     # -- results -------------------------------------------------------------
 
@@ -261,85 +264,82 @@ class LeaseBoard:
         good as the freshest one, and accepting it is what makes the
         merge idempotent under every interleaving.
         """
-        with self._lock:
-            record = self._release(lease_id)
-            if not isinstance(envelope, workers.ShardResult):
-                if record is not None \
-                        and record.shard_index not in self.resolved:
-                    self._charge(record.shard_index, record.attempt,
-                                 CAUSE_CORRUPT,
-                                 "RESULT carried no envelope")
-                return SUBMIT_CORRUPT
-            index = envelope.shard_index
-            if record is not None and record.shard_index != index \
+        record = self._release(lease_id)
+        if not isinstance(envelope, workers.ShardResult):
+            if record is not None \
                     and record.shard_index not in self.resolved:
-                # A confused worker answered lease N with another shard's
-                # envelope: the envelope speaks for its own shard (below),
-                # but the leased shard must not starve — requeue it.
-                self.ready.append(record.shard_index)
-            if index in self.resolved or index in self.abandoned:
-                self.duplicates += 1
-                return SUBMIT_DUPLICATE
-            try:
-                payload = envelope.open_payload()
-            except EnvelopeCorruptError as error:
-                self._charge(index, envelope.attempt, CAUSE_CORRUPT,
-                             str(error))
-                return SUBMIT_CORRUPT
-            self.resolved[index] = payload
-            self.envelopes[index] = envelope
-            if record is None or record.shard_index != index:
-                self.late += 1
-                return SUBMIT_LATE
-            return SUBMIT_RESOLVED
+                self._charge(record.shard_index, record.attempt,
+                             CAUSE_CORRUPT,
+                             "RESULT carried no envelope")
+            return SUBMIT_CORRUPT
+        index = envelope.shard_index
+        if record is not None and record.shard_index != index \
+                and record.shard_index not in self.resolved:
+            # A confused worker answered lease N with another shard's
+            # envelope: the envelope speaks for its own shard (below),
+            # but the leased shard must not starve — requeue it.
+            self.ready.append(record.shard_index)
+        if index in self.resolved or index in self.abandoned:
+            self.duplicates += 1
+            return SUBMIT_DUPLICATE
+        try:
+            payload = envelope.open_payload()
+        except EnvelopeCorruptError as error:
+            self._charge(index, envelope.attempt, CAUSE_CORRUPT,
+                         str(error))
+            return SUBMIT_CORRUPT
+        self.resolved[index] = payload
+        self.envelopes[index] = envelope
+        if record is None or record.shard_index != index:
+            self.late += 1
+            return SUBMIT_LATE
+        return SUBMIT_RESOLVED
 
     def fail_lease(self, lease_id: int, detail: str,
                    lost: bool = False) -> bool:
         """Charge a crash against one lease: a kernel error, or (``lost``)
         the death of the worker that held it, which reassigns the shard."""
-        with self._lock:
-            record = self._release(lease_id)
-            if record is None or record.shard_index in self.resolved:
-                return False  # stale report; the shard's fate is settled
-            if lost:
-                self.reassignments += 1
-            self._charge(record.shard_index, record.attempt, CAUSE_CRASH,
-                         detail)
-            return True
+        record = self._release(lease_id)
+        if record is None or record.shard_index in self.resolved:
+            return False  # stale report; the shard's fate is settled
+        if lost:
+            self.reassignments += 1
+        self._charge(record.shard_index, record.attempt, CAUSE_CRASH,
+                     detail)
+        return True
 
     # -- recovery ------------------------------------------------------------
 
     def expire(self, now: float | None = None) -> list[LeaseRecord]:
-        """Charge and requeue every lease past its deadline."""
-        with self._lock:
-            if now is None:
-                now = self.clock()
-            expired = [record for record in self.active.values()
-                       if now >= record.deadline]
-            for record in expired:
-                self._release(record.lease_id)
-                if record.shard_index in self.resolved:
-                    continue  # a late envelope already settled it
-                self.reassignments += 1
-                self._charge(record.shard_index, record.attempt,
-                             CAUSE_HANG, "no result within %.1fs lease"
-                             % self.policy.shard_deadline_s)
-            return expired
+        """Charge and requeue every lease whose deadline is at or before
+        ``now`` (default: the clock)."""
+        if now is None:
+            now = self.clock()
+        expired = [record for record in self.active.values()
+                   if now >= record.deadline]
+        for record in expired:
+            self._release(record.lease_id)
+            if record.shard_index in self.resolved:
+                continue  # a late envelope already settled it
+            self.reassignments += 1
+            self._charge(record.shard_index, record.attempt,
+                         CAUSE_HANG, "no result within %.1fs lease"
+                         % self.policy.shard_deadline_s)
+        return expired
 
     def disconnect(self, worker_id: str) -> list[LeaseRecord]:
         """Charge and requeue every in-flight lease of a lost worker."""
-        with self._lock:
-            lost = [record for record in self.active.values()
-                    if record.worker_id == worker_id]
-            for record in lost:
-                self._release(record.lease_id)
-                if record.shard_index in self.resolved:
-                    continue
-                self.reassignments += 1
-                self._charge(record.shard_index, record.attempt,
-                             CAUSE_DISCONNECT,
-                             "worker %s disconnected mid-lease" % worker_id)
-            return lost
+        lost = [record for record in self.active.values()
+                if record.worker_id == worker_id]
+        for record in lost:
+            self._release(record.lease_id)
+            if record.shard_index in self.resolved:
+                continue
+            self.reassignments += 1
+            self._charge(record.shard_index, record.attempt,
+                         CAUSE_DISCONNECT,
+                         "worker %s disconnected mid-lease" % worker_id)
+        return lost
 
     def _charge(self, index: int, attempt: int, cause: str,
                 detail: str) -> None:
@@ -365,30 +365,28 @@ class LeaseBoard:
     @property
     def done(self) -> bool:
         """Every shard resolved or abandoned (stale leases may linger)."""
-        with self._lock:
-            return (len(self.resolved) + len(self.abandoned)
-                    == len(self.shards))
+        return (len(self.resolved) + len(self.abandoned)
+                == len(self.shards))
 
     def finish(self, probe_of: Callable[[object], int],
                checkpoints_loaded: int = 0,
                checkpoints_stored: int = 0) -> StageOutcome:
         """The stage's payloads and supervision account, post-``done``."""
-        with self._lock:
-            abandoned = tuple(sorted(self.abandoned))
-            quarantined = tuple(probe_of(item) for index in abandoned
-                                for item in self.shards[index])
-            total = sum(len(shard) for shard in self.shards)
-            row = StageResilience(
-                stage=self.stage, shards=len(self.shards),
-                total_items=total,
-                analyzed_items=total - len(quarantined),
-                quarantined_items=len(quarantined),
-                retries=self.retries, reassignments=self.reassignments,
-                abandoned=abandoned, quarantined_probes=quarantined,
-                failures=tuple(self.failures),
-                checkpoints_loaded=checkpoints_loaded,
-                checkpoints_stored=checkpoints_stored)
-            return StageOutcome(
-                payloads=[self.resolved.get(index)
-                          for index in range(len(self.shards))],
-                resilience=row)
+        abandoned = tuple(sorted(self.abandoned))
+        quarantined = tuple(probe_of(item) for index in abandoned
+                            for item in self.shards[index])
+        total = sum(len(shard) for shard in self.shards)
+        row = StageResilience(
+            stage=self.stage, shards=len(self.shards),
+            total_items=total,
+            analyzed_items=total - len(quarantined),
+            quarantined_items=len(quarantined),
+            retries=self.retries, reassignments=self.reassignments,
+            abandoned=abandoned, quarantined_probes=quarantined,
+            failures=tuple(self.failures),
+            checkpoints_loaded=checkpoints_loaded,
+            checkpoints_stored=checkpoints_stored)
+        return StageOutcome(
+            payloads=[self.resolved.get(index)
+                      for index in range(len(self.shards))],
+            resilience=row)

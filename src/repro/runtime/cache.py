@@ -115,10 +115,7 @@ class ArtifactCache:
     def _heal(self, path: Path, stage: str, key: str) -> tuple[bool, object]:
         """Delete a broken entry and serve a miss."""
         path.unlink(missing_ok=True)
-        # Each handle has one thread at a time (the coordinator's passes
-        # from the runner thread to the loop thread with each stage); the
-        # analyzer cannot tell handles or the handoff apart.
-        self.stats.healed += 1  # repro: noqa[RPR011] -- per-handle accounting; every handle is used by one thread at a time
+        self.stats.healed += 1
         self.stats.misses += 1
         self.stats.miss_stages.append(stage or key)
         return False, None

@@ -380,10 +380,19 @@ class ShardSupervisor:
             for slot in range(self.jobs):
                 self._workers.append(self._spawn(slot))
         while not board.done:
+            # One clock reading per turn (see the board's module doc).
+            now = board.clock()
+            for record in board.expire(now):
+                for worker in self._workers:
+                    if worker.lease is not None \
+                            and worker.lease.lease_id == record.lease_id:
+                        worker.lease = None
+                        self._replace(worker)
+                        break
             for worker in self._workers:
                 if not worker.ready or worker.lease is not None:
                     continue
-                record = board.lease("local-%d" % worker.slot)
+                record = board.lease("local-%d" % worker.slot, now)
                 if record is None:
                     break
                 worker.lease = record
@@ -393,7 +402,7 @@ class ShardSupervisor:
                                       record.shard_index, record.attempt))
                 except OSError:
                     pass  # the worker is dead; its sentinel says so below
-            at = board.wakeup_at()
+            at = board.wakeup_at(now)
             timeout = None if at is None else max(0.0, at - board.clock())
             watched: list = [worker.conn for worker in self._workers]
             watched += [worker.process.sentinel for worker in self._workers]
@@ -406,13 +415,6 @@ class ShardSupervisor:
                     stored += count
                 if not alive or worker.process.sentinel in ready:
                     self._lost(worker, board)
-            for record in board.expire():
-                for worker in self._workers:
-                    if worker.lease is not None \
-                            and worker.lease.lease_id == record.lease_id:
-                        worker.lease = None
-                        self._replace(worker)
-                        break
         return stored
 
     @staticmethod

@@ -24,11 +24,11 @@ def rules_of(diagnostics) -> set[str]:
     return {d.rule for d in diagnostics}
 
 
-def test_registry_has_all_twelve_rules():
+def test_registry_has_all_eleven_rules():
     assert [c.rule for c in all_checkers()] == [
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
         "RPR006", "RPR007", "RPR008", "RPR009", "RPR010",
-        "RPR011", "RPR012"]
+        "RPR012"]
 
 
 # ---------------------------------------------------------------- RPR001

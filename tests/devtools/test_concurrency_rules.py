@@ -1,9 +1,9 @@
-"""Trigger / clean / noqa tests for the concurrency rules RPR011–012.
+"""Trigger / clean / noqa tests for the resource-lifecycle rule RPR012.
 
-RPR011 (thread-role races) and RPR012 (resource lifecycles) run over the
-same per-function facts the other interprocedural rules use, so each
-fixture is a miniature package tree: the interesting part is which call
-chains the analysis walks, not the syntax at any one line.
+RPR012 runs over the same per-function facts the other interprocedural
+rules use, so each fixture is a miniature package tree: the interesting
+part is which call chains the analysis walks, not the syntax at any one
+line.
 """
 
 from __future__ import annotations
@@ -18,168 +18,6 @@ def rules_of(result) -> set[str]:
 
 def messages(result) -> str:
     return "\n".join(d.message for d in result.diagnostics)
-
-
-# ---------------------------------------------------------------- RPR011
-
-RACY_SERVER = """\
-import threading
-
-class Server:
-    def __init__(self):
-        self.hits = 0
-
-    def start(self):
-        threading.Thread(target=self._work).start()
-        self.hits = self.hits + 1
-
-    def _work(self):
-        self.hits = self.hits + 1
-"""
-
-
-def test_rpr011_flags_unguarded_cross_role_attribute(make_tree):
-    tree = make_tree({"pkg/server.py": RACY_SERVER})
-    result = run_lint([tree], rules=["RPR011"])
-    assert rules_of(result) == {"RPR011"}
-    assert "Server.hits" in messages(result)
-    assert "no common lock guard" in messages(result)
-
-
-def test_rpr011_witness_names_both_roles(make_tree):
-    tree = make_tree({"pkg/server.py": RACY_SERVER})
-    [finding] = run_lint([tree], rules=["RPR011"]).diagnostics
-    # One side of the witness is the main role, the other the spawned
-    # thread's entry point.
-    assert "main" in finding.message
-    assert "Server._work" in finding.message
-
-
-def test_rpr011_witness_renders_interprocedural_chain(make_tree):
-    tree = make_tree({"pkg/server.py": """\
-import threading
-
-class Server:
-    def __init__(self):
-        self.hits = 0
-
-    def start(self):
-        threading.Thread(target=self._work).start()
-        self.hits = self.hits + 1
-
-    def _work(self):
-        self._step()
-
-    def _step(self):
-        self._bump()
-
-    def _bump(self):
-        self.hits = self.hits + 1
-"""})
-    [finding] = run_lint([tree], rules=["RPR011"]).diagnostics
-    # The thread side reaches the write through two calls; the witness
-    # chain must spell the path out, not just the endpoint.
-    assert "Server._step -> " in finding.message
-    assert "Server._bump" in finding.message
-
-
-def test_rpr011_clean_when_lock_dominates_both_sides(make_tree):
-    tree = make_tree({"pkg/server.py": """\
-import threading
-
-class Server:
-    def __init__(self):
-        self.hits = 0
-        self._lock = threading.Lock()
-
-    def start(self):
-        threading.Thread(target=self._work).start()
-        with self._lock:
-            self.hits = self.hits + 1
-
-    def _work(self):
-        with self._lock:
-            self.hits = self.hits + 1
-"""})
-    assert run_lint([tree], rules=["RPR011"]).diagnostics == []
-
-
-def test_rpr011_clean_when_writes_are_constructor_confined(make_tree):
-    # Writes that happen only in ``__init__`` land before the object can
-    # be shared, so cross-role *reads* of the attribute are fine.
-    tree = make_tree({"pkg/server.py": """\
-import threading
-
-class Server:
-    def __init__(self, limit):
-        self.limit = limit
-
-    def start(self):
-        threading.Thread(target=self._work).start()
-        return self.limit
-
-    def _work(self):
-        return self.limit
-"""})
-    assert run_lint([tree], rules=["RPR011"]).diagnostics == []
-
-
-def test_rpr011_clean_on_intrinsically_safe_type(make_tree):
-    tree = make_tree({"pkg/server.py": """\
-import queue
-import threading
-
-class Server:
-    def __init__(self):
-        self.jobs = queue.Queue()
-
-    def start(self):
-        threading.Thread(target=self._work).start()
-        self.jobs.put(1)
-
-    def _work(self):
-        return self.jobs.get()
-"""})
-    assert run_lint([tree], rules=["RPR011"]).diagnostics == []
-
-
-def test_rpr011_flags_unguarded_module_global(make_tree):
-    tree = make_tree({"pkg/state.py": """\
-import threading
-
-_cache = {}
-
-def lookup(key):
-    found = _cache.get(key)
-    if found is None:
-        found = _cache[key] = object()
-    return found
-
-def serve():
-    threading.Thread(target=_drain).start()
-    return lookup("x")
-
-def _drain():
-    _cache.clear()
-    lookup("y")
-"""})
-    result = run_lint([tree], rules=["RPR011"])
-    assert rules_of(result) == {"RPR011"}
-    assert "pkg.state._cache" in messages(result)
-
-
-def test_rpr011_noqa_with_justification_suppresses(make_tree):
-    source = RACY_SERVER.replace(
-        "    def _work(self):\n        self.hits = self.hits + 1",
-        "    def _work(self):\n"
-        "        self.hits = self.hits + 1"
-        "  # repro: noqa[RPR011] -- test-only counter")
-    assert "noqa[RPR011]" in source
-    tree = make_tree({"pkg/server.py": source})
-    result = run_lint([tree], rules=["RPR011"])
-    # The noqa sits on the finding's anchor line, so it must suppress.
-    anchored = [d for d in result.diagnostics if "noqa" not in d.message]
-    assert anchored == [] and result.diagnostics == []
 
 
 # ---------------------------------------------------------------- RPR012
@@ -306,10 +144,27 @@ def ping(addr):
 
 # ------------------------------------------------------- cache round-trip
 
+LEAKY_AND_CLOSED_CONNS = """\
+import socket
+
+class Closed:
+    def __init__(self, addr):
+        self._sock = socket.create_connection(addr)
+
+    def close(self):
+        self._sock.close()
+
+class Leaky:
+    def __init__(self, addr):
+        self._sock = socket.create_connection(addr)
+"""
+
+
 def test_concurrency_rules_fire_from_cached_summaries(make_tree, tmp_path):
-    """Warm runs rebuild both rules' findings from serialized facts."""
+    """Warm runs rebuild the findings from serialized facts, the
+    class-level close facts included."""
     tree = make_tree({
-        "pkg/server.py": RACY_SERVER,
+        "pkg/server.py": LEAKY_AND_CLOSED_CONNS,
         "pkg/net.py": """\
 import socket
 
@@ -326,7 +181,11 @@ def ping(addr):
     assert warm.files_skipped == cold.files_analyzed
     assert [d.to_dict() for d in warm.diagnostics] \
         == [d.to_dict() for d in cold.diagnostics]
-    assert {"RPR011", "RPR012"} <= rules_of(warm)
+    assert rules_of(warm) == {"RPR012"}
+    # ``Closed`` is cleared by its ``close`` method; ``Leaky`` is not.
+    assert [d.message.split(" stored on ")[1].split(" ")[0]
+            for d in warm.diagnostics if " stored on " in d.message] \
+        == ["Leaky._sock"]
 
 
 # ----------------------------------------------------------------- sarif
@@ -336,17 +195,17 @@ def test_sarif_carries_metadata_for_concurrency_rules():
 
     rules = to_sarif([])["runs"][0]["tool"]["driver"]["rules"]
     by_id = {rule["id"]: rule for rule in rules}
-    for rule_id in ("RPR011", "RPR012"):
+    for rule_id in ("RPR012",):
         assert by_id[rule_id]["shortDescription"]["text"]
 
 
 # ---------------------------------------------------------------- explain
 
 def test_explain_prints_rule_documentation(capsys):
-    assert main(["--explain", "RPR011"]) == 0
+    assert main(["--explain", "RPR012"]) == 0
     out = capsys.readouterr().out
-    assert out.startswith("RPR011")
-    assert "thread" in out.lower()
+    assert out.startswith("RPR012")
+    assert "finally" in out.lower()
     assert main(["--explain", "rpr012"]) == 0
     assert "RPR012" in capsys.readouterr().out
 

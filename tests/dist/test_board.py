@@ -70,6 +70,31 @@ def drain_leases(board, worker_id="w0"):
     return records
 
 
+def test_one_reading_per_turn_keeps_instants_that_pass_mid_turn():
+    """A scheduler turn reads the clock at 9.99, expires nothing, grants
+    nothing, and asks for its next wakeup at 10.01.  The deadline (10.0)
+    and the backoff end (10.0) that passed in between are still
+    reported, because the turn hands its one reading to every call."""
+    clock = FakeClock()
+    board = make_board(2, deadline=10.0, backoff=1.0, clock=clock)
+    hung = board.lease("w0")
+    crashed = board.lease("w1")
+    clock.now = 9.0
+    board.fail_lease(crashed.lease_id, "kernel error")
+    clock.now = 9.99
+    now = clock()
+    assert board.expire(now) == []
+    assert board.lease("w1", now) is None  # backed off until 10.0
+    clock.now = 10.01
+    assert board.wakeup_at(now) == 10.0
+    now = clock()
+    assert [record.lease_id for record in board.expire(now)] \
+        == [hung.lease_id]
+    assert board.lease("w1", now).shard_index == crashed.shard_index
+    assert board.lease("w0", now) is None  # the hung shard backs off
+    assert board.wakeup_at(now) == now + 1.0
+
+
 def test_happy_path_resolves_in_shard_order():
     board = make_board(4)
     records = drain_leases(board)

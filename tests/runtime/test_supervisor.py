@@ -12,6 +12,8 @@ completed shard checkpoint and matches the uninterrupted digest.
 from __future__ import annotations
 
 import pickle
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,54 @@ def test_recovered_hangs_keep_digest_identical(world, serial_digest, rate):
     report = reconcile(plan, runner.report.resilience)
     assert report.reconciled
     assert report.total(report.abandoned) == 0
+
+
+def test_a_deadline_passing_mid_turn_still_wakes_the_supervisor(
+        world, monkeypatch):
+    """Shard 3 hangs on its first attempt while the other worker finishes
+    every other shard and goes idle.  In the turn that folds the last
+    result, ``wakeup_at`` is slowed until the hung lease's deadline has
+    passed.  The supervisor must still wake for that deadline: asking
+    the clock again there would skip it as past, and the stage would
+    block for good on two silent pipes."""
+    plan = ProcessFaultPlan(seed=11, worker_hang=0.25)
+    assert plan.placements("filter", 4) == {3: FaultKind.WORKER_HANG}
+    wakeup_at = LeaseBoard.wakeup_at
+    paused = []
+
+    def slow_wakeup_at(board, *args):
+        if not paused and board.active \
+                and len(board.resolved) == len(board.shards) - 1:
+            paused.append(True)
+            deadline = max(lease.deadline for lease in board.active.values())
+            time.sleep(max(0.0, deadline - time.monotonic()) + 0.1)
+        return wakeup_at(board, *args)
+
+    monkeypatch.setattr(LeaseBoard, "wakeup_at", slow_wakeup_at)
+    runner = runner_for_world(world, RuntimeConfig(
+        fault_plan=plan, jobs=2, shards=4, max_retries=2,
+        backoff_base_s=0.0, shard_deadline_s=1.0))
+    supervisor = runner._ensure_supervisor()
+    shards = runner._shards_of(runner._connlog.probe_ids())
+    outcomes = []
+    stage = threading.Thread(
+        target=lambda: outcomes.append(
+            supervisor.run_stage("filter", "filter", shards)),
+        daemon=True)
+    stage.start()
+    stage.join(timeout=30.0)
+    try:
+        assert not stage.is_alive(), "the stage blocked past its deadline"
+    finally:
+        if not stage.is_alive():
+            supervisor.shutdown()
+    assert paused == [True]
+    [outcome] = outcomes
+    row = outcome.resilience
+    assert [(failure.shard_index, failure.cause)
+            for failure in row.failures] == [(3, "hang")]
+    assert not row.abandoned
+    assert row.analyzed_items == row.total_items
 
 
 def test_slow_workers_are_not_failures(world, serial_digest):
