@@ -315,8 +315,9 @@ def stage_gaps_col(col: ColumnarConnlog, kroot: KRootDataset,
                    filtered_reboots: Mapping[int, list]
                    ) -> ColumnarGapEventMap:
     """Stage ``gaps``: associate connection gaps with observed outages."""
-    # analyzable_as() is sorted already; the explicit barrier lets
-    # RPR009 prove the output's key order without trusting that.
+    # analyzable_as() is sorted already; the explicit barrier keeps the
+    # output's key order from depending on that (checked across hash
+    # seeds by tests/runtime/test_hash_seed.py).
     items = [(probe_id, filtered_reboots.get(probe_id, []))
              for probe_id in ordered(filter_report.analyzable_as())
              if kroot.has_probe(probe_id)]
@@ -332,7 +333,8 @@ def stage_stats(gap_events_by_probe: ColumnarGapEventMap
     come out in sorted-key order rather than stored order: the input is
     sorted however it was produced (serial kernel or shard concat), but
     this stage's output feeds the digest, so its order must not
-    *depend* on that (RPR009).
+    *depend* on that (pinned across hash seeds by
+    ``tests/runtime/test_hash_seed.py``).
     """
     columns = gap_events_by_probe.columns
     probes = len(gap_events_by_probe)
@@ -357,7 +359,8 @@ def stage_v3(asn_by_probe: Mapping[int, int],
 
     Returned sorted: the ids land in ``AnalysisResults`` and flow into
     the results digest, so their order is part of the reproducibility
-    contract (RPR009).
+    contract (pinned across hash seeds by
+    ``tests/runtime/test_hash_seed.py``).
     """
     return tuple(sorted(
         pid for pid in asn_by_probe

@@ -16,26 +16,20 @@ the invariants this reproduction depends on:
   defaults use ``field(default_factory=...)`` (RPR005);
 * **stage purity** — every function in the runtime stage graph infers PURE
   on the effect lattice (RPR006);
-* **cache-key soundness** — the stage graph's transitive import closure is
-  covered by the ``CODE_VERSION_PACKAGES`` hash set (RPR007);
 * **worker state** — worker tasks and process targets are picklable and
   worker modules mutate only initializer-owned globals (RPR008);
-* **order stability** — order-unstable values (sets, directory listings)
-  pass a sort barrier before reaching digests, serialization or cached
-  artifacts (RPR009);
 * **wire contracts** — serialized boundary types match the checked-in
   ``wire-contracts.json``, with a version bump on change (RPR010);
 * **resource lifecycles** — sockets, channels, files, executors and
   temporary directories are closed on every path (RPR012).
 
-RPR001–005 are per-file AST checks.  RPR006–010 and RPR012 are
-*interprocedural*:
+RPR001–005 are per-file AST checks.  RPR006, RPR008, RPR010 and RPR012
+are *interprocedural*:
 :mod:`repro.devtools.callgraph` summarizes every file into a project-wide
 call graph and import-reachability map, :mod:`repro.devtools.effects`
 infers each function's position on the effect lattice
 ``PURE < READS_ENV < MUTATES_GLOBAL < IO < NONDETERMINISTIC`` by fixpoint
-over that graph, :mod:`repro.devtools.ordering` runs the order-taint
-dataflow the same way, and :mod:`repro.devtools.concurrency` the
+over that graph, and :mod:`repro.devtools.concurrency` runs the
 must-close walk.
 
 Run it as ``repro-lint src/repro`` (or ``python -m repro.devtools``); findings

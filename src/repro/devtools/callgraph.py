@@ -1,13 +1,13 @@
 """Project-wide call graph and import-reachability map.
 
 The per-file checkers (RPR001–005) see one file at a time; the
-interprocedural rules (RPR006–010) need to know what a function *reaches*
-across the whole of ``src/repro``.  This module provides the shared
-infrastructure: :func:`summarize_source` compresses one parsed file into
-a :class:`FileSummary` — functions with their call sites, module-level
-writes, imports, stage-graph declarations, ``CODE_VERSION_PACKAGES``
-declarations and process-pool usage — and :class:`Project` stitches the
-summaries of every linted file into a queryable graph.
+interprocedural rules (RPR006, RPR008, RPR010, RPR012) need to know what
+a function *reaches* across the whole of ``src/repro``.  This module
+provides the shared infrastructure: :func:`summarize_source` compresses
+one parsed file into a :class:`FileSummary` — functions with their call
+sites, module-level writes, imports, stage-graph declarations and
+process-pool usage — and :class:`Project` stitches the summaries of
+every linted file into a queryable graph.
 
 Summaries are deliberately plain data (``to_dict``/``from_dict`` round-
 trip through JSON) so the incremental lint cache can persist them: a warm
@@ -82,10 +82,6 @@ class FunctionSummary:
     #: Names of functions defined *inside* this one (their bodies are
     #: folded into this summary, so calls to them are internal).
     local_defs: frozenset[str]
-
-    @property
-    def is_public(self) -> bool:
-        return not self.name.split(".")[-1].startswith("_")
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -163,13 +159,7 @@ class FileSummary:
     class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
     module_names: frozenset[str] = frozenset()
     stage_decls: tuple[StageDecl, ...] = ()
-    #: ``(package entries, line)`` of a ``CODE_VERSION_PACKAGES`` binding.
-    code_version_decl: tuple[tuple[str, ...], int] | None = None
     pool_sites: tuple[PoolSite, ...] = ()
-    #: Non-trivial order-dataflow summaries (RPR009), keyed like
-    #: ``functions``; values are :class:`~repro.devtools.ordering.\
-    #: FunctionOrderSummary`.
-    order: dict = field(default_factory=dict)
     #: Wire-contract declarations (RPR010);
     #: :class:`~repro.devtools.wire.WireDecl` tuples.
     wire_decls: tuple = ()
@@ -191,13 +181,7 @@ class FileSummary:
                             for name, bases in self.class_bases.items()},
             "module_names": sorted(self.module_names),
             "stage_decls": [decl.to_dict() for decl in self.stage_decls],
-            "code_version_decl": (
-                None if self.code_version_decl is None
-                else [list(self.code_version_decl[0]),
-                      self.code_version_decl[1]]),
             "pool_sites": [site.to_dict() for site in self.pool_sites],
-            "order": {name: summary.to_dict()
-                      for name, summary in self.order.items()},
             "wire_decls": [decl.to_dict() for decl in self.wire_decls],
             "concurrency": {name: summary.to_dict()
                             for name, summary in self.concurrency.items()},
@@ -206,10 +190,8 @@ class FileSummary:
     @classmethod
     def from_dict(cls, payload: dict) -> "FileSummary":
         from repro.devtools.concurrency import FunctionConcurrencySummary
-        from repro.devtools.ordering import FunctionOrderSummary
         from repro.devtools.wire import WireDecl
 
-        decl = payload.get("code_version_decl")
         return cls(
             module=str(payload["module"]),
             path=str(payload["path"]),
@@ -224,12 +206,8 @@ class FileSummary:
             module_names=frozenset(payload.get("module_names", ())),
             stage_decls=tuple(StageDecl.from_dict(entry)
                               for entry in payload.get("stage_decls", ())),
-            code_version_decl=(None if decl is None
-                               else (tuple(decl[0]), int(decl[1]))),
             pool_sites=tuple(PoolSite.from_dict(site)
                              for site in payload.get("pool_sites", ())),
-            order={name: FunctionOrderSummary.from_dict(entry)
-                   for name, entry in payload.get("order", {}).items()},
             wire_decls=tuple(WireDecl.from_dict(entry)
                              for entry in payload.get("wire_decls", ())),
             concurrency={
@@ -515,10 +493,9 @@ class _FunctionAnalyzer:
 def summarize_source(tree: ast.Module, module: str, path: str,
                      is_package: bool = False) -> FileSummary:
     """Compress one parsed file into a :class:`FileSummary`."""
-    # Function-level imports: ordering/wire/concurrency import helpers
-    # from this module, so a top-level import would be a cycle.
+    # Function-level imports: wire/concurrency import helpers from this
+    # module, so a top-level import would be a cycle.
     from repro.devtools.concurrency import concurrency_summary
-    from repro.devtools.ordering import order_summary
     from repro.devtools.wire import extract_wire_decls
 
     env, targets = _import_env(tree, module, is_package)
@@ -541,7 +518,6 @@ def summarize_source(tree: ast.Module, module: str, path: str,
     classes: dict[str, tuple[str, ...]] = {}
     class_bases: dict[str, tuple[str, ...]] = {}
     pool_sites: list[PoolSite] = []
-    order: dict = {}
     concurrency: dict = {}
 
     def analyze(node, qualname: str, class_name: str | None) -> None:
@@ -549,9 +525,6 @@ def summarize_source(tree: ast.Module, module: str, path: str,
                                      module, frozen_names)
         functions[qualname] = analyzer.run()
         pool_sites.extend(analyzer.pool_sites)
-        flow = order_summary(node, qualname, env)
-        if flow is not None:
-            order[qualname] = flow
         facts = concurrency_summary(node, qualname, class_name, env)
         if facts is not None:
             concurrency[qualname] = facts
@@ -576,15 +549,13 @@ def summarize_source(tree: ast.Module, module: str, path: str,
             class_bases[node.name] = tuple(bases)
 
     stage_decls = _find_stage_decls(tree, env, module)
-    code_version_decl = _find_code_version_decl(tree)
 
     return FileSummary(
         module=module, path=path, imports=tuple(targets),
         functions=functions, classes=classes, class_bases=class_bases,
         module_names=frozen_names,
         stage_decls=tuple(stage_decls),
-        code_version_decl=code_version_decl,
-        pool_sites=tuple(pool_sites), order=order,
+        pool_sites=tuple(pool_sites),
         wire_decls=tuple(extract_wire_decls(tree, module)),
         concurrency=concurrency)
 
@@ -615,28 +586,6 @@ def _find_stage_decls(tree: ast.Module, env: dict[str, str],
         if name is not None and func is not None:
             decls.append(StageDecl(name, func, node.lineno))
     return decls
-
-
-def _find_code_version_decl(
-        tree: ast.Module) -> tuple[tuple[str, ...], int] | None:
-    """A module-level ``CODE_VERSION_PACKAGES = ("...", ...)`` binding."""
-    for node in tree.body:
-        targets = []
-        value = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        for target in targets:
-            if (isinstance(target, ast.Name)
-                    and target.id == "CODE_VERSION_PACKAGES"
-                    and isinstance(value, (ast.Tuple, ast.List))):
-                entries = tuple(
-                    element.value for element in value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str))
-                return entries, node.lineno
-    return None
 
 
 # -- the project graph --------------------------------------------------------
@@ -715,10 +664,6 @@ class Project:
             if name in summary.functions:
                 found.append("%s.%s" % (module, name))
         return found
-
-    def methods_named(self, method: str) -> list[str]:
-        """Class-hierarchy candidates for one method name, project-wide."""
-        return self._methods.get(method, [])
 
     def methods_named_from(self, method: str, module: str) -> list[str]:
         """CHA candidates visible from ``module``'s import closure.
@@ -813,29 +758,23 @@ class Project:
 
     def reachable_modules(self, roots: list[str],
                           exclude: frozenset[str] = frozenset(),
-                          ) -> dict[str, str | None]:
-        """BFS import closure; maps each reached module to its parent.
+                          ) -> frozenset[str]:
+        """Import closure of ``roots``.
 
         ``exclude`` names modules that are neither visited nor traversed
-        (the root-package facade, conventionally).  Roots map to ``None``.
+        (the root-package facade, conventionally).
         """
-        parents: dict[str, str | None] = {}
-        queue: list[str] = []
-        for root in roots:
-            if root in self.summaries and root not in exclude \
-                    and root not in parents:
-                parents[root] = None
-                queue.append(root)
+        queue = [root for root in roots
+                 if root in self.summaries and root not in exclude]
+        reached = set(queue)
         while queue:
-            module = queue.pop(0)
+            module = queue.pop()
             neighbors = self.import_edges(module)
             neighbors.update(self.ancestor_modules(module))
-            for neighbor in sorted(neighbors):
-                if neighbor in exclude or neighbor in parents:
-                    continue
-                parents[neighbor] = module
+            for neighbor in neighbors - exclude - reached:
+                reached.add(neighbor)
                 queue.append(neighbor)
-        return parents
+        return frozenset(reached)
 
     def root_packages(self) -> frozenset[str]:
         """Top-level packages with children: the facade modules.
@@ -855,22 +794,7 @@ class Project:
         """Memoized import closure of ``module`` for method dispatch."""
         cached = self._closures.get(module)
         if cached is None:
-            parents = self.reachable_modules(
+            cached = self.reachable_modules(
                 [module], exclude=self.root_packages() - {module})
-            cached = frozenset(parents)
             self._closures[module] = cached
         return cached
-
-    def import_chain(self, parents: dict[str, str | None],
-                     module: str) -> list[str]:
-        """Root-to-module path through a :meth:`reachable_modules` tree."""
-        chain = [module]
-        seen = {module}
-        while True:
-            parent = parents.get(chain[-1])
-            if parent is None or parent in seen:
-                break
-            chain.append(parent)
-            seen.add(parent)
-        chain.reverse()
-        return chain

@@ -44,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Static analysis for the repro codebase "
                     "(determinism, time units, layering, errors, dataclasses, "
-                    "stage purity, cache soundness, worker state, order "
-                    "taint, wire contracts, thread-role races, resource "
+                    "stage purity, worker state, wire contracts, resource "
                     "lifecycles).",
     )
     parser.add_argument(

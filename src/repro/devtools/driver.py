@@ -5,9 +5,9 @@ files, parsing them, deriving dotted module names, attaching parent links to
 AST nodes (several checkers need to know the context a node appears in),
 honouring ``# repro: noqa[RULE]`` suppression comments, stitching per-file
 summaries into the :class:`~repro.devtools.callgraph.Project` graph the
-interprocedural rules (RPR006–012) run over, and reusing cached per-file
-results for files whose content fingerprint has not changed
-(:mod:`repro.devtools.incremental`).
+interprocedural rules (RPR006, RPR008, RPR010, RPR012) run over, and
+reusing cached per-file results for files whose content fingerprint has
+not changed (:mod:`repro.devtools.incremental`).
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def run_lint(paths: Sequence[str | Path],
             record = _analyze_file(path, source, source_hash)
             analyzed += 1
             if cache is not None:
-                cache.store(key, record)  # repro: noqa[RPR009] -- records hold noqa/module-name sets, but every to_dict sorts them before the cache is serialized
+                cache.store(key, record)
         records.append(record)
     if cache is not None:
         cache.save()

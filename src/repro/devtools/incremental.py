@@ -6,9 +6,9 @@ interprocedural pass consumes — depends only on one file's bytes.  So
 each analyzed file is cached under its content fingerprint
 (:func:`repro.util.fingerprint.hash_text`), and a warm run re-analyzes
 only files whose fingerprint moved, rebuilding the project graph from
-cached summaries for the rest.  The whole-project pass (RPR006–012) is
-cheap relative to parsing and always re-runs, so interprocedural
-findings stay correct even when *other* files changed.
+cached summaries for the rest.  The whole-project pass (RPR006, RPR008,
+RPR010, RPR012) is cheap relative to parsing and always re-runs, so
+interprocedural findings stay correct even when *other* files changed.
 
 Two guards keep reuse sound:
 

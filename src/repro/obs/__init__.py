@@ -21,9 +21,9 @@ Everything here is deliberately impure (clocks, process state), and
 repro-lint's RPR006 enforces the boundary — a stage function that grows
 a call into this package stops inferring PURE and is reported with the
 witness chain ending at the clock read.  For the same reason ``obs`` is
-deliberately absent from ``CODE_VERSION_PACKAGES``: its code cannot
-influence analysis results, so editing it must not invalidate cached
-artifacts.
+one of the cache's ``RESULT_INERT_PACKAGES``, left out of the code-version
+hash: its code cannot influence analysis results, so editing it must not
+invalidate cached artifacts.
 """
 
 from repro.obs.metrics import (

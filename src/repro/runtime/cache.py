@@ -7,12 +7,14 @@ derived from everything the output is a function of::
 
 *Bundle fingerprint* is the content hash :mod:`repro.sim.io` computes
 over the dataset files at load time; *code version* hashes the source of
-every package that can influence stage results, so editing an analysis
-function invalidates the cache without any manual version bump; the
-*parameters* token covers scalar knobs such as ``min_connected``.  Keys
-say nothing about ``jobs`` or shard counts — the executor guarantees
-those do not change outputs, so a cache written by a parallel run warms
-a serial one and vice versa.
+the whole ``repro`` package except the packages that cannot influence a
+result (:data:`RESULT_INERT_PACKAGES`), so editing an analysis function,
+the simulator that builds an in-memory world or the executor invalidates
+the cache without any manual version bump and without a hand-kept list
+of what stages reach; the *parameters* token covers scalar knobs such as
+``min_connected``.  Keys say nothing about ``jobs`` or shard counts —
+the executor guarantees those do not change outputs, so a cache written
+by a parallel run warms a serial one and vice versa.
 
 The store is a flat directory of ``<key-prefix>/<key>.pkl`` files with
 atomic writes (temp file + rename), corrupt-entry self-healing (an entry
@@ -36,42 +38,36 @@ from pathlib import Path
 import repro
 from repro.util import fingerprint as fp
 
-#: Packages whose source feeds the code-version hash: everything at or
-#: below ``core`` in the layer DAG that analysis results flow through,
-#: plus this package (executor/merge logic) and ``dist`` (the socket
-#: execution tier decides which result envelope resolves each shard, and
-#: its checkpoints must not survive a protocol change).
-CODE_VERSION_PACKAGES = ("errors.py", "util", "net", "atlas", "core",
-                         "runtime", "dist")
+#: Top-level packages whose source does *not* feed the code-version
+#: hash.  ``obs`` only records spans and metrics (RPR006 fails any stage
+#: that reaches it) and nothing imports ``devtools``; every other module
+#: is hashed, so a new package is covered the day it is added.
+RESULT_INERT_PACKAGES = ("obs", "devtools")
 
 #: Default store budget; a paper-scale bundle's artifacts are ~tens of MB.
 DEFAULT_MAX_BYTES = 2 * 1024 ** 3
 
 #: Cached artifacts outlive the process that wrote them, and the key
-#: semantics are defined by which packages feed the code-version hash —
-#: so that set is a wire contract (RPR010): growing or shrinking it
-#: changes what invalidates the cache and must be a reviewed, versioned
-#: event in ``wire-contracts.json``.
-__wire_contract__ = {"cache-entry": ("CODE_VERSION_PACKAGES",)}
+#: semantics are defined by which packages stay out of the code-version
+#: hash — so that set is a wire contract (RPR010): changing it changes
+#: what invalidates the cache and must be a reviewed, versioned event in
+#: ``wire-contracts.json``.
+__wire_contract__ = {"cache-entry": ("RESULT_INERT_PACKAGES",)}
 
 
 @lru_cache(maxsize=1)
 def code_version() -> str:
-    """Fingerprint of the analysis-relevant source tree.
+    """Fingerprint of the program's source tree.
 
-    Hashed once per process: the set of ``.py`` files (sorted by
-    package-relative path) and their contents under
-    :data:`CODE_VERSION_PACKAGES`.
+    Hashed once per process: every ``.py`` file under ``repro`` (sorted
+    by path) and its contents, except those under
+    :data:`RESULT_INERT_PACKAGES`.
     """
     root = Path(repro.__file__).parent
-    paths: list[Path] = []
-    for name in CODE_VERSION_PACKAGES:
-        target = root / name
-        if target.is_file():
-            paths.append(target)
-        else:
-            paths.extend(sorted(target.rglob("*.py")))
-    return fp.hash_files(paths)
+    depth = len(root.parts)
+    return fp.hash_files(
+        path for path in sorted(root.rglob("*.py"))
+        if path.parts[depth] not in RESULT_INERT_PACKAGES)
 
 
 @dataclass

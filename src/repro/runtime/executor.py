@@ -539,7 +539,10 @@ def world_fingerprint(config) -> str:
     The world is a pure function of its :class:`ScenarioConfig` (the
     simulator is seeded), so the config's canonical repr — dataclasses
     all the way down — identifies the datasets exactly; simulator code
-    changes are covered by the cache's code-version component.
+    changes are covered by the cache's code-version component, which
+    hashes every module outside ``RESULT_INERT_PACKAGES``
+    (``tests/runtime/test_code_version_sync.py`` pins a warm cache
+    missing after a simulator edit).
     """
     return fp.combine("world", repr(config))
 

@@ -3,9 +3,10 @@
 Reproducibility demands that anything feeding a digest, a cached
 artifact, or a wire payload iterates in a stable order.  These helpers
 are the sanctioned way to restore that order after an inherently
-unordered step (a ``set``, a shard fan-in, a directory listing) — and
-the static analyzer treats them as sanitizing barriers, so values passed
-through here are trusted downstream by RPR009 (DESIGN.md §12).
+unordered step (a ``set``, a shard fan-in, a directory listing).  Order
+stability is measured, not inferred: ``tests/runtime/test_hash_seed.py``
+runs the pipeline under three ``PYTHONHASHSEED`` values and compares the
+digest and every stage artifact byte for byte (DESIGN.md §12).
 """
 
 from __future__ import annotations

@@ -53,9 +53,7 @@ def test_import_cycle_reachability_terminates(make_project):
         "pkg/c.py": "import pkg.a\n",
     })
     closure = project.reachable_modules(["pkg.a"])
-    assert {"pkg.a", "pkg.b", "pkg.c"} <= set(closure)
-    chain = project.import_chain(closure, "pkg.c")
-    assert chain == ["pkg.a", "pkg.b", "pkg.c"]
+    assert {"pkg.a", "pkg.b", "pkg.c"} <= closure
 
 
 def test_root_facade_excluded_from_closure(make_project):
@@ -68,7 +66,7 @@ def test_root_facade_excluded_from_closure(make_project):
     closure = project.reachable_modules(
         ["pkg.light"], exclude=project.root_packages())
     # without the exclusion, pkg.light -> pkg (ancestor) -> pkg.heavy
-    assert set(closure) == {"pkg.light"}
+    assert closure == {"pkg.light"}
 
 
 def test_stage_decls_found_by_keyword_and_position(make_project):
@@ -91,17 +89,6 @@ def test_stage_decls_found_by_keyword_and_position(make_project):
     decls = project.summaries["pkg.stages"].stage_decls
     assert [(d.stage, d.func) for d in decls] == [
         ("one", "pkg.work.run_one"), ("two", "pkg.work.run_two")]
-
-
-def test_code_version_decl_captures_entries_and_line(make_project):
-    project = make_project({
-        "pkg/cache.py": (
-            "CODE_VERSION_PACKAGES = ('errors.py', 'util',\n"
-            "                         'core')\n"
-        ),
-    })
-    decl = project.summaries["pkg.cache"].code_version_decl
-    assert decl == (("errors.py", "util", "core"), 1)
 
 
 def test_pool_sites_initializer_and_unpicklable_tasks(make_project):

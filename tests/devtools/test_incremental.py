@@ -100,10 +100,6 @@ def test_interprocedural_rules_fire_from_cached_summaries(make_tree,
             "def run_one(data):\n"
             "    return data, time.time()\n"
         ),
-        "pkg/cache.py": (
-            "CODE_VERSION_PACKAGES = ('graph.py', 'stages.py', 'work.py', "
-            "'cache.py')\n"
-        ),
     })
     cache = tmp_path / "cache.json"
     cold = run_lint([tree], rules=["RPR006"], cache_path=cache)
@@ -113,30 +109,39 @@ def test_interprocedural_rules_fire_from_cached_summaries(make_tree,
     assert warm.diagnostics == cold.diagnostics
 
 
-def test_order_taint_fires_from_cached_summaries_and_tracks_edits(
+def test_stage_purity_fires_from_cached_summaries_and_tracks_edits(
         make_tree, tmp_path):
     tree = make_tree({
-        "pkg/digest.py": "def results_digest(results):\n    return 0\n",
-        "pkg/run.py": (
-            "from pkg import digest\n\n"
-            "def run(entries):\n"
-            "    tags = set(entries)\n"
-            "    return digest.results_digest(tags)\n"),
+        "pkg/graph.py": "class StageSpec:\n    pass\n",
+        "pkg/stages.py": (
+            "from pkg.graph import StageSpec\n"
+            "import pkg.work\n"
+            "STAGES = (StageSpec(name='one', inputs=(), outputs=('a',), "
+            "fan_out=None, func=pkg.work.run_one),)\n"
+        ),
+        "pkg/work.py": (
+            "from pkg import stamp\n\n"
+            "def run_one(data):\n"
+            "    return stamp.tag(data)\n"
+        ),
+        "pkg/stamp.py": (
+            "import time\n\n"
+            "def tag(data):\n"
+            "    return data, time.time()\n"
+        ),
     })
     cache = tmp_path / "cache.json"
-    cold = run_lint([tree], rules=["RPR009"], cache_path=cache)
-    assert [d.rule for d in cold.diagnostics] == ["RPR009"]
-    # the project pass re-runs over cached FunctionOrderSummary objects
-    warm = run_lint([tree], rules=["RPR009"], cache_path=cache)
+    cold = run_lint([tree], rules=["RPR006"], cache_path=cache)
+    assert [d.rule for d in cold.diagnostics] == ["RPR006"]
+    # the project pass re-runs over the cached summaries of both modules
+    warm = run_lint([tree], rules=["RPR006"], cache_path=cache)
     assert warm.files_analyzed == 0
     assert warm.diagnostics == cold.diagnostics
-    # inserting a sort barrier re-analyzes only that file and clears it
-    (tree / "pkg" / "run.py").write_text(
-        "from pkg import digest\n\n"
-        "def run(entries):\n"
-        "    tags = sorted(set(entries))\n"
-        "    return digest.results_digest(tags)\n", encoding="utf-8")
-    fixed = run_lint([tree], rules=["RPR009"], cache_path=cache)
+    # dropping the clock read re-analyzes only that file and clears it
+    (tree / "pkg" / "stamp.py").write_text(
+        "def tag(data):\n"
+        "    return data, 0\n", encoding="utf-8")
+    fixed = run_lint([tree], rules=["RPR006"], cache_path=cache)
     assert fixed.files_analyzed == 1
     assert fixed.diagnostics == []
 

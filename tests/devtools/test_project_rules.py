@@ -1,4 +1,4 @@
-"""Trigger / clean / noqa tests for the interprocedural rules RPR006–008."""
+"""Trigger / clean / noqa tests for the interprocedural RPR006 and RPR008."""
 
 from __future__ import annotations
 
@@ -23,10 +23,6 @@ def stage_tree(stage_body: str, extra: dict[str, str] | None = None,
             ")\n" % noqa
         ),
         "pkg/work.py": stage_body,
-        "pkg/cache.py": (
-            "CODE_VERSION_PACKAGES = ('graph.py', 'stages.py', 'work.py', "
-            "'cache.py')\n"
-        ),
     }
     files.update(extra or {})
     return files
@@ -72,76 +68,6 @@ def test_rpr006_noqa_with_justification_suppresses(make_tree):
         noqa="  # repro: noqa[RPR006] -- timing stage, not cached",
     ))
     assert run_lint([tree], rules=["RPR006"]).diagnostics == []
-
-
-# ---------------------------------------------------------------- RPR007
-
-def test_rpr007_flags_reachable_unhashed_module(make_tree):
-    tree = make_tree(stage_tree(
-        "from pkg import stray\n\n"
-        "def run_one(data):\n"
-        "    return stray.tweak(data)\n",
-        extra={"pkg/stray.py": "def tweak(data):\n    return data\n"},
-    ))
-    result = run_lint([tree], rules=["RPR007"])
-    assert rules_of(result) == {"RPR007"}
-    message = result.diagnostics[0].message
-    assert "pkg.stray" in message and "pkg.stages -> pkg.work" not in message
-    assert "CODE_VERSION_PACKAGES" in message
-
-
-def test_rpr007_reports_the_import_chain(make_tree):
-    tree = make_tree(stage_tree(
-        "from pkg import middle\n\n"
-        "def run_one(data):\n"
-        "    return middle.go(data)\n",
-        extra={
-            "pkg/middle.py": (
-                "from pkg import deep\n\n"
-                "def go(data):\n    return deep.go(data)\n"
-            ),
-            "pkg/deep.py": "def go(data):\n    return data\n",
-        },
-    ))
-    result = run_lint([tree], rules=["RPR007"])
-    deep = [d for d in result.diagnostics if "pkg.deep " in d.message]
-    assert len(deep) == 1
-    assert "pkg.middle -> pkg.deep" in deep[0].message
-
-
-def test_rpr007_clean_when_closure_is_covered(make_tree):
-    tree = make_tree(stage_tree(
-        "from pkg import stray\n\n"
-        "def run_one(data):\n"
-        "    return stray.tweak(data)\n",
-        extra={"pkg/stray.py": "def tweak(data):\n    return data\n"},
-    ))
-    cache = tree / "pkg" / "cache.py"
-    cache.write_text(cache.read_text(encoding="utf-8").replace(
-        "'cache.py')", "'cache.py', 'stray.py')"), encoding="utf-8")
-    assert run_lint([tree], rules=["RPR007"]).diagnostics == []
-
-
-def test_rpr007_flags_missing_code_version_declaration(make_tree):
-    files = stage_tree("def run_one(data):\n    return data\n")
-    del files["pkg/cache.py"]
-    tree = make_tree(files)
-    result = run_lint([tree], rules=["RPR007"])
-    assert rules_of(result) == {"RPR007"}
-    assert "no CODE_VERSION_PACKAGES" in result.diagnostics[0].message
-
-
-def test_rpr007_noqa_on_declaration_line_suppresses(make_tree):
-    files = stage_tree(
-        "from pkg import stray\n\n"
-        "def run_one(data):\n"
-        "    return stray.tweak(data)\n",
-        extra={"pkg/stray.py": "def tweak(data):\n    return data\n"},
-    )
-    files["pkg/cache.py"] = files["pkg/cache.py"].rstrip("\n") + \
-        "  # repro: noqa[RPR007] -- stray is config-only\n"
-    tree = make_tree(files)
-    assert run_lint([tree], rules=["RPR007"]).diagnostics == []
 
 
 # ---------------------------------------------------------------- RPR008
@@ -326,5 +252,5 @@ def test_real_tree_is_clean_under_project_rules():
     from pathlib import Path
 
     result = run_lint([Path(repro.__file__).resolve().parent],
-                      rules=["RPR006", "RPR007", "RPR008"])
+                      rules=["RPR006", "RPR008"])
     assert result.diagnostics == [], [d.format() for d in result.diagnostics]

@@ -1,105 +1,108 @@
-"""CODE_VERSION_PACKAGES must stay in sync with stage reachability.
+"""``code_version`` must cover every module that can change a result.
 
-The artifact cache key hashes the packages in ``CODE_VERSION_PACKAGES``;
-a module that a stage function can transitively import but that is not
-hashed could change behaviour without invalidating cached artifacts
-(DESIGN.md §10).  Two layers of defence:
-
-* RPR007 runs the full interprocedural closure check inside the lint
-  pass (and in CI) — asserted clean here so a desync fails the runtime
-  suite too, not just ``pytest -m lint``;
-* a direct structural check that every registered stage function's own
-  module is covered, which pins the invariant without going through the
-  analyzer at all.
+The artifact cache key hashes the program's source (DESIGN.md §9.3).  A
+module left out of that hash could change behaviour without invalidating
+cached artifacts, and a cache written by the old code would then serve
+the old answer.  So the hash takes every module under ``repro`` except
+the result-inert packages, and these tests pin both halves: what must be
+hashed, what must not, and a warm cache that really misses after a
+simulator edit.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.devtools.driver import run_lint
-from repro.runtime.cache import CODE_VERSION_PACKAGES
+from repro.runtime import cache
 from repro.runtime.stages import STAGES
 
 SRC_REPRO = Path(repro.__file__).resolve().parent
 
 
-def _covered_prefixes() -> list[str]:
-    return [
-        "repro.%s" % (entry[:-3] if entry.endswith(".py") else entry)
-        for entry in CODE_VERSION_PACKAGES
-    ]
+@pytest.fixture
+def hashed(monkeypatch) -> set[Path]:
+    """The files one fresh ``code_version()`` call reads."""
+    captured: list[Path] = []
+
+    def record(paths):
+        captured.extend(Path(path).resolve() for path in paths)
+        return "0" * 64
+
+    monkeypatch.setattr(cache.fp, "hash_files", record)
+    cache.code_version.__wrapped__()
+    return set(captured)
 
 
-def test_stage_function_modules_are_hashed():
-    prefixes = _covered_prefixes()
+def _modules(package: str) -> set[Path]:
+    return {path.resolve() for path in (SRC_REPRO / package).rglob("*.py")}
+
+
+def test_stage_function_modules_are_hashed(hashed):
     for spec in STAGES:
-        module = spec.func.__module__
-        assert any(module == p or module.startswith(p + ".")
-                   for p in prefixes), (
-            "stage %r function lives in %s, which CODE_VERSION_PACKAGES "
-            "does not hash" % (spec.name, module))
+        path = Path(sys.modules[spec.func.__module__].__file__).resolve()
+        assert path in hashed, (
+            "stage %r function lives in %s, which code_version() does not "
+            "hash" % (spec.name, spec.func.__module__))
 
 
-def test_stage_import_closure_is_covered():
-    result = run_lint([SRC_REPRO], rules=["RPR007"])
-    assert result.diagnostics == [], (
-        "code_version hash set out of sync with stage reachability:\n%s"
-        % "\n".join(d.format() for d in result.diagnostics))
+@pytest.mark.parametrize("package",
+                         ["sim", "isp", "ppp", "dhcp", "experiments"])
+def test_simulator_and_experiment_modules_are_hashed(hashed, package):
+    modules = _modules(package)
+    assert modules
+    assert modules - hashed == set()
 
 
-def test_rpr007_fires_when_reachable_module_is_unhashed(tmp_path):
-    """Acceptance proof: a stage reaching an unhashed module is caught.
-
-    Copies the real tree, makes ``repro.core.pipeline`` import
-    ``repro.sim`` (a legal *downward* DAG edge that RPR003 permits, but
-    one that CODE_VERSION_PACKAGES does not hash) and asserts RPR007
-    reports the gap with an import chain.
-    """
-    import shutil
-
-    tree = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, tree, ignore=shutil.ignore_patterns(
-        "__pycache__", "*.pyc"))
-    pipeline = tree / "core" / "pipeline.py"
-    pipeline.write_text(
-        pipeline.read_text(encoding="utf-8").replace(
-            "from __future__ import annotations",
-            "from __future__ import annotations\n"
-            "from repro.sim import outages as _outages",
-            1),
-        encoding="utf-8")
-
-    result = run_lint([tree], rules=["RPR007"])
-    messages = [d.message for d in result.diagnostics]
-    assert any("repro.sim" in m and "CODE_VERSION_PACKAGES" in m
-               for m in messages), messages
+@pytest.mark.parametrize("package", ["obs", "devtools"])
+def test_result_inert_packages_are_not_hashed(hashed, package):
+    modules = _modules(package)
+    assert modules
+    assert modules & hashed == set()
 
 
-def test_rpr007_clean_after_adding_package_to_hash_set(tmp_path):
-    """The fix RPR007 suggests (hash the package) actually silences it."""
-    import shutil
+def test_every_other_module_is_hashed(hashed):
+    program = {path.resolve() for path in SRC_REPRO.rglob("*.py")}
+    inert = set().union(*(_modules(package)
+                          for package in cache.RESULT_INERT_PACKAGES))
+    assert hashed == program - inert
 
-    tree = tmp_path / "repro"
-    shutil.copytree(SRC_REPRO, tree, ignore=shutil.ignore_patterns(
-        "__pycache__", "*.pyc"))
-    pipeline = tree / "core" / "pipeline.py"
-    pipeline.write_text(
-        pipeline.read_text(encoding="utf-8").replace(
-            "from __future__ import annotations",
-            "from __future__ import annotations\n"
-            "from repro.sim import outages as _outages",
-            1),
-        encoding="utf-8")
-    # sim itself plus the layers it sits on that the base set omits
-    cache_module = tree / "runtime" / "cache.py"
-    cache_module.write_text(
-        cache_module.read_text(encoding="utf-8").replace(
-            '"core",', '"core", "dhcp", "ppp", "isp", "sim",', 1),
-        encoding="utf-8")
 
-    result = run_lint([tree], rules=["RPR007"])
-    assert result.diagnostics == [], [d.format() for d in result.diagnostics]
+def _run(src: Path, *flags: str) -> tuple[str, str]:
+    """``(digest, cache line)`` of one ``repro-run`` over a copied tree."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "repro.runtime.cli", "--scale", "0.05",
+         *flags],
+        env=env, capture_output=True, text=True, check=True).stdout
+    fields = {line.split()[0]: line.split(None, 1)[1]
+              for line in out.splitlines() if line.strip()}
+    return fields["digest"], fields.get("cache", "")
+
+
+def test_warm_world_cache_misses_after_a_simulator_edit(tmp_path):
+    """An in-memory world's fingerprint is its config, so only the code
+    version can tell a warm cache that the simulator changed."""
+    src = tmp_path / "src"
+    shutil.copytree(SRC_REPRO, src / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    store = str(tmp_path / "cache")
+    before, _ = _run(src, "--cache-dir", store)
+
+    timeline = src / "repro" / "sim" / "timeline.py"
+    text = timeline.read_text(encoding="utf-8")
+    edited = text.replace("CHANGE_DELAY = (15 * MINUTE, 25 * MINUTE)",
+                          "CHANGE_DELAY = (16 * MINUTE, 26 * MINUTE)")
+    assert edited != text
+    timeline.write_text(edited, encoding="utf-8")
+
+    warm, line = _run(src, "--cache-dir", store)
+    fresh, _ = _run(src, "--no-cache")
+    assert line.startswith("0 hit"), line
+    assert warm == fresh != before
