@@ -19,18 +19,14 @@ the invariants this reproduction depends on:
 * **worker state** — worker tasks and process targets are picklable and
   worker modules mutate only initializer-owned globals (RPR008);
 * **wire contracts** — serialized boundary types match the checked-in
-  ``wire-contracts.json``, with a version bump on change (RPR010);
-* **resource lifecycles** — sockets, channels, files, executors and
-  temporary directories are closed on every path (RPR012).
+  ``wire-contracts.json``, with a version bump on change (RPR010).
 
-RPR001–005 are per-file AST checks.  RPR006, RPR008, RPR010 and RPR012
-are *interprocedural*:
-:mod:`repro.devtools.callgraph` summarizes every file into a project-wide
-call graph and import-reachability map, :mod:`repro.devtools.effects`
-infers each function's position on the effect lattice
-``PURE < READS_ENV < MUTATES_GLOBAL < IO < NONDETERMINISTIC`` by fixpoint
-over that graph, and :mod:`repro.devtools.concurrency` runs the
-must-close walk.
+RPR001–005 are per-file AST checks.  RPR006, RPR008 and RPR010 are
+*interprocedural*: :mod:`repro.devtools.callgraph` summarizes every file
+into a project-wide call graph and import-reachability map, and
+:mod:`repro.devtools.effects` infers each function's position on the
+effect lattice ``PURE < READS_ENV < MUTATES_GLOBAL < IO <
+NONDETERMINISTIC`` by fixpoint over that graph.
 
 Run it as ``repro-lint src/repro`` (or ``python -m repro.devtools``); findings
 on a line can be suppressed with a ``# repro: noqa[RPR001]`` comment.  The

@@ -1,7 +1,7 @@
 """Project-wide call graph and import-reachability map.
 
 The per-file checkers (RPR001–005) see one file at a time; the
-interprocedural rules (RPR006, RPR008, RPR010, RPR012) need to know what
+interprocedural rules (RPR006, RPR008, RPR010) need to know what
 a function *reaches* across the whole of ``src/repro``.  This module
 provides the shared infrastructure: :func:`summarize_source` compresses
 one parsed file into a :class:`FileSummary` — functions with their call
@@ -157,16 +157,11 @@ class FileSummary:
     #: Class name -> env-resolved dotted base refs (the effect analysis
     #: walks these so method resolution honours inheritance).
     class_bases: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    module_names: frozenset[str] = frozenset()
     stage_decls: tuple[StageDecl, ...] = ()
     pool_sites: tuple[PoolSite, ...] = ()
     #: Wire-contract declarations (RPR010);
     #: :class:`~repro.devtools.wire.WireDecl` tuples.
     wire_decls: tuple = ()
-    #: Non-trivial resource-lifecycle summaries (RPR012),
-    #: keyed like ``functions``; values are :class:`~repro.devtools.\
-    #: concurrency.FunctionConcurrencySummary`.
-    concurrency: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -179,17 +174,13 @@ class FileSummary:
                         for name, methods in self.classes.items()},
             "class_bases": {name: list(bases)
                             for name, bases in self.class_bases.items()},
-            "module_names": sorted(self.module_names),
             "stage_decls": [decl.to_dict() for decl in self.stage_decls],
             "pool_sites": [site.to_dict() for site in self.pool_sites],
             "wire_decls": [decl.to_dict() for decl in self.wire_decls],
-            "concurrency": {name: summary.to_dict()
-                            for name, summary in self.concurrency.items()},
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FileSummary":
-        from repro.devtools.concurrency import FunctionConcurrencySummary
         from repro.devtools.wire import WireDecl
 
         return cls(
@@ -203,16 +194,12 @@ class FileSummary:
             class_bases={
                 name: tuple(bases)
                 for name, bases in payload.get("class_bases", {}).items()},
-            module_names=frozenset(payload.get("module_names", ())),
             stage_decls=tuple(StageDecl.from_dict(entry)
                               for entry in payload.get("stage_decls", ())),
             pool_sites=tuple(PoolSite.from_dict(site)
                              for site in payload.get("pool_sites", ())),
             wire_decls=tuple(WireDecl.from_dict(entry)
                              for entry in payload.get("wire_decls", ())),
-            concurrency={
-                name: FunctionConcurrencySummary.from_dict(entry)
-                for name, entry in payload.get("concurrency", {}).items()},
         )
 
 
@@ -493,9 +480,8 @@ class _FunctionAnalyzer:
 def summarize_source(tree: ast.Module, module: str, path: str,
                      is_package: bool = False) -> FileSummary:
     """Compress one parsed file into a :class:`FileSummary`."""
-    # Function-level imports: wire/concurrency import helpers from this
-    # module, so a top-level import would be a cycle.
-    from repro.devtools.concurrency import concurrency_summary
+    # Function-level import: wire imports helpers from this module, so a
+    # top-level import would be a cycle.
     from repro.devtools.wire import extract_wire_decls
 
     env, targets = _import_env(tree, module, is_package)
@@ -518,16 +504,12 @@ def summarize_source(tree: ast.Module, module: str, path: str,
     classes: dict[str, tuple[str, ...]] = {}
     class_bases: dict[str, tuple[str, ...]] = {}
     pool_sites: list[PoolSite] = []
-    concurrency: dict = {}
 
     def analyze(node, qualname: str, class_name: str | None) -> None:
         analyzer = _FunctionAnalyzer(node, qualname, class_name, env,
                                      module, frozen_names)
         functions[qualname] = analyzer.run()
         pool_sites.extend(analyzer.pool_sites)
-        facts = concurrency_summary(node, qualname, class_name, env)
-        if facts is not None:
-            concurrency[qualname] = facts
 
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -553,11 +535,9 @@ def summarize_source(tree: ast.Module, module: str, path: str,
     return FileSummary(
         module=module, path=path, imports=tuple(targets),
         functions=functions, classes=classes, class_bases=class_bases,
-        module_names=frozen_names,
         stage_decls=tuple(stage_decls),
         pool_sites=tuple(pool_sites),
-        wire_decls=tuple(extract_wire_decls(tree, module)),
-        concurrency=concurrency)
+        wire_decls=tuple(extract_wire_decls(tree, module)))
 
 
 def _find_stage_decls(tree: ast.Module, env: dict[str, str],

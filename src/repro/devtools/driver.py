@@ -5,7 +5,7 @@ files, parsing them, deriving dotted module names, attaching parent links to
 AST nodes (several checkers need to know the context a node appears in),
 honouring ``# repro: noqa[RULE]`` suppression comments, stitching per-file
 summaries into the :class:`~repro.devtools.callgraph.Project` graph the
-interprocedural rules (RPR006, RPR008, RPR010, RPR012) run over, and
+interprocedural rules (RPR006, RPR008, RPR010) run over, and
 reusing cached per-file results for files whose content fingerprint has
 not changed (:mod:`repro.devtools.incremental`).
 """

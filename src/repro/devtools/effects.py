@@ -121,17 +121,6 @@ IMPURE_PREFIXES: dict[str, Effect] = {
 #: separately polices the unseeded form).
 IMPURE_PREFIX_EXEMPT = frozenset({"random.Random"})
 
-#: The in-project observability layer (``repro.obs``).  Deliberately NOT
-#: catalogued or exempted: its functions are project code, and the
-#: fixpoint infers them impure from their intrinsic evidence
-#: (``time.perf_counter`` reads, ``os.getpid`` guards, trace-file I/O).
-#: That is the DESIGN.md §11 boundary working as designed — a cached
-#: stage kernel that grows a call into this layer stops inferring PURE
-#: and RPR006 reports it with a witness chain ending at the clock read,
-#: so instrumentation can only live in executor/driver code that is
-#: never addressed by a cache key.
-OBSERVABILITY_LAYER = "repro.obs"
-
 #: Stdlib module prefixes that are pure by contract (value computation
 #: only).  ``json.load``/``pickle.dump`` stream variants are caught by the
 #: suffix catalog before these prefixes apply.

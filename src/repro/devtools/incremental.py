@@ -7,7 +7,7 @@ each analyzed file is cached under its content fingerprint
 (:func:`repro.util.fingerprint.hash_text`), and a warm run re-analyzes
 only files whose fingerprint moved, rebuilding the project graph from
 cached summaries for the rest.  The whole-project pass (RPR006, RPR008,
-RPR010, RPR012) is cheap relative to parsing and always re-runs, so
+RPR010) is cheap relative to parsing and always re-runs, so
 interprocedural findings stay correct even when *other* files changed.
 
 Two guards keep reuse sound:

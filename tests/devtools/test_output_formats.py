@@ -1,4 +1,5 @@
-"""Output formats (JSON schema, SARIF) and the baseline workflow."""
+"""Output formats (JSON schema, SARIF, ``--explain``) and the baseline
+workflow."""
 
 from __future__ import annotations
 
@@ -57,13 +58,19 @@ def test_sarif_structure_and_coordinates(make_tree):
     run = log["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
     assert rule_ids == ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                       "RPR006", "RPR008", "RPR010", "RPR012"]
+                       "RPR006", "RPR008", "RPR010"]
     [finding] = run["results"]
     assert finding["ruleId"] == "RPR001"
     assert finding["level"] == "error"
     region = finding["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] == 4
     assert region["startColumn"] >= 1  # SARIF columns are 1-based
+
+
+def test_sarif_carries_metadata_for_every_rule():
+    rules = to_sarif([])["runs"][0]["tool"]["driver"]["rules"]
+    for rule in rules:
+        assert rule["shortDescription"]["text"]
 
 
 def test_cli_writes_sarif_to_output_file(make_tree, tmp_path, capsys):
@@ -128,3 +135,30 @@ def test_cli_missing_baseline_file_is_a_usage_error(make_tree, tmp_path,
     assert main(["--baseline", str(tmp_path / "absent.json"),
                  str(tree)]) == 2
     assert "cannot load baseline" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- explain
+
+def test_explain_prints_rule_documentation(capsys):
+    assert main(["--explain", "RPR004"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("RPR004")
+    assert "keyboardinterrupt" in out.lower()
+    assert main(["--explain", "rpr004"]) == 0
+    assert "RPR004" in capsys.readouterr().out
+
+
+def test_explain_covers_every_registered_rule(capsys):
+    from repro.devtools import all_checkers
+
+    for checker in all_checkers():
+        assert main(["--explain", checker.rule]) == 0
+        out = capsys.readouterr().out
+        # Every rule ships real documentation, not just its summary line.
+        assert out.startswith(checker.rule)
+        assert len(out.strip().splitlines()) > 1
+
+
+def test_explain_unknown_rule_exits_2(capsys):
+    assert main(["--explain", "RPR999"]) == 2
+    assert "unknown rule" in capsys.readouterr().err

@@ -1,13 +1,15 @@
-"""Every channel a dist worker dials is closed, on every way out of run().
+"""Every socket a dist worker dials is closed, on every way out.
 
 :meth:`DistWorker.run` dials a channel per connection and must close it
-whether the coordinator drains it, rejects it, or the connection dies
-mid-serve and the worker reconnects.  A leaked channel keeps a socket
-(and the coordinator's per-connection state) alive until garbage
-collection.  RPR012 follows resources returned by dotted and local
-calls, not by a method call such as ``self._dial()``, so these tests pin
-the property instead: a scripted coordinator drives each exit path and
-every ``transport.connect`` result is checked for a ``close()`` call.
+whether the coordinator drains it, rejects it, lets the handshake time
+out, or the connection dies mid-serve and the worker reconnects; and
+:func:`transport.connect` must close its raw socket when the channel
+around it cannot be built.  A leaked channel keeps a socket (and the
+coordinator's per-connection state) alive until garbage collection.
+The suite fails a test whose socket is finalized while still open
+(``filterwarnings`` in ``pyproject.toml``), but only on paths some test
+runs, so a scripted coordinator drives each exit path here and every
+``transport.connect`` result is checked for a ``close()`` call.
 """
 
 from __future__ import annotations
@@ -142,3 +144,44 @@ def test_reconnect_after_a_mid_serve_timeout_closes_both_channels(dialed):
     assert summary.reconnects == 1
     assert [record["id"] for record in dialed] == ["w0#0", "w0#1"]
     assert _unclosed(dialed) == []
+
+
+def test_handshake_timeout_redials_and_closes_both_channels(dialed):
+    coordinator = _ScriptedCoordinator([[SILENT], [ACCEPT, DONE]])
+    try:
+        summary = _worker(coordinator).run()
+    finally:
+        coordinator.close()
+    assert summary.reconnects == 1
+    assert [record["id"] for record in dialed] == ["w0#0", "w0#1"]
+    assert _unclosed(dialed) == []
+
+
+@pytest.mark.parametrize("channel_class, plan", [
+    ("Channel", None),
+    ("FaultyChannel", object()),
+], ids=["Channel", "FaultyChannel"])
+def test_connect_closes_its_socket_when_the_channel_cannot_be_built(
+        monkeypatch, channel_class, plan):
+    def unbuildable(*args, **kwargs):
+        raise RuntimeError("channel construction failed")
+
+    opened: list[socket.socket] = []
+    create_connection = socket.create_connection
+
+    def recording_create_connection(*args, **kwargs):
+        sock = create_connection(*args, **kwargs)
+        opened.append(sock)
+        return sock
+
+    monkeypatch.setattr(transport, channel_class, unbuildable)
+    monkeypatch.setattr(socket, "create_connection",
+                        recording_create_connection)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(RuntimeError, match="construction failed"):
+            transport.connect("127.0.0.1", listener.getsockname()[1], 0.5,
+                              plan=plan)
+    [sock] = opened
+    closed = sock.fileno() == -1
+    sock.close()  # so a failure here leaks nothing into a later test
+    assert closed
