@@ -14,19 +14,13 @@ the invariants this reproduction depends on:
   (RPR004);
 * **dataclass hygiene** — value-object dataclasses are frozen and mutable
   defaults use ``field(default_factory=...)`` (RPR005);
-* **stage purity** — every function in the runtime stage graph infers PURE
-  on the effect lattice (RPR006);
-* **worker state** — worker tasks and process targets are picklable and
-  worker modules mutate only initializer-owned globals (RPR008);
 * **wire contracts** — serialized boundary types match the checked-in
   ``wire-contracts.json``, with a version bump on change (RPR010).
 
-RPR001–005 are per-file AST checks.  RPR006, RPR008 and RPR010 are
-*interprocedural*: :mod:`repro.devtools.callgraph` summarizes every file
-into a project-wide call graph and import-reachability map, and
-:mod:`repro.devtools.effects` infers each function's position on the
-effect lattice ``PURE < READS_ENV < MUTATES_GLOBAL < IO <
-NONDETERMINISTIC`` by fixpoint over that graph.
+RPR001–005 are per-file AST checks.  RPR010 is a whole-project check
+over the wire-contract declarations of every linted file.  Stage purity
+and worker state are not lint rules: tests watch them as the code runs
+(``tests/runtime/guards.py``, DESIGN §10).
 
 Run it as ``repro-lint src/repro`` (or ``python -m repro.devtools``); findings
 on a line can be suppressed with a ``# repro: noqa[RPR001]`` comment.  The

@@ -31,9 +31,8 @@ from repro.devtools.wire import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from repro.devtools.callgraph import Project
     from repro.devtools.diagnostics import Diagnostic
-    from repro.devtools.effects import EffectAnalysis
+    from repro.devtools.incremental import FileRecord
 
 _REGENERATE = ("run `repro-lint --contracts wire-contracts.json "
                "--update-contracts` and commit the diff")
@@ -74,17 +73,15 @@ class WireContractChecker(ProjectChecker):
     summary = ("serialized boundary types must match the checked-in "
                "wire-contracts.json (with a version bump on change)")
 
-    def check_project(self, project: "Project", effects: "EffectAnalysis",
-                      ) -> Iterator["Diagnostic"]:
-        decls = []
-        for module in sorted(project.summaries):
-            summary = project.summaries[module]
-            for decl in summary.wire_decls:
-                decls.append((summary.path, decl))
+    def check_project(self, records: list["FileRecord"],
+                      contracts_path: str | None) -> Iterator["Diagnostic"]:
+        by_module = {record.module: record for record in records}
+        decls = [(by_module[module].path, decl)
+                 for module in sorted(by_module)
+                 for decl in by_module[module].wire_decls]
         if not decls:
             return
 
-        contracts_path = project.contracts_path
         if contracts_path is None:
             for path, decl in decls:
                 yield self.project_diagnostic(

@@ -12,7 +12,7 @@ Usage::
     repro-lint --contracts wire-contracts.json src/repro  # pin RPR010 file
     repro-lint --contracts wire-contracts.json --update-contracts src/repro
     repro-lint --list-rules                  # print the rule catalog
-    repro-lint --explain RPR006              # one rule's full documentation
+    repro-lint --explain RPR010              # one rule's full documentation
 
 Exits 0 when no (non-baselined) error-severity diagnostics were produced,
 1 otherwise, and 2 on usage errors (e.g. an unknown rule id).
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description="Static analysis for the repro codebase "
                     "(determinism, time units, layering, errors, dataclasses, "
-                    "stage purity, worker state, wire contracts).",
+                    "wire contracts).",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src/repro"],

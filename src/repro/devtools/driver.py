@@ -3,11 +3,10 @@
 The driver owns everything that is not rule-specific: discovering Python
 files, parsing them, deriving dotted module names, attaching parent links to
 AST nodes (several checkers need to know the context a node appears in),
-honouring ``# repro: noqa[RULE]`` suppression comments, stitching per-file
-summaries into the :class:`~repro.devtools.callgraph.Project` graph the
-interprocedural rules (RPR006, RPR008, RPR010) run over, and
-reusing cached per-file results for files whose content fingerprint has
-not changed (:mod:`repro.devtools.incremental`).
+honouring ``# repro: noqa[RULE]`` suppression comments, handing every
+file's record to the whole-project rule (RPR010), and reusing cached
+per-file results for files whose content fingerprint has not changed
+(:mod:`repro.devtools.incremental`).
 """
 
 from __future__ import annotations
@@ -162,9 +161,9 @@ class LintResult:
 
 
 def _analyze_file(path: Path, source: str, source_hash: str):
-    """Full per-file analysis: diagnostics (pre-noqa, all rules) + summary."""
-    from repro.devtools.callgraph import summarize_source
+    """Full per-file analysis: diagnostics (pre-noqa, all rules) + decls."""
     from repro.devtools.incremental import FileRecord
+    from repro.devtools.wire import extract_wire_decls
 
     display = str(path)
     module = module_name_for(path)
@@ -174,18 +173,18 @@ def _analyze_file(path: Path, source: str, source_hash: str):
                                is_package=is_package)
     except SyntaxError as exc:
         return FileRecord(
-            path=display, source_hash=source_hash,
+            path=display, source_hash=source_hash, module=module,
             diagnostics=[Diagnostic(
                 path=display, line=exc.lineno or 1, col=exc.offset or 0,
                 rule="RPR000", message="syntax error: %s" % (exc.msg,))])
     diagnostics: list[Diagnostic] = []
     for checker in select_checkers(None):
         diagnostics.extend(checker.check(context))
-    summary = summarize_source(context.tree, module, display,
-                               is_package=is_package)
-    return FileRecord(path=display, source_hash=source_hash,
+    return FileRecord(path=display, source_hash=source_hash, module=module,
                       diagnostics=sorted(diagnostics),
-                      noqa=dict(noqa_rules(context)), summary=summary)
+                      noqa=dict(noqa_rules(context)),
+                      wire_decls=tuple(extract_wire_decls(context.tree,
+                                                          module)))
 
 
 def _visible(diagnostic: Diagnostic, selected: frozenset[str] | None,
@@ -214,20 +213,18 @@ def run_lint(paths: Sequence[str | Path],
              rules: Iterable[str] | None = None,
              cache_path: str | Path | None = None,
              contracts_path: str | Path | None = None) -> LintResult:
-    """Lint ``paths``: per-file rules, then the interprocedural pass.
+    """Lint ``paths``: per-file rules, then the whole-project pass.
 
     With ``cache_path`` set, per-file results are reused for files whose
     content fingerprint is unchanged (see
     :mod:`repro.devtools.incremental`); the project-wide pass always
-    re-runs over the assembled summaries.  Cached entries hold pre-noqa,
+    re-runs over every file's record.  Cached entries hold pre-noqa,
     all-rule diagnostics, so ``rules`` narrows the *report*, never the
     cache.  ``contracts_path`` pins the ``wire-contracts.json`` RPR010
     checks against; when omitted, the nearest one at or above a linted
     path is used.
     """
     import repro.util.fingerprint as fp
-    from repro.devtools.callgraph import Project
-    from repro.devtools.effects import EffectAnalysis
 
     cache = None
     if cache_path is not None:
@@ -252,16 +249,15 @@ def run_lint(paths: Sequence[str | Path],
     if cache is not None:
         cache.save()
 
-    project = Project([r.summary for r in records if r.summary is not None])
     if contracts_path is None:
         contracts_path = _discover_contracts(paths)
-    project.contracts_path = (None if contracts_path is None
-                              else str(contracts_path))
-    effects = EffectAnalysis(project)
+    if contracts_path is not None:
+        contracts_path = str(contracts_path)
     project_diagnostics: list[Diagnostic] = []
     for checker in select_checkers(rules):
         if isinstance(checker, ProjectChecker):
-            project_diagnostics.extend(checker.check_project(project, effects))
+            project_diagnostics.extend(
+                checker.check_project(records, contracts_path))
 
     selected = None if rules is None else frozenset(rules)
     noqa_by_path = {record.path: record.noqa for record in records}

@@ -1,14 +1,13 @@
 """Incremental lint cache: warm runs skip unchanged files.
 
 The per-file half of a lint run — parsing, the RPR001–005 checks, the
-``noqa`` map, and the :class:`~repro.devtools.callgraph.FileSummary` the
-interprocedural pass consumes — depends only on one file's bytes.  So
-each analyzed file is cached under its content fingerprint
-(:func:`repro.util.fingerprint.hash_text`), and a warm run re-analyzes
-only files whose fingerprint moved, rebuilding the project graph from
-cached summaries for the rest.  The whole-project pass (RPR006, RPR008,
-RPR010) is cheap relative to parsing and always re-runs, so
-interprocedural findings stay correct even when *other* files changed.
+``noqa`` map, and the wire-contract declarations RPR010 reads — depends
+only on one file's bytes.  So each analyzed file is cached under its
+content fingerprint (:func:`repro.util.fingerprint.hash_text`), and a
+warm run re-analyzes only files whose fingerprint moved.  The
+whole-project pass (RPR010) is cheap relative to parsing and always
+re-runs over every file's record, so its findings stay correct even
+when *other* files changed.
 
 Two guards keep reuse sound:
 
@@ -26,19 +25,19 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import repro.util.fingerprint as fp
-from repro.devtools.callgraph import FileSummary
 from repro.devtools.diagnostics import Diagnostic
+from repro.devtools.wire import WireDecl
 
 #: Bump when the entry layout changes shape (distinct from
 #: ``analysis_version``, which tracks analyzer *behaviour*).
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 
 def analysis_version() -> str:
     """Fingerprint of the analyzer's own sources.
 
     Any edit to ``repro.devtools`` may change what a file's cached
-    diagnostics or summary would be, so it must invalidate the cache
+    diagnostics or declarations would be, so it must invalidate the cache
     wholesale.
     """
     root = Path(__file__).resolve().parent
@@ -51,23 +50,26 @@ class FileRecord:
 
     ``diagnostics`` are pre-suppression and cover every per-file rule;
     ``noqa`` maps 1-based line numbers to suppressed rule ids (``"*"``
-    meaning all); ``summary`` is ``None`` for files that failed to parse.
+    meaning all); ``wire_decls`` are the file's wire-contract
+    declarations, empty for files that failed to parse.
     """
 
     path: str
     source_hash: str
+    module: str
     diagnostics: list[Diagnostic] = field(default_factory=list)
     noqa: dict[int, frozenset[str]] = field(default_factory=dict)
-    summary: FileSummary | None = None
+    wire_decls: tuple[WireDecl, ...] = ()
 
     def to_dict(self) -> dict[str, object]:
         return {
             "path": self.path,
             "source_hash": self.source_hash,
+            "module": self.module,
             "diagnostics": [d.to_dict() for d in self.diagnostics],
             "noqa": {str(line): sorted(rules)
                      for line, rules in self.noqa.items()},
-            "summary": None if self.summary is None else self.summary.to_dict(),
+            "wire_decls": [decl.to_dict() for decl in self.wire_decls],
         }
 
     @classmethod
@@ -75,12 +77,13 @@ class FileRecord:
         return cls(
             path=str(payload["path"]),
             source_hash=str(payload["source_hash"]),
+            module=str(payload["module"]),
             diagnostics=[Diagnostic.from_dict(d)
                          for d in payload["diagnostics"]],
             noqa={int(line): frozenset(rules)
                   for line, rules in payload["noqa"].items()},
-            summary=None if payload["summary"] is None
-            else FileSummary.from_dict(payload["summary"]),
+            wire_decls=tuple(WireDecl.from_dict(decl)
+                             for decl in payload["wire_decls"]),
         )
 
 

@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Type, TypeVar
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.devtools.diagnostics import Diagnostic
     from repro.devtools.driver import FileContext
+    from repro.devtools.incremental import FileRecord
 
 
 class Checker:
@@ -44,10 +45,10 @@ class Checker:
 
 
 class ProjectChecker(Checker):
-    """Base class for whole-project (interprocedural) checkers.
+    """Base class for whole-project checkers.
 
-    Runs once per lint run against the stitched
-    :class:`~repro.devtools.callgraph.Project` graph instead of per file.
+    Runs once per lint run over every linted file's
+    :class:`~repro.devtools.incremental.FileRecord` instead of per file.
     The per-file :meth:`Checker.check` hook is a no-op; subclasses
     implement :meth:`check_project`.  ``noqa`` suppression still applies:
     the driver filters project diagnostics against the suppression map of
@@ -57,8 +58,9 @@ class ProjectChecker(Checker):
     def check(self, context: "FileContext") -> Iterator["Diagnostic"]:
         return iter(())
 
-    def check_project(self, project, effects) -> Iterator["Diagnostic"]:
-        """Yield diagnostics for one ``(Project, EffectAnalysis)`` pair."""
+    def check_project(self, records: list["FileRecord"],
+                      contracts_path: str | None) -> Iterator["Diagnostic"]:
+        """Yield diagnostics for one run's records and contract file."""
         raise NotImplementedError
 
     def project_diagnostic(self, path: str, line: int,

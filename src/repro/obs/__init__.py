@@ -18,12 +18,12 @@ import, providing:
 The boundary rule (DESIGN.md §11): instrumentation lives at the
 executor/driver boundary, never inside the pure per-probe kernels.
 Everything here is deliberately impure (clocks, process state), and
-repro-lint's RPR006 enforces the boundary — a stage function that grows
-a call into this package stops inferring PURE and is reported with the
-witness chain ending at the clock read.  For the same reason ``obs`` is
-one of the cache's ``RESULT_INERT_PACKAGES``, left out of the code-version
-hash: its code cannot influence analysis results, so editing it must not
-invalidate cached artifacts.
+the purity guard in ``tests/runtime`` enforces the boundary — it runs
+every stage function and fails one that reads a clock, this package's
+included.  Because no stage reaches it, ``obs`` is one of the cache's
+``RESULT_INERT_PACKAGES``, left out of the code-version hash: its code
+cannot influence analysis results, so editing it must not invalidate
+cached artifacts.
 """
 
 from repro.obs.metrics import (

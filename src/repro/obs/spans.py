@@ -19,8 +19,9 @@ available resolution, and on the platforms we shard on (Linux
 ``CLOCK_MONOTONIC``) a single system-wide timebase, so parent and worker
 spans interleave correctly on one trace timeline.  Spans are
 observability output only — nothing derived from them may feed an
-analysis result, which is exactly the boundary RPR006 enforces (any
-stage function calling into this module stops inferring PURE).
+analysis result.  The purity guard in ``tests/runtime`` enforces the
+boundary: a stage function that reaches this module reads a clock, and
+the guard fails it.
 """
 
 from __future__ import annotations

@@ -39,9 +39,10 @@ import repro
 from repro.util import fingerprint as fp
 
 #: Top-level packages whose source does *not* feed the code-version
-#: hash.  ``obs`` only records spans and metrics (RPR006 fails any stage
-#: that reaches it) and nothing imports ``devtools``; every other module
-#: is hashed, so a new package is covered the day it is added.
+#: hash.  ``obs`` only records spans and metrics (no stage reaches it:
+#: the purity guard in ``tests/runtime`` fails any stage that reads its
+#: clocks) and nothing imports ``devtools``; every other module is
+#: hashed, so a new package is covered the day it is added.
 RESULT_INERT_PACKAGES = ("obs", "devtools")
 
 #: Default store budget; a paper-scale bundle's artifacts are ~tens of MB.

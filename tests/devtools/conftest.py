@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import ast
 from pathlib import Path
 
 import pytest
-
-from repro.devtools.callgraph import Project, summarize_source
-from repro.devtools.driver import iter_python_files, module_name_for
 
 
 def write_tree(root: Path, files: dict[str, str]) -> Path:
@@ -28,26 +24,6 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
             current = current.parent
         path.write_text(source, encoding="utf-8")
     return root
-
-
-def project_of(root: Path) -> Project:
-    """Summarize every file under ``root`` into a :class:`Project`."""
-    summaries = []
-    for path in iter_python_files([root]):
-        tree = ast.parse(path.read_text(encoding="utf-8"),
-                         filename=str(path))
-        summaries.append(summarize_source(
-            tree, module_name_for(path), str(path),
-            is_package=path.name == "__init__.py"))
-    return Project(summaries)
-
-
-@pytest.fixture
-def make_project(tmp_path):
-    """Factory: ``make_project({"pkg/mod.py": "..."}) -> Project``."""
-    def build(files: dict[str, str]) -> Project:
-        return project_of(write_tree(tmp_path, files))
-    return build
 
 
 @pytest.fixture

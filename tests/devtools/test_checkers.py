@@ -27,7 +27,7 @@ def rules_of(diagnostics) -> set[str]:
 def test_registry_lists_every_rule():
     assert [c.rule for c in all_checkers()] == [
         "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-        "RPR006", "RPR008", "RPR010"]
+        "RPR010"]
 
 
 # ---------------------------------------------------------------- RPR001

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import repro.util.fingerprint as fp
 from repro.devtools.cli import main
-from repro.devtools.driver import run_lint
+from repro.devtools.driver import _analyze_file, iter_python_files, run_lint
+from repro.devtools.incremental import FileRecord
 
 FILES = {
     "pkg/a.py": "def f(x):\n    return x + 1\n",
@@ -85,65 +87,76 @@ def test_stale_analysis_version_invalidates_everything(make_tree, tmp_path):
     assert rerun.files_skipped == 0
 
 
+SHARD = (
+    "class ShardResult:\n"
+    '    __wire_contract__ = "shard-result"\n\n'
+    "    shard_index: int\n"
+)
+
+TRACE = (
+    'SCHEMA = "pkg-trace-1"\n'
+    '__wire_contract__ = {"pkg-trace": ("SCHEMA",)}\n'
+)
+
+
 def test_interprocedural_rules_fire_from_cached_summaries(make_tree,
                                                           tmp_path):
-    tree = make_tree({
-        "pkg/graph.py": "class StageSpec:\n    pass\n",
-        "pkg/stages.py": (
-            "from pkg.graph import StageSpec\n"
-            "import pkg.work\n"
-            "STAGES = (StageSpec(name='one', inputs=(), outputs=('a',), "
-            "fan_out=None, func=pkg.work.run_one),)\n"
-        ),
-        "pkg/work.py": (
-            "import time\n\n"
-            "def run_one(data):\n"
-            "    return data, time.time()\n"
-        ),
-    })
+    tree = make_tree({"pkg/workers.py": SHARD, "pkg/trace.py": TRACE})
+    contracts = tmp_path / "wire-contracts.json"
+    assert main(["--contracts", str(contracts), "--update-contracts",
+                 str(tree)]) == 0
+    # retiring the trace module leaves its contract entry stale
+    (tree / "pkg" / "trace.py").unlink()
     cache = tmp_path / "cache.json"
-    cold = run_lint([tree], rules=["RPR006"], cache_path=cache)
-    warm = run_lint([tree], rules=["RPR006"], cache_path=cache)
+    cold = run_lint([tree], rules=["RPR010"], cache_path=cache)
+    warm = run_lint([tree], rules=["RPR010"], cache_path=cache)
     assert warm.files_analyzed == 0
-    assert [d.rule for d in cold.diagnostics] == ["RPR006"]
+    assert [d.rule for d in cold.diagnostics] == ["RPR010"]
     assert warm.diagnostics == cold.diagnostics
 
 
-def test_stage_purity_fires_from_cached_summaries_and_tracks_edits(
+def test_stale_contract_fires_from_cached_records_and_tracks_edits(
         make_tree, tmp_path):
-    tree = make_tree({
-        "pkg/graph.py": "class StageSpec:\n    pass\n",
-        "pkg/stages.py": (
-            "from pkg.graph import StageSpec\n"
-            "import pkg.work\n"
-            "STAGES = (StageSpec(name='one', inputs=(), outputs=('a',), "
-            "fan_out=None, func=pkg.work.run_one),)\n"
-        ),
-        "pkg/work.py": (
-            "from pkg import stamp\n\n"
-            "def run_one(data):\n"
-            "    return stamp.tag(data)\n"
-        ),
-        "pkg/stamp.py": (
-            "import time\n\n"
-            "def tag(data):\n"
-            "    return data, time.time()\n"
-        ),
-    })
+    tree = make_tree({"pkg/workers.py": SHARD, "pkg/trace.py": TRACE})
+    contracts = tmp_path / "wire-contracts.json"
+    assert main(["--contracts", str(contracts), "--update-contracts",
+                 str(tree)]) == 0
+    # the trace schema loses its marker: its entry is stale, and the
+    # finding anchors in the other module
+    (tree / "pkg" / "trace.py").write_text('SCHEMA = "pkg-trace-1"\n',
+                                           encoding="utf-8")
     cache = tmp_path / "cache.json"
-    cold = run_lint([tree], rules=["RPR006"], cache_path=cache)
-    assert [d.rule for d in cold.diagnostics] == ["RPR006"]
-    # the project pass re-runs over the cached summaries of both modules
-    warm = run_lint([tree], rules=["RPR006"], cache_path=cache)
+    cold = run_lint([tree], rules=["RPR010"], cache_path=cache)
+    assert [d.rule for d in cold.diagnostics] == ["RPR010"]
+    # the project pass re-runs over the cached records of both modules
+    warm = run_lint([tree], rules=["RPR010"], cache_path=cache)
     assert warm.files_analyzed == 0
     assert warm.diagnostics == cold.diagnostics
-    # dropping the clock read re-analyzes only that file and clears it
-    (tree / "pkg" / "stamp.py").write_text(
-        "def tag(data):\n"
-        "    return data, 0\n", encoding="utf-8")
-    fixed = run_lint([tree], rules=["RPR006"], cache_path=cache)
+    # restoring the marker re-analyzes only that file and clears it
+    (tree / "pkg" / "trace.py").write_text(TRACE, encoding="utf-8")
+    fixed = run_lint([tree], rules=["RPR010"], cache_path=cache)
     assert fixed.files_analyzed == 1
     assert fixed.diagnostics == []
+
+
+def test_file_record_round_trips_through_dict(make_tree):
+    tree = make_tree({
+        "pkg/workers.py": SHARD,
+        "pkg/trace.py": TRACE,
+        "pkg/b.py": FILES["pkg/b.py"] + "x = 1  # repro: noqa[RPR002]\n",
+        "pkg/broken.py": "def f(:\n",
+    })
+    records = []
+    for path in iter_python_files([tree]):
+        source = path.read_text(encoding="utf-8")
+        records.append(_analyze_file(path, source, fp.hash_text(source)))
+    assert any(record.wire_decls for record in records)
+    assert any(record.noqa for record in records)
+    assert {d.rule for record in records
+            for d in record.diagnostics} == {"RPR000", "RPR001"}
+    for record in records:
+        payload = json.loads(json.dumps(record.to_dict()))
+        assert FileRecord.from_dict(payload) == record
 
 
 def test_wire_contracts_checked_fresh_under_warm_cache(make_tree, tmp_path):
@@ -161,7 +174,7 @@ def test_wire_contracts_checked_fresh_under_warm_cache(make_tree, tmp_path):
                     contracts_path=contracts)
     assert cold.diagnostics == []
     # editing the contract file alone flips the warm run to a finding:
-    # wire decls come from cached summaries, the contract is re-read
+    # wire decls come from cached records, the contract is re-read
     payload = json.loads(contracts.read_text(encoding="utf-8"))
     payload["contracts"]["shard-result"]["spec"]["fields"] = []
     contracts.write_text(json.dumps(payload), encoding="utf-8")

@@ -58,7 +58,7 @@ def test_sarif_structure_and_coordinates(make_tree):
     run = log["runs"][0]
     rule_ids = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
     assert rule_ids == ["RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
-                       "RPR006", "RPR008", "RPR010"]
+                       "RPR010"]
     [finding] = run["results"]
     assert finding["ruleId"] == "RPR001"
     assert finding["level"] == "error"
