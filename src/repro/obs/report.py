@@ -4,7 +4,8 @@
 traced run exported:
 
 * simulator phases (``sim``-category spans from ``build_world`` and
-  ``write_world``) with probes simulated per second;
+  ``write_world``) with probes simulated per second, and each process's
+  share of the probe walk (``sim:walk``, parent and forked worker);
 * per-stage wall time with execution mode and share of total;
 * shard skew per fan-out stage (min/mean/max shard seconds — a high
   max/mean ratio means one shard straggled and capped the speedup);
@@ -27,13 +28,24 @@ _MICROSECONDS = 1e6
 
 def _simulate_lines(events: list[dict]) -> list[str]:
     phases: dict[str, float] = {}
-    probes = 0
+    probes = processes = 0
+    walks: list[str] = []
     for event in events:
         if event.get("cat") != "sim":
             continue
         name = event["name"]
-        phases[name] = phases.get(name, 0.0) + event["dur"] / _MICROSECONDS
-        probes += int(event.get("args", {}).get("probes", 0))
+        seconds = event["dur"] / _MICROSECONDS
+        args = event.get("args", {})
+        if name == "sim:walk":
+            # One per process that walked probes, inside sim:probes.
+            walks.append("  %-8s  %9.3f  %6s  %d probes"
+                         % (args.get("side", "?"), seconds, "",
+                            int(args.get("probes", 0))))
+            continue
+        phases[name] = phases.get(name, 0.0) + seconds
+        if name == "sim:probes":
+            probes += int(args.get("probes", 0))
+            processes = max(processes, int(args.get("processes", 1)))
     if not phases:
         return []
     total = sum(phases.values()) or 1.0
@@ -42,8 +54,12 @@ def _simulate_lines(events: list[dict]) -> list[str]:
         line = "%-10s  %9.3f  %5.1f%%" % (name, seconds,
                                           100.0 * seconds / total)
         if name == "sim:probes" and seconds > 0:
-            line += "  %d probes, %.0f probes/s" % (probes, probes / seconds)
+            line += "  %d probes, %.0f probes/s, %d process%s" % (
+                probes, probes / seconds, processes,
+                "" if processes == 1 else "es")
         lines.append(line)
+        if name == "sim:probes":
+            lines.extend(walks)
     return lines
 
 

@@ -24,50 +24,51 @@ This package exploits both properties:
 ``repro-run`` (:mod:`repro.runtime.cli`) drives the graph from the shell;
 ``repro-experiment`` threads ``--jobs/--cache-dir/--no-cache`` through to
 the same executor.
+
+The names below resolve on first use (PEP 562 ``__getattr__``), so
+``import repro.runtime.digest`` loads the digest alone, not the executor,
+the lease board, the supervisor, the cache and the workers.
 """
 
-from repro.runtime.cache import ArtifactCache, CacheStats, code_version
-from repro.runtime.digest import results_digest
-from repro.runtime.executor import (
-    RunReport,
-    RuntimeConfig,
-    ShardedRunner,
-    StageTiming,
-    resolve_start_method,
-    runner_for_bundle,
-    runner_for_world,
-    world_fingerprint,
-)
-from repro.runtime.sharding import partition, shard_count
-from repro.runtime.stages import STAGES, StageSpec, topological_order
-from repro.runtime.board import (
-    ShardFailure,
-    StageResilience,
-    SupervisionPolicy,
-)
-from repro.runtime.supervisor import CheckpointManifest, ShardSupervisor
+from __future__ import annotations
 
-__all__ = [
-    "ArtifactCache",
-    "CacheStats",
-    "CheckpointManifest",
-    "RunReport",
-    "RuntimeConfig",
-    "ShardFailure",
-    "ShardSupervisor",
-    "ShardedRunner",
-    "STAGES",
-    "StageResilience",
-    "StageSpec",
-    "StageTiming",
-    "SupervisionPolicy",
-    "code_version",
-    "partition",
-    "resolve_start_method",
-    "results_digest",
-    "runner_for_bundle",
-    "runner_for_world",
-    "shard_count",
-    "topological_order",
-    "world_fingerprint",
-]
+import importlib
+
+#: Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "ArtifactCache": "cache",
+    "CacheStats": "cache",
+    "CheckpointManifest": "supervisor",
+    "RunReport": "executor",
+    "RuntimeConfig": "executor",
+    "ShardFailure": "board",
+    "ShardSupervisor": "supervisor",
+    "ShardedRunner": "executor",
+    "STAGES": "stages",
+    "StageResilience": "board",
+    "StageSpec": "stages",
+    "StageTiming": "executor",
+    "SupervisionPolicy": "board",
+    "code_version": "cache",
+    "partition": "sharding",
+    "resolve_start_method": "executor",
+    "results_digest": "digest",
+    "runner_for_bundle": "executor",
+    "runner_for_world": "executor",
+    "shard_count": "sharding",
+    "topological_order": "stages",
+    "world_fingerprint": "executor",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    submodule = _EXPORTS.get(name)
+    if submodule is None:
+        raise AttributeError("module %r has no attribute %r"
+                             % (__name__, name))
+    value = getattr(importlib.import_module("repro.runtime." + submodule),
+                    name)
+    globals()[name] = value
+    return value

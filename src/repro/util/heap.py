@@ -1,4 +1,4 @@
-"""Keeping the cyclic garbage collector off long-lived inputs.
+"""Keeping the cyclic garbage collector off long-lived objects.
 
 An analysis run allocates hundreds of thousands of small result objects
 (changes, spans, gap events), so the collector runs full collections
@@ -8,8 +8,14 @@ existed: the loaded datasets' interval sets and archives.
 the duration of a block (``gc.freeze``) and back afterwards
 (``gc.unfreeze``).  Frozen objects are still freed by reference counting;
 only cyclic garbage that predates the block waits until it ends.
-Nothing computed depends on this: it only changes when the collector
-spends its time.
+
+The simulator builds its long-lived heap (plants, pools, leases, staged
+rows) and makes no cyclic garbage while it does, so
+:func:`collector_paused` simply switches the collector off for the
+build: every collection it would have run is a walk that frees nothing.
+
+Nothing computed depends on either helper: they only change when the
+collector spends its time.
 """
 
 from __future__ import annotations
@@ -27,3 +33,15 @@ def frozen_heap() -> Iterator[None]:
         yield
     finally:
         gc.unfreeze()
+
+
+@contextlib.contextmanager
+def collector_paused() -> Iterator[None]:
+    """Disable the collector in the block; restore its previous state."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()

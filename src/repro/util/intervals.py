@@ -107,7 +107,16 @@ class IntervalSet:
         self._starts[lo:hi] = [merged.start]
 
     def add_span(self, start: float, end: float) -> None:
-        """Convenience for ``add(Interval(start, end))``."""
+        """Same as ``add(Interval(start, end))``.
+
+        A span that starts after the last member ends is appended without
+        the search: the simulator adds its outages in time order.
+        """
+        intervals = self._intervals
+        if start < end and (not intervals or start > intervals[-1].end):
+            intervals.append(Interval(start, end))
+            self._starts.append(start)
+            return
         self.add(Interval(start, end))
 
     def contains(self, point: float) -> bool:

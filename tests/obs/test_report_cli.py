@@ -65,6 +65,26 @@ def test_report_simulate_section_from_sim_spans():
     assert "== simulate" not in render_report(_payload())
 
 
+def test_report_simulate_section_shows_both_walk_sides():
+    spans = [
+        Span("sim:walk", "sim", 0.5, 2.0, 1,
+             (("probes", 300), ("side", "parent"))),
+        Span("sim:walk", "sim", 0.5, 2.4, 2,
+             (("probes", 200), ("side", "worker"))),
+        Span("sim:probes", "sim", 0.5, 2.5, 1,
+             (("probes", 500), ("processes", 2))),
+    ]
+    text = render_report(trace_payload(spans, {"counters": {},
+                                               "gauges": {}}))
+    assert "500 probes, 250 probes/s, 2 processes" in text
+    assert "100.0%" in text                 # walks nest in sim:probes
+    lines = text.splitlines()
+    assert any(line.split()[:3] == ["parent", "1.500", "300"]
+               for line in lines)
+    assert any(line.split()[:3] == ["worker", "1.900", "200"]
+               for line in lines)
+
+
 def test_report_of_empty_payload_degrades_gracefully():
     text = render_report(trace_payload([], {"counters": {}, "gauges": {}}))
     assert "(no stage spans recorded)" in text

@@ -143,3 +143,19 @@ class TestIntervalSetProperties:
         inside = s.intersect_span(0, 100).total_measure()
         holes = sum(iv.length for iv in s.gaps_within(0, 100))
         assert inside + holes == pytest.approx(100)
+
+    @given(st.lists(st.tuples(st.integers(0, 100), st.integers(0, 10)),
+                    max_size=30),
+           st.booleans())
+    def test_add_span_matches_add(self, pairs, ascending):
+        # Ascending starts take add_span's append path (touching spans
+        # included); shuffled ones mix it with the general insert.
+        if ascending:
+            pairs = sorted(pairs)
+        via_span, via_add = IntervalSet(), IntervalSet()
+        for start, length in pairs:
+            via_span.add_span(start, start + length)
+            via_add.add(Interval(start, start + length))
+        assert list(via_span) == list(via_add)
+        for point in range(0, 111):
+            assert via_span.at(point) == via_add.at(point)
