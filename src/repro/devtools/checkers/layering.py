@@ -29,23 +29,28 @@ layer or a lower one:
                                                    └─ runtime    (rank 10:
                                                    │    sharded executor,
                                                    │    artifact cache and
-                                                   │    fault-tolerant shard
-                                                   │    supervisor over the
-                                                   │    core stage
-                                                   │    functions; may
+                                                   │    the one lease loop,
+                                                   │    protocol, transport
+                                                   │    and lease client
+                                                   │    that serve every
+                                                   │    fan-out stage to
+                                                   │    local or socket
+                                                   │    workers; may
                                                    │    import faults —
                                                    │    downward — but its
                                                    │    worker path stays
                                                    │    plan-duck-typed)
                                                    └─ experiments  (rank 11)
                                                         └─ dist    (rank 12:
-                                                             coordinator/
-                                                             worker socket
-                                                             execution tier
+                                                             coordinator
+                                                             config, loopback
+                                                             mode and the
+                                                             repro-dist CLI
                                                              over the runtime
-                                                             executor; top of
-                                                             the DAG, nothing
-                                                             imports it)
+                                                             lease loop; top
+                                                             of the DAG,
+                                                             nothing imports
+                                                             it)
 
 ``repro.devtools`` (this lint framework) sits outside the DAG entirely:
 nothing may import it, and it may import only the leaf layers ``errors``

@@ -23,18 +23,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 from repro import obs
 from repro.dist.coordinator import (
     DistConfig,
-    LeaseServer,
     dist_runner_for_bundle,
     dist_runner_for_world,
 )
 from repro.dist.loopback import run_loopback
-from repro.dist.worker import DistWorker
 from repro.errors import ReproError
+from repro.runtime.client import LeaseClient
 from repro.runtime.digest import results_digest
 from repro.runtime.workers import WorkerContext
 from repro.util import fingerprint as fp
@@ -153,8 +151,9 @@ def _coordinator_parser(subparsers) -> None:
                         default=timeutil.DIST_DRAIN_GRACE_S,
                         metavar="SEC",
                         help="after the run, keep answering worker "
-                             "pulls with DRAIN(done) for SEC before "
-                             "closing (default %(default)s)")
+                             "pulls with DRAIN(done) until every "
+                             "expected worker has left, for at most "
+                             "SEC (default %(default)s)")
     parser.add_argument("--inject-net", metavar="SPEC", default=None,
                         help="network-fault plan for --loopback "
                              "workers, e.g. seed=7,msg_drop=0.1 (kinds: "
@@ -220,7 +219,7 @@ def _run_coordinator(args: argparse.Namespace) -> int:
             return 2
         plan = parse_inject_net_spec(args.inject_net)
     config = _dist_config(args)
-    server = LeaseServer(config)
+    server = config.server()
     if args.port_file:
         with open(args.port_file, "w", encoding="utf-8") as stream:
             stream.write("%d\n" % server.port)
@@ -263,17 +262,18 @@ def _run_coordinator(args: argparse.Namespace) -> int:
                       file=sys.stderr)
         else:
             results = runner.run()
-            server.finish()
             digest = results_digest(results)
             summaries = None
             # Keep answering pulls with DRAIN(done) so workers exit
-            # cleanly instead of dying on a vanished coordinator.
-            time.sleep(args.drain_grace)
+            # cleanly instead of dying on a vanished coordinator, until
+            # every expected worker came and went.
+            server.finish(args.drain_grace, until=lambda: (
+                not server.connections
+                and len(server.worker_summary()) >= config.workers))
     except ReproError as error:
         print(error, file=sys.stderr)
         return 1
     finally:
-        server.finish()
         server.close()
 
     print(runner.report.render())
@@ -322,11 +322,11 @@ def _run_worker(args: argparse.Namespace) -> int:
                 ip2as=bundle.ip2as, kroot=bundle.kroot,
                 uptime=bundle.uptime, min_connected=min_connected))
 
-        worker = DistWorker(
-            host=host, port=int(port_text),
-            worker_id=args.worker_id or "worker-%d" % os.getpid(),
+        worker = LeaseClient(
+            host, int(port_text),
+            args.worker_id or "worker-%d" % os.getpid(),
             fingerprint=bundle.fingerprint, cache=cache,
-            fault_plan=plan, capture_obs=True, install_context=install,
+            fault_plan=plan, install_context=install,
             socket_timeout_s=args.socket_timeout,
             reconnect_delay_s=args.reconnect_delay,
             max_reconnects=args.max_reconnects)

@@ -31,7 +31,7 @@ class FaultKind(enum.Enum):
     distributed run (:mod:`repro.faults.network`).  The values double as
     the wire-level strings the runtime matches on, so they must stay in
     sync with the ``FAULT_*`` constants in :mod:`repro.runtime.workers`
-    and the ``FAULT_*`` constants in :mod:`repro.dist.transport`.
+    and the ``FAULT_*`` constants in :mod:`repro.runtime.transport`.
     """
 
     CONNLOG_GARBLED = "connlog-garbled"

@@ -9,10 +9,10 @@ all of that survivable — a faulty transport may cost retries and
 reassignments, never a wrong ``results_digest``.
 
 The plan is inert by design, exactly like the process plan: it is
-consulted by :class:`repro.dist.transport.FaultyChannel` through one
+consulted by :class:`repro.runtime.transport.FaultyChannel` through one
 duck-typed method — ``fault_on(channel_id, direction, msg_type, seq)``
 returning a :class:`~repro.faults.injectors.FaultKind` value string or
-``None`` — so this package never imports the dist runtime it sabotages.
+``None`` — so this package never imports the runtime it sabotages.
 
 Placement draws one uniform per fault kind from
 ``substream(seed, "netfaults", channel_id, direction, seq)`` in a fixed
@@ -56,7 +56,7 @@ class NetworkFaultPlan:
     """How much transport sabotage to inject, per fault kind.
 
     Rates are per-message firing probabilities in ``[0, 1]``, applied on
-    the send side of a :class:`~repro.dist.transport.FaultyChannel`.
+    the send side of a :class:`~repro.runtime.transport.FaultyChannel`.
     The plan travels into worker processes via CLI flags (never pickled
     across the dist socket itself — a faulty channel carrying its own
     fault plan would be unable to deliver it), so its field layout is a
@@ -188,7 +188,7 @@ def reconcile_network(plan: NetworkFaultPlan,
     """Fold channel injection logs and the run's supervision account.
 
     ``injection_logs`` are per-channel ``{kind: count}`` mappings (each
-    :class:`~repro.dist.transport.FaultyChannel` keeps one);
+    :class:`~repro.runtime.transport.FaultyChannel` keeps one);
     ``resilience`` rows are duck-typed
     :class:`repro.runtime.board.StageResilience` objects — the same
     inert-consumption discipline :func:`repro.faults.process.reconcile`

@@ -11,9 +11,10 @@ traced run exported:
   max/mean ratio means one shard straggled and capped the speedup);
 * cache effectiveness (hits, misses, stores, evictions, corrupt-entry
   heals, bytes written);
-* distributed-run accounting when the trace came from ``repro-dist``
-  (workers seen, leases granted and reassigned, per-worker lease skew,
-  bytes over the wire);
+* supervision accounting (retries, reassignments, quarantine, resume)
+  with one line per served fan-out stage;
+* lease-protocol accounting when shards were leased to workers (workers
+  seen, leases granted, per-worker lease skew, bytes over the wire);
 * ingest accounting (parsed / repaired / quarantined per dataset, with
   the loss fraction) and injected-fault counts when present.
 
@@ -145,9 +146,9 @@ def _resilience_lines(events: list[dict], counters: dict[str, float],
                       gauges: dict[str, float]) -> list[str]:
     """Supervision account: retries, reassignments, quarantine, resume.
 
-    Fed by the ``runtime.*`` counters both shard schedulers emit (the
-    local supervisor and the dist coordinator) plus the local
-    supervisor's ``supervisor``-category spans (one per fan-out stage).
+    Fed by the ``runtime.*`` counters the lease loop emits plus its
+    ``supervisor``-category spans, one per served fan-out stage, local
+    or over sockets.
     """
     supervised = [event for event in events
                   if event.get("cat") == "supervisor"]
@@ -177,30 +178,26 @@ def _resilience_lines(events: list[dict], counters: dict[str, float],
                         gauges.get("runtime.quarantined_probes", 0)))
     for event in supervised:
         args = event.get("args", {})
-        lines.append("%-18s  shards %d  retries %d  reassigned %d  "
-                     "abandoned %d"
+        lines.append("%-18s  shards %d  leases %d  retries %d  "
+                     "reassigned %d  abandoned %d"
                      % (event.get("name", "?"), args.get("shards", 0),
-                        args.get("retries", 0),
+                        args.get("leases", 0), args.get("retries", 0),
                         args.get("reassignments", 0),
                         args.get("abandoned", 0)))
     return lines
 
 
-def _dist_lines(events: list[dict],
-                counters: dict[str, float]) -> list[str]:
-    """Distributed-run account: workers, leases, skew, wire traffic.
+def _dist_lines(counters: dict[str, float]) -> list[str]:
+    """Lease-protocol account: workers, leases, skew, wire traffic.
 
-    Fed by the ``dist.*`` counters the coordinator emits plus its
-    ``dist``-category spans (one per stage served over the wire).
+    Fed by the ``dist.*`` counters the lease loop emits; the per-stage
+    lines are the resilience section's.
     """
-    served = [event for event in events if event.get("cat") == "dist"]
-    if not served and not any(name.startswith("dist.")
-                              for name in counters):
+    if not any(name.startswith("dist.") for name in counters):
         return []
-    lines = ["workers seen %d  leases granted %d  reassignments %d"
+    lines = ["workers seen %d  leases granted %d"
              % (counters.get("dist.workers.seen", 0),
-                counters.get("dist.leases.granted", 0),
-                counters.get("dist.leases.reassigned", 0)),
+                counters.get("dist.leases.granted", 0)),
              "bytes sent %d  bytes received %d"
              % (counters.get("dist.bytes.sent", 0),
                 counters.get("dist.bytes.received", 0))]
@@ -224,14 +221,6 @@ def _dist_lines(events: list[dict],
             "%s %d (%.2fx)" % (worker, per_worker[worker],
                                per_worker[worker] / mean)
             for worker in sorted(per_worker)))
-    for event in served:
-        args = event.get("args", {})
-        lines.append("%-18s  leases %d  retries %d  reassigned %d  "
-                     "abandoned %d"
-                     % (event.get("name", "?"), args.get("leases", 0),
-                        args.get("retries", 0),
-                        args.get("reassignments", 0),
-                        args.get("abandoned", 0)))
     return lines
 
 
@@ -278,7 +267,7 @@ def render_report(payload: dict) -> str:
         ("shard skew", _skew_lines(events)),
         ("cache", _cache_lines(counters, gauges)),
         ("resilience", _resilience_lines(events, counters, gauges)),
-        ("dist", _dist_lines(events, counters)),
+        ("dist", _dist_lines(counters)),
         ("ingest", _ingest_lines(counters)),
         ("faults injected", _fault_lines(counters)),
     ]

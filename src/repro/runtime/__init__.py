@@ -14,12 +14,14 @@ This package exploits both properties:
 * :mod:`repro.runtime.cache` stores stage outputs content-addressed on
   the bundle fingerprint, stage name, code version and parameters, so
   warm re-runs skip every unchanged stage;
-* :mod:`repro.runtime.supervisor` wraps the fan-out in fault tolerance —
-  worker crash/hang detection and per-shard checkpoints for ``--resume``
-  — over :mod:`repro.runtime.board`, the lease board that owns bounded
-  retry with deterministic backoff and quarantine-with-exact-accounting
-  when retries are exhausted (the run degrades, never dies).  The
-  distributed coordinator drives the same board.
+* :mod:`repro.runtime.server` serves every fan-out stage through one
+  lease loop — to local worker processes over socketpairs, or to socket
+  workers over TCP — with worker crash/hang detection and per-shard
+  checkpoints for ``--resume`` (:mod:`repro.runtime.supervisor`), over
+  :mod:`repro.runtime.board`, the lease board that owns bounded retry
+  with deterministic backoff and quarantine-with-exact-accounting when
+  retries are exhausted (the run degrades, never dies).  Workers run the
+  lease client in :mod:`repro.runtime.client`.
 
 ``repro-run`` (:mod:`repro.runtime.cli`) drives the graph from the shell;
 ``repro-experiment`` threads ``--jobs/--cache-dir/--no-cache`` through to
@@ -27,7 +29,7 @@ the same executor.
 
 The names below resolve on first use (PEP 562 ``__getattr__``), so
 ``import repro.runtime.digest`` loads the digest alone, not the executor,
-the lease board, the supervisor, the cache and the workers.
+the lease board, the lease server, the cache and the workers.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ _EXPORTS = {
     "RunReport": "executor",
     "RuntimeConfig": "executor",
     "ShardFailure": "board",
-    "ShardSupervisor": "supervisor",
     "ShardedRunner": "executor",
     "STAGES": "stages",
     "StageResilience": "board",

@@ -11,11 +11,11 @@ to resolution.  Shards move through::
                                                       exceed the
                                                       retry budget)
 
-Both shard schedulers drive it: the local
-:class:`~repro.runtime.supervisor.ShardSupervisor` (worker processes
-over pipes) and the distributed :class:`~repro.dist.coordinator.
-LeaseServer` (workers over sockets).  Each is a transport adapter; the
-board alone charges attempts, sets backoff, and abandons shards.
+One scheduler drives it: the lease loop of :class:`~repro.runtime.
+server.LeaseServer`, whose workers are local processes over socketpairs
+or socket workers over TCP.  The loop turns socket events into board
+calls; the board alone charges attempts, sets backoff, and abandons
+shards.
 
 The board does no I/O — no sockets, no pipes, no sleeps.  Time
 enters only through the injectable ``clock`` (deadlines, deterministic
@@ -32,10 +32,9 @@ directly:
   kernel error, a corrupt envelope — each names its shard), so charges
   exceed the retry budget honestly or not at all.
 
-A board has one driver at a time, so it takes no lock: the local
-supervisor's thread, or the coordinator's loop thread from the moment
-the runner thread hands it over until the loop hands it back drained
-(``tests/dist/test_confinement.py`` pins the handoff).
+A board has one driver, the thread that runs the stage (the loop runs
+in it), so it takes no lock (``tests/dist/test_confinement.py`` pins
+this).
 
 A scheduler's loop turn reads the clock once and passes that reading to
 :meth:`LeaseBoard.expire`, :meth:`LeaseBoard.lease` and
@@ -60,7 +59,7 @@ from repro.util import timeutil
 CAUSE_CRASH = "crash"
 CAUSE_HANG = "hang"
 CAUSE_CORRUPT = "corrupt"
-#: Leases lost to a dropped connection (distributed workers only).
+#: Leases lost to a dropped socket connection (a local worker's is a crash).
 CAUSE_DISCONNECT = "disconnect"
 
 #: ``submit`` verdicts.

@@ -1,43 +1,44 @@
-"""The pull-based dist worker.
+"""The pull-based lease client every worker runs.
 
-A :class:`DistWorker` dials the coordinator, handshakes (HELLO must
+A :class:`LeaseClient` handshakes with the lease server (HELLO must
 agree on protocol version, code version, and bundle fingerprint — a
 shard computed by divergent code or over a different dataset must never
-reach the merge), then pulls leases until the coordinator answers
-DRAIN(done).  Each lease is served by the *same* shard kernels the
-local worker path runs (:data:`repro.runtime.workers.SHARD_TASKS`), and
-shipped back as the same sealed :class:`~repro.runtime.workers.
-ShardResult` envelope — which is the whole bit-identity story: the
-coordinator merges envelopes it cannot tell apart from local ones.
+reach the merge), then pulls leases until the server answers
+DRAIN(done).  Each lease is served by :func:`repro.runtime.workers.
+run_shard`, the one place shards are computed and sealed, and shipped
+back as a sealed :class:`~repro.runtime.workers.ShardResult` envelope.
+
+Two kinds of worker run it:
+
+* a **local worker process** (``repro-run --jobs N``) runs
+  :func:`serve_local` over its end of a ``socketpair``: it never dials
+  and never reconnects, and its parent's death reaches it as EOF;
+* a **socket worker** (``repro-dist worker``, or a loopback thread)
+  calls :meth:`LeaseClient.run`, which dials the coordinator and redials
+  after any socket error, timeout, or protocol violation (bounded by
+  ``max_reconnects``).
 
 When the run has a shared artifact cache, each lease carries the
-shard's checkpoint ``cache_key``; a worker with a cache handle verifies
+shard's checkpoint ``cache_key``; a client with a cache handle verifies
 and ships the cached envelope instead of recomputing (``cache_hit``),
 and stores what it did compute so a retry of the same shard — by anyone
 — short-circuits.
 
-Failure handling is deliberately dumb on this side: any socket error,
-timeout, or protocol violation tears the connection down and the worker
-reconnects with a fresh handshake (bounded by ``max_reconnects``).
-Every crash-recovery decision lives in the coordinator's lease board;
-the worker only has to keep pulling.
-
-A worker is one thread: the thread that calls :meth:`DistWorker.run`
-(the process's main thread under ``repro-dist worker``, or a loopback
-serve thread) owns the instance and its channel.  It sends no
-heartbeats; lease deadlines on the coordinator are hard, so liveness
-pings would change nothing.
+Every crash-recovery decision lives in the server's lease board; the
+client only has to keep pulling.  A client is one thread: the thread
+that calls :meth:`~LeaseClient.run` or :meth:`~LeaseClient.serve` owns
+the instance and its channel.  It sends no heartbeats; lease deadlines
+are hard, so liveness pings would change nothing.
 """
 
 from __future__ import annotations
 
-import pickle
+import socket
 import time
 from dataclasses import dataclass, field
 
-from repro.dist import protocol, transport
 from repro.errors import DistError, WireProtocolError
-from repro.runtime import workers
+from repro.runtime import protocol, transport, workers
 from repro.runtime.cache import ArtifactCache, code_version
 from repro.util import fingerprint as fp
 from repro.util import timeutil
@@ -56,14 +57,14 @@ class WorkerSummary:
     injected: dict = field(default_factory=dict)
 
 
-class DistWorker:
-    """Pull shards from a coordinator until drained."""
+class LeaseClient:
+    """Pull shards from a lease server until drained."""
 
     def __init__(self, host: str, port: int, worker_id: str,
                  fingerprint: str = "",
                  cache: ArtifactCache | None = None,
                  fault_plan: object | None = None,
-                 capture_obs: bool = True,
+                 ship_obs: bool = True,
                  install_context=None,
                  socket_timeout_s: float = timeutil.DIST_SOCKET_TIMEOUT_S,
                  reconnect_delay_s: float
@@ -75,11 +76,10 @@ class DistWorker:
         self.fingerprint = fingerprint
         self.cache = cache
         self.fault_plan = fault_plan
-        #: Loopback worker *threads* share the process-global span
-        #: collector with the coordinator, so they must not drain it —
-        #: they seal envelopes without observability instead of stealing
-        #: the coordinator's spans.
-        self.capture_obs = capture_obs
+        #: Whether envelopes carry this worker's spans and metrics; a
+        #: loopback thread shares the server's process and sends none
+        #: (see :meth:`ShardResult.sealed`).
+        self.ship_obs = ship_obs
         #: Called once with the coordinator's ``min_connected`` after the
         #: first successful handshake — the hook the worker CLI uses to
         #: build its :class:`~repro.runtime.workers.WorkerContext` with
@@ -112,12 +112,7 @@ class DistWorker:
                 time.sleep(self.reconnect_delay_s)
                 continue
             try:
-                reply = channel.request(protocol.Hello(
-                    worker_id=self.worker_id,
-                    protocol_version=protocol.PROTOCOL_VERSION,
-                    code_version=code_version(),
-                    fingerprint=self.fingerprint,
-                    min_connected=0.0, role="worker"))
+                reply = channel.request(self._hello())
             except (WireProtocolError, OSError):
                 self._absorb_channel(channel)
                 channel.close()
@@ -125,29 +120,13 @@ class DistWorker:
                 time.sleep(self.reconnect_delay_s)
                 continue
             try:
-                if isinstance(reply, protocol.Drain):
-                    if reply.done:
-                        # A deliberate rejection (version/fingerprint
-                        # skew or the run is over) — not a transient to
-                        # retry around.
-                        raise DistError(
-                            "coordinator rejected worker %s: %s"
-                            % (self.worker_id, reply.reason))
+                if isinstance(reply, protocol.Drain) and not reply.done:
                     self._absorb_channel(channel)
                     channel.close()
                     time.sleep(reply.retry_after_s
                                or self.reconnect_delay_s)
                     continue
-                if not isinstance(reply, protocol.Hello) \
-                        or reply.role != "coordinator":
-                    raise DistError(
-                        "peer at %s:%d did not identify as a coordinator"
-                        % (self.host, self.port))
-                self._verify_coordinator(reply)
-                if self.install_context is not None \
-                        and not self._context_installed:
-                    self.install_context(reply.min_connected)
-                    self._context_installed = True
+                self._accept(reply)
             # Cleanup-only handler: the channel must not outlive a fatal
             # verification failure (including KeyboardInterrupt), and the
             # exception is re-raised untouched.
@@ -157,19 +136,40 @@ class DistWorker:
                 raise
             return channel
 
-    def _verify_coordinator(self, hello: protocol.Hello) -> None:
-        if hello.code_version != code_version():
+    def _hello(self) -> protocol.Hello:
+        return protocol.Hello(
+            worker_id=self.worker_id,
+            protocol_version=protocol.PROTOCOL_VERSION,
+            code_version=code_version(), fingerprint=self.fingerprint,
+            min_connected=0.0, role="worker")
+
+    def _accept(self, reply: object) -> None:
+        """Check the server's HELLO reply; raise unless it accepted us."""
+        if isinstance(reply, protocol.Drain):
+            # A deliberate rejection (version/fingerprint skew or the run
+            # is over) — not a transient to retry around.
+            raise DistError("coordinator rejected worker %s: %s"
+                            % (self.worker_id, reply.reason))
+        if not isinstance(reply, protocol.Hello) \
+                or reply.role != "coordinator":
+            raise DistError("peer at %s:%d did not identify as a "
+                            "coordinator" % (self.host, self.port))
+        if reply.code_version != code_version():
             raise DistError(
                 "coordinator runs different analysis code (its version "
                 "%s, ours %s): refusing to compute shards"
-                % (fp.short(hello.code_version),
+                % (fp.short(reply.code_version),
                    fp.short(code_version())))
-        if self.fingerprint and hello.fingerprint \
-                and hello.fingerprint != self.fingerprint:
+        if self.fingerprint and reply.fingerprint \
+                and reply.fingerprint != self.fingerprint:
             raise DistError(
                 "coordinator serves a different bundle (fingerprint %s, "
-                "ours %s)" % (fp.short(hello.fingerprint),
+                "ours %s)" % (fp.short(reply.fingerprint),
                               fp.short(self.fingerprint)))
+        if self.install_context is not None \
+                and not self._context_installed:
+            self.install_context(reply.min_connected)
+            self._context_installed = True
 
     def _charge_reconnect(self, detail: str) -> None:
         self.summary.reconnects += 1
@@ -189,7 +189,8 @@ class DistWorker:
     # -- serving --------------------------------------------------------------
 
     def run(self) -> WorkerSummary:
-        """Pull and serve leases until the coordinator drains us."""
+        """Dial the coordinator and serve leases until drained,
+        redialing after every lost connection."""
         while True:
             channel = self._dial()
             try:
@@ -201,6 +202,13 @@ class DistWorker:
             finally:
                 self._absorb_channel(channel)
                 channel.close()
+
+    def serve(self, channel: transport.Channel) -> WorkerSummary:
+        """Handshake and serve leases on one connected channel until
+        drained; any socket or protocol error propagates."""
+        self._accept(channel.request(self._hello()))
+        self._serve(channel)
+        return self.summary
 
     def _serve(self, channel: transport.Channel) -> bool:
         """One connection's pull loop; True when drained for good."""
@@ -238,7 +246,9 @@ class DistWorker:
                 shard_index=lease.shard_index, attempt=lease.attempt,
                 envelope=cached, cache_hit=True)
         try:
-            envelope = self._run_kernel(lease)
+            envelope = workers.run_shard(
+                lease.stage, list(lease.items), lease.shard_index,
+                lease.attempt, ship_obs=self.ship_obs)
         # Any kernel failure becomes an attributable RESULT(error) for
         # the board to charge — never a dead worker.
         except Exception as error:  # repro: noqa[RPR004]
@@ -270,17 +280,26 @@ class DistWorker:
             return None
         return value
 
-    def _run_kernel(self, lease: protocol.Lease) -> workers.ShardResult:
-        items = list(lease.items)
-        if self.capture_obs:
-            return workers.run_shard(lease.stage, items,
-                                     lease.shard_index, lease.attempt)
-        # Obs-silent path (loopback threads): same kernel, manual seal,
-        # empty spans/metrics — draining here would steal the
-        # coordinator's process-global spans.
-        kernel = workers.SHARD_TASKS[lease.stage]
-        payload = kernel(items)
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return workers.ShardResult(
-            shard_index=lease.shard_index, attempt=lease.attempt,
-            payload_pickle=blob, seal=fp.hash_bytes(blob))
+
+def serve_local(sock: socket.socket, slot: int,
+                context: workers.WorkerContext | None = None,
+                inherited: tuple[socket.socket, ...] = ()) -> None:
+    """Local worker process body: one lease client on a socketpair end.
+
+    ``context`` is ``None`` under fork (the parent installed it before
+    starting the process) and the dataset context under spawn.  A forked
+    worker also inherits the parent's end of every worker socketpair,
+    its own included; it closes those (``inherited``) first, so the
+    parent's death reaches it as EOF instead of leaving it blocked.
+    """
+    for end in inherited:
+        end.close()
+    if context is not None:
+        workers.init_worker(context)
+    channel = transport.Channel(sock)
+    try:
+        LeaseClient("", 0, "local-%d" % slot).serve(channel)
+    except (WireProtocolError, OSError):
+        return  # the parent closed the socket or died
+    finally:
+        channel.close()

@@ -5,8 +5,11 @@ each stage it first consults the artifact cache (keyed on the bundle
 fingerprint, stage name, code version and parameters — never on ``jobs``,
 because outputs are guaranteed identical across job counts); on a miss it
 either runs the stage function inline or, for per-probe stages with
-``jobs > 1``, partitions the probe ids into deterministic shards and fans
-them out through a :class:`~repro.runtime.supervisor.ShardSupervisor`.
+``jobs > 1``, partitions the probe ids into deterministic shards and
+serves them as leases through a :class:`~repro.runtime.server.
+LeaseServer` — to ``jobs`` local worker processes, or to the socket
+workers of a distributed run (:mod:`repro.dist`), whose server the
+runner is given.
 
 Equivalence guarantee: shards are contiguous chunks of the sorted probe
 ids, shard results are merged in shard order, and every kernel is a pure
@@ -23,7 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro import obs
 from repro.atlas.columnar import ColumnarConnlog, ColumnarUptime
@@ -44,12 +47,15 @@ from repro.runtime import workers
 from repro.runtime.cache import DEFAULT_MAX_BYTES, ArtifactCache, code_version
 from repro.runtime.board import StageResilience, SupervisionPolicy
 from repro.runtime.sharding import partition, shard_count
-from repro.runtime.supervisor import ShardSupervisor
+from repro.runtime.supervisor import StageCheckpoints
 from repro.runtime.stages import VIEW_ARTIFACTS, StageSpec, topological_order
 from repro.util import fingerprint as fp
 from repro.util import timeutil
 from repro.util.heap import frozen_heap
 from repro.util.ordering import ordered_merge
+
+if TYPE_CHECKING:
+    from repro.runtime.server import LeaseServer
 
 
 def resolve_start_method(requested: str | None = None) -> str:
@@ -247,14 +253,20 @@ class RunReport:
 
 
 class ShardedRunner:
-    """Runs the analysis stage graph over one set of datasets."""
+    """Runs the analysis stage graph over one set of datasets.
+
+    ``server`` is the lease server of a distributed run, whose socket
+    workers then serve every fan-out stage; without one, ``jobs > 1``
+    starts local worker processes on the first fan-out.
+    """
 
     def __init__(self, connlog, archive, kroot, uptime, ip2as,
                  as_names: Mapping[int, str] | None = None,
                  as_countries: Mapping[int, str] | None = None,
                  min_connected: float = 30 * timeutil.DAY,
                  fingerprint: str = "",
-                 config: RuntimeConfig | None = None) -> None:
+                 config: RuntimeConfig | None = None,
+                 server: LeaseServer | None = None) -> None:
         self._connlog = connlog
         self._archive = archive
         self._kroot = kroot
@@ -271,19 +283,25 @@ class ShardedRunner:
             self.cache = ArtifactCache(
                 self.config.cache_dir,
                 max_bytes=self.config.max_cache_bytes)
+        self._local_workers = server is None
+        self._server = server
+        if server is not None:
+            server.bind(fingerprint, min_connected)
         self.report = self._new_report()
-        self._supervisor: ShardSupervisor | None = None
         self._version = ""
         self._params = ""
         #: The columnar views (DESIGN.md §16) built so far, by name.
         self._views: dict[str, object] = {}
 
     def _new_report(self) -> RunReport:
+        # Socket workers are not local processes: the oversubscription
+        # warning and the start method would be meaningless for them.
         cpus = os.cpu_count() or 1
+        local = self._local_workers
         return RunReport(
             jobs=self.config.jobs, fingerprint=self.fingerprint,
-            cpu_count=cpus, oversubscribed=self.config.jobs > cpus,
-            start_method=self.start_method)
+            cpu_count=cpus, oversubscribed=local and self.config.jobs > cpus,
+            start_method=self.start_method if local else None)
 
     # -- public -------------------------------------------------------------
 
@@ -317,9 +335,9 @@ class ShardedRunner:
                         spec.name, time.perf_counter() - started, cached,
                         sharded))
         finally:
-            if self._supervisor is not None:
-                self._supervisor.shutdown()
-                self._supervisor = None
+            if self._local_workers and self._server is not None:
+                self._server.close()
+                self._server = None
         self._record_metrics()
         return self._assemble(artifacts)
 
@@ -412,35 +430,37 @@ class ShardedRunner:
                 return revived
         return outputs
 
-    def _ensure_supervisor(self) -> ShardSupervisor:
-        """The run's fault-tolerant dispatcher, created on first fan-out."""
-        if self._supervisor is None:
-            context = workers.WorkerContext(
+    def _ensure_server(self) -> LeaseServer:
+        """The run's lease server; a local one is made on first fan-out."""
+        if self._server is None:
+            # Imported here: a jobs=1 run never loads the socket loop.
+            from repro.runtime.server import LeaseServer
+            server = LeaseServer(self.config.policy())
+            server.bind(self.fingerprint, self._min_connected)
+            server.local_workers(workers.WorkerContext(
                 connlog=self._connlog, archive=self._archive,
                 ip2as=self._ip2as, kroot=self._kroot, uptime=self._uptime,
                 min_connected=self._min_connected,
-                fault_plan=self.config.fault_plan)
-            self._supervisor = ShardSupervisor(
-                context, jobs=self.config.jobs,
-                start_method=self.start_method,
-                policy=self.config.policy(), cache=self.cache,
-                fingerprint=self.fingerprint, version=self._version,
-                params=self._params, resume=self.config.resume)
-        return self._supervisor
+                fault_plan=self.config.fault_plan),
+                self.config.jobs, self.start_method)
+            self._server = server
+        return self._server
 
     def _stage_payloads(self, stage: str, shards: list[list],
                         probe_of=lambda item: item) -> list:
         """Shard payloads for one fan-out stage, in shard order.
 
-        Dispatch goes through :class:`ShardSupervisor` (recovery,
-        checkpoints, quarantine — abandoned shards are dropped from the
-        merge and accounted in the report).
+        The lease server owns recovery, checkpoints and quarantine:
+        abandoned shards are dropped from the merge and accounted in the
+        report.  A stage downstream of a degraded one runs on inputs
+        that are missing quarantined work, so it is tainted: its shard
+        checkpoints are neither stored nor resumed.
         """
-        # A stage downstream of a degraded one runs on inputs that are
-        # missing quarantined work: taint it so the supervisor neither
-        # stores nor resumes its shard checkpoints.
-        outcome = self._ensure_supervisor().run_stage(
-            stage, stage, shards, probe_of, tainted=self.report.degraded)
+        checkpoints = StageCheckpoints.for_stage(
+            self.cache, self.fingerprint, stage, shards, self._version,
+            self._params, tainted=self.report.degraded)
+        outcome = self._ensure_server().serve_stage(
+            stage, shards, probe_of, checkpoints, self.config.resume)
         self.report.resilience.append(outcome.resilience)
         return [payload for payload in outcome.payloads
                 if payload is not None]
@@ -548,7 +568,8 @@ def world_fingerprint(config) -> str:
 
 
 def runner_for_bundle(bundle, config: RuntimeConfig | None = None,
-                      min_connected: float | None = None) -> ShardedRunner:
+                      min_connected: float | None = None,
+                      server: LeaseServer | None = None) -> ShardedRunner:
     """Build a runner from a loaded on-disk bundle.
 
     Mirrors :func:`repro.core.pipeline.pipeline_for_bundle`, including the
@@ -560,11 +581,12 @@ def runner_for_bundle(bundle, config: RuntimeConfig | None = None,
         bundle.connlog, bundle.archive, bundle.kroot, bundle.uptime,
         bundle.ip2as, as_names=bundle.as_names,
         as_countries=bundle.as_countries, min_connected=min_connected,
-        fingerprint=bundle.fingerprint, config=config)
+        fingerprint=bundle.fingerprint, config=config, server=server)
 
 
 def runner_for_world(world, config: RuntimeConfig | None = None,
-                     min_connected: float | None = None) -> ShardedRunner:
+                     min_connected: float | None = None,
+                     server: LeaseServer | None = None) -> ShardedRunner:
     """Build a runner from a simulated :class:`WorldData` in memory.
 
     Mirrors :func:`repro.core.pipeline.pipeline_for_world`.
@@ -577,4 +599,5 @@ def runner_for_world(world, config: RuntimeConfig | None = None,
         world.connlog, world.archive, world.kroot, world.uptime,
         world.ip2as, as_names=as_names, as_countries=as_countries,
         min_connected=min_connected,
-        fingerprint=world_fingerprint(world.config), config=config)
+        fingerprint=world_fingerprint(world.config), config=config,
+        server=server)

@@ -1,4 +1,8 @@
-"""The framed, versioned message protocol between coordinator and workers.
+"""The framed, versioned lease protocol between the lease server and workers.
+
+Local worker processes speak it over a ``socketpair`` and socket workers
+over TCP; the lease server (:mod:`repro.runtime.server`) cannot tell the
+two apart on the wire.
 
 Every message travels in one frame::
 
@@ -35,11 +39,11 @@ HEARTBEAT      HEARTBEAT                    acked (workers don't ping)
 DRAIN          DRAIN(done=True)             polite goodbye
 ========== =============================== ============================
 
-Payloads are pickles, exactly like the local worker path and the
-artifact cache: the cluster is trusted (workers compute over the same
-bundle the coordinator serves), and the envelopes being shipped are the
-pickled :class:`~repro.runtime.workers.ShardResult` objects the local
-path already exchanges.  Every message dataclass is pinned as an RPR010
+Payloads are pickles, exactly like the artifact cache: the cluster is
+trusted (workers compute over the same bundle the coordinator serves),
+and the envelopes being shipped are the pickled
+:class:`~repro.runtime.workers.ShardResult` objects the cache stores as
+checkpoints.  Every message dataclass is pinned as an RPR010
 wire contract, as are the frame constants themselves.
 """
 

@@ -1,11 +1,12 @@
-"""Socket channels speaking the framed dist protocol.
+"""Socket channels speaking the framed lease protocol.
 
-:class:`Channel` wraps one connected socket with exact-length framing,
+:class:`Channel` wraps one connected socket (a dialed TCP connection, or
+a local worker's end of a ``socketpair``) with exact-length framing,
 integrity-checked receive, and a ``request`` round-trip.  It is the
 worker's end of the conversation and belongs to the one thread that
 drives that worker; nothing else ever touches it, so it holds no lock.
-(The coordinator reads frames through its own selector loop, see
-:mod:`repro.dist.coordinator`.)
+(The lease server reads frames through its own selector loop, see
+:mod:`repro.runtime.server`.)
 
 :class:`FaultyChannel` is the deterministic network saboteur: before
 every send it consults an inert fault plan (duck-typed
@@ -24,7 +25,7 @@ from __future__ import annotations
 import socket
 import time
 
-from repro.dist import protocol
+from repro.runtime import protocol
 from repro.errors import WireProtocolError
 
 #: Fault-kind strings this module acts on, mirroring the network values

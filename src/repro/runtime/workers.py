@@ -1,34 +1,32 @@
-"""Worker side of the sharded executor.
+"""Worker side of the sharded executor: contexts, kernels, envelopes.
 
-A local worker is a plain :mod:`multiprocessing` process running
-:func:`serve`: it receives the full dataset context once (inherited
-through ``fork``, or as its one start-up argument under ``spawn``), then
-serves shard tasks that are nothing but probe-id lists over its own
-pipe, keeping per-task pickling traffic tiny.  The context's columnar
-views are built once per process (once per run under fork), and every
-shard runs the same vectorized kernels the serial path runs, so a
-payload is exactly the slice of the serial result for its probes.  The
-filter, spans and gaps payloads are CSR columns
-(:mod:`repro.core.colartifact`), so shipping one pickles a few arrays
-instead of a graph of records; reboot payloads are still records.  The
-distributed worker (:mod:`repro.dist.worker`) runs the same
-:func:`run_shard` behind a socket instead of a pipe.
+A local worker process (:func:`repro.runtime.client.serve_local`)
+receives the full dataset context once (inherited through ``fork``, or
+as its one start-up argument under ``spawn``), then serves shard leases
+that are nothing but probe-id lists, keeping per-task pickling traffic
+tiny.  The context's columnar views are built once per process (once
+per run under fork), and every shard runs the same vectorized kernels
+the serial path runs, so a payload is exactly the slice of the serial
+result for its probes.  The filter, spans and gaps payloads are CSR
+columns (:mod:`repro.core.colartifact`), so shipping one pickles a few
+arrays instead of a graph of records; reboot payloads are still
+records.  Socket workers run the same :func:`run_shard` behind the same
+lease client.
 
 Results cross the process boundary inside a *sealed* :class:`ShardResult`
 envelope: the payload is pickled worker-side and stamped with its content
-fingerprint, so the supervisor can detect a corrupted envelope before a
+fingerprint, so the lease board can detect a corrupted envelope before a
 bad payload reaches the merge, and retry the shard instead of poisoning
 the run.
 
-Everything here must stay importable at module top level (spawned
-workers import :func:`serve` by qualified name) and free of global
-randomness; any future stochastic stage must draw from
-:func:`repro.util.rng.substream` keyed on the scenario seed and probe id,
-never from process-local state, or ``jobs=N`` output would diverge from
-``jobs=1``.  Process-fault injection (``repro.faults.process``) arrives
-as an inert plan object inside :class:`WorkerContext` — this module only
-asks it *whether* to fail and interprets the answer, so the faults layer
-never needs to import the runtime it sabotages.
+Everything here must stay free of global randomness; any future
+stochastic stage must draw from :func:`repro.util.rng.substream` keyed
+on the scenario seed and probe id, never from process-local state, or
+``jobs=N`` output would diverge from ``jobs=1``.  Process-fault
+injection (``repro.faults.process``) arrives as an inert plan object
+inside :class:`WorkerContext` — this module only asks it *whether* to
+fail and interprets the answer, so the faults layer never needs to
+import the runtime it sabotages.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ import pickle
 import signal
 import time
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection
 
 from repro import obs
 from repro.atlas.archive import ProbeArchive
@@ -130,9 +127,19 @@ class ShardResult:
 
     @classmethod
     def sealed(cls, payload: object, shard_index: int = 0,
-               attempt: int = 0) -> "ShardResult":
-        """Seal a payload with this task's spans and metrics."""
+               attempt: int = 0, ship_obs: bool = True) -> "ShardResult":
+        """Seal a payload with this task's spans and metrics.
+
+        ``ship_obs=False`` ships none and drains nothing: a loopback
+        worker thread shares the process-global span collector and
+        metrics registry with the lease server, so its observations are
+        already where the trace is written, and draining them would
+        steal the server's own.
+        """
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        if not ship_obs:
+            return cls(shard_index=shard_index, attempt=attempt,
+                       payload_pickle=blob, seal=fp.hash_bytes(blob))
         return cls(shard_index=shard_index, attempt=attempt,
                    payload_pickle=blob, seal=fp.hash_bytes(blob),
                    spans=obs.drain_spans(), metrics=obs.metrics().drain())
@@ -154,10 +161,10 @@ _colup: ColumnarUptime | None = None
 def init_worker(context: WorkerContext) -> None:
     """Install the dataset context in this process.
 
-    With a ``fork`` multiprocessing context the supervisor calls this in
-    the *parent* before starting workers — children inherit the
+    With a ``fork`` multiprocessing context the lease server calls this
+    in the *parent* before starting workers — children inherit the
     installed context through fork, skipping a per-worker pickle of the
-    full datasets.  Under ``spawn`` each worker runs it in :func:`serve`.
+    full datasets.  Under ``spawn`` each worker runs it on start-up.
     """
     global _context, _colconn, _colup
     _context = context
@@ -180,7 +187,7 @@ def _require_context() -> WorkerContext:
     if _context is None:
         raise RuntimeError(
             "worker context not initialized; shard tasks must run "
-            "after init_worker (serve installs it under spawn)")
+            "after init_worker")
     return _context
 
 
@@ -191,7 +198,7 @@ def _inject_preflight(stage: str, shard_index: int, attempt: int) -> None:
 
     Crash and hang are destructive-by-construction: ``SIGKILL`` cannot be
     caught and the hang outsleeps any sane deadline, so recovery can only
-    come from the supervisor — exactly what the fault matrix must prove.
+    come from the lease server — exactly what the fault matrix must prove.
     """
     plan = _context.fault_plan if _context is not None else None
     if plan is None:
@@ -252,9 +259,8 @@ def _gaps_payload(items: list[tuple[int, list[Reboot]]]
     return colkernels.gap_events_col(_colconn, context.kroot, items)
 
 
-#: Task registry: the supervisor dispatches shards by stage name, so the
-#: pickled task is ``(name, shard, index, attempt)`` instead of a
-#: per-stage callable.
+#: Task registry: a lease names its kernel by stage name, so what
+#: crosses the wire is the shard's items instead of a per-stage callable.
 SHARD_TASKS = {
     "filter": _filter_payload,
     "spans": _spans_payload,
@@ -264,7 +270,7 @@ SHARD_TASKS = {
 
 
 def run_shard(task_name: str, shard: list, shard_index: int = 0,
-              attempt: int = 0) -> ShardResult:
+              attempt: int = 0, ship_obs: bool = True) -> ShardResult:
     """Serve one shard task: (maybe) fault, compute, seal."""
     _require_context()
     _inject_preflight(task_name, shard_index, attempt)
@@ -273,39 +279,5 @@ def run_shard(task_name: str, shard: list, shard_index: int = 0,
                   stage=task_name, items=len(shard), attempt=attempt):
         payload = kernel(shard)
     obs.count("runtime.worker.tasks")
-    envelope = ShardResult.sealed(payload, shard_index, attempt)
+    envelope = ShardResult.sealed(payload, shard_index, attempt, ship_obs)
     return _inject_envelope(envelope, task_name, shard_index, attempt)
-
-
-def serve(conn: Connection, context: WorkerContext | None = None,
-          inherited: tuple[Connection, ...] = ()) -> None:
-    """Local worker process body: serve shard tasks from one pipe.
-
-    ``context`` is ``None`` under fork (the parent installed it before
-    starting the process) and the dataset context under spawn.  A forked
-    worker also inherits the parent's ends of every worker pipe, its own
-    included; it closes those (``inherited``) first, so the parent's
-    death reaches it as EOF on its pipe instead of leaving it blocked.
-
-    The worker sends its pid — it is ready to take a lease — then
-    answers each ``(task_name, shard, shard_index, attempt)`` task with
-    a sealed :class:`ShardResult`, or with the error text when the
-    kernel raises, until the parent closes the pipe, dies, or kills it.
-    """
-    for end in inherited:
-        end.close()
-    if context is not None:
-        init_worker(context)
-    try:
-        conn.send(os.getpid())
-        while True:
-            task = conn.recv()
-            try:
-                reply: object = run_shard(*task)
-            # A kernel exception is this shard's failure, not the
-            # worker's: report it for the board to charge, keep serving.
-            except Exception as error:  # repro: noqa[RPR004]
-                reply = "%s: %s" % (type(error).__name__, error)
-            conn.send(reply)
-    except (EOFError, OSError):
-        return  # the parent closed the pipe or died

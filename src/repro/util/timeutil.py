@@ -21,16 +21,16 @@ HOUR = 3600.0
 DAY = 86400.0
 WEEK = 7 * DAY
 
-#: Wall-clock budget one shard task gets before the supervisor declares
-#: it hung, kills its worker and reassigns it
-#: (:mod:`repro.runtime.supervisor`).  Generous: a paper-scale shard
+#: Wall-clock budget one shard task gets before the lease loop declares
+#: it hung, kills its local worker and reassigns it
+#: (:mod:`repro.runtime.server`).  Generous: a paper-scale shard
 #: computes in well under a second, so only a truly wedged worker ever
 #: reaches this.
 SHARD_DEADLINE_S = 5 * MINUTE
 #: First retry delay; attempt ``n`` waits ``BACKOFF_BASE_S * 2**(n-1)``.
 BACKOFF_BASE_S = 0.05 * SECOND
 #: Maximum failed attempts per shard before its probes are quarantined.
-#: A count, not a duration — it lives here with the supervisor's other
+#: A count, not a duration — it lives here with the other supervision
 #: retry knobs so none of them is a magic number at the call site.
 MAX_SHARD_RETRIES = 3
 
@@ -39,13 +39,14 @@ MAX_SHARD_RETRIES = 3
 #: same execution-only semantics as :data:`SHARD_DEADLINE_S`: the clock
 #: starts at grant time, and a shard waiting ungranted never ages.
 LEASE_DEADLINE_S = SHARD_DEADLINE_S
-#: Longest the coordinator's loop sleeps when nothing is due, and how
+#: Longest the lease loop sleeps when nothing is due, and how
 #: long a worker sleeps on an empty-handed DRAIN before re-pulling.
 DIST_POLL_S = 0.05 * SECOND
 #: Socket timeout of the dist protocol.  On the worker side, a reply
 #: that never arrives (dropped by a faulty transport) surfaces as a
 #: timeout and triggers a reconnect instead of wedging the worker; on
-#: the coordinator side it bounds each blocking reply ``sendall``.
+#: the server side it bounds each blocking reply ``sendall``.  A local
+#: worker's socketpair end has no timeout: its parent's death is EOF.
 DIST_SOCKET_TIMEOUT_S = 30 * SECOND
 #: Delay between a worker's connection attempts to the coordinator.
 DIST_RECONNECT_DELAY_S = 0.1 * SECOND

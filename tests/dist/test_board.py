@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 
 from repro.runtime.board import (
     CAUSE_DISCONNECT,
+    CAUSE_HANG,
     SUBMIT_CORRUPT,
     SUBMIT_DUPLICATE,
     SUBMIT_LATE,
     SUBMIT_RESOLVED,
     LeaseBoard,
+    SupervisionPolicy,
 )
-from repro.runtime.supervisor import CAUSE_HANG, SupervisionPolicy
 from repro.runtime.workers import ShardResult
 from repro.util import fingerprint as fp
 

@@ -6,12 +6,13 @@ Every test here drives the complete stage graph through real sockets
 """
 
 import pickle
+import threading
 
 import pytest
 
-from repro.dist import protocol
+from repro.runtime import protocol
 from repro.dist.coordinator import DistConfig, dist_runner_for_bundle
-from repro.dist.worker import DistWorker
+from repro.runtime.client import LeaseClient
 from repro.errors import DistError
 from repro.runtime import workers
 from repro.runtime.cache import ArtifactCache, code_version
@@ -129,15 +130,27 @@ def test_hello_rejects_a_worker_with_the_wrong_bundle(bundle):
     config = DistConfig(workers=1)
     runner = dist_runner_for_bundle(bundle, config)
     server = runner._server
-    try:
-        worker = DistWorker(host=server.host, port=server.port,
-                            worker_id="intruder",
-                            fingerprint="not-the-same-bundle")
-        with pytest.raises(DistError, match="rejected"):
+    errors = []
+    worker = LeaseClient(host=server.host, port=server.port,
+                         worker_id="intruder",
+                         fingerprint="not-the-same-bundle")
+
+    def dial() -> None:
+        try:
             worker.run()
+        except DistError as error:
+            errors.append(str(error))
+
+    thread = threading.Thread(target=dial, daemon=True)
+    thread.start()
+    try:
+        # The loop runs only inside the runner's calls: pump it here.
+        server.finish(10.0, until=lambda: not thread.is_alive())
     finally:
-        server.finish()
         server.close()
+    thread.join(timeout=10.0)
+    [message] = errors
+    assert "rejected" in message and "fingerprint" in message
 
 
 def test_worker_cache_short_circuit_unit(tmp_path):
@@ -155,7 +168,7 @@ def test_worker_cache_short_circuit_unit(tmp_path):
                                   payload_pickle=blob + b"x",
                                   seal=fp.hash_bytes(blob))
     cache.store("bad-key", corrupt)
-    worker = DistWorker(host="", port=0, worker_id="w0", cache=cache)
+    worker = LeaseClient(host="", port=0, worker_id="w0", cache=cache)
     lease = protocol.Lease(lease_id=1, stage="filter", shard_index=2,
                            attempt=0, items=(1,), cache_key="good-key")
     result = worker._compute(lease)

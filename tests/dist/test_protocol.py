@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from repro.dist import protocol
+from repro.runtime import protocol
 from repro.errors import WireProtocolError
 
 pytestmark = pytest.mark.dist

@@ -1,6 +1,6 @@
 """Every socket a dist worker dials is closed, on every way out.
 
-:meth:`DistWorker.run` dials a channel per connection and must close it
+:meth:`LeaseClient.run` dials a channel per connection and must close it
 whether the coordinator drains it, rejects it, lets the handshake time
 out, or the connection dies mid-serve and the worker reconnects; and
 :func:`transport.connect` must close its raw socket when the channel
@@ -19,8 +19,8 @@ import threading
 
 import pytest
 
-from repro.dist import protocol, transport
-from repro.dist.worker import DistWorker
+from repro.runtime import protocol, transport
+from repro.runtime.client import LeaseClient
 from repro.errors import DistError
 from repro.runtime.cache import code_version
 
@@ -91,8 +91,8 @@ def dialed(monkeypatch) -> list[dict]:
     return records
 
 
-def _worker(coordinator: _ScriptedCoordinator, **kwargs) -> DistWorker:
-    return DistWorker("127.0.0.1", coordinator.port, "w0",
+def _worker(coordinator: _ScriptedCoordinator, **kwargs) -> LeaseClient:
+    return LeaseClient("127.0.0.1", coordinator.port, "w0",
                       socket_timeout_s=0.5, reconnect_delay_s=0.0,
                       **kwargs)
 

@@ -1,9 +1,10 @@
 """Local worker processes as lease holders: per-worker attribution.
 
-Each of the ``jobs`` worker processes holds at most one lease from the
-stage's :class:`~repro.runtime.board.LeaseBoard`, so a failure is
-charged to exactly the shard its worker was running, and recovery
-replaces exactly that worker.  These tests pin the properties the
+Each of the ``jobs`` worker processes is a lease client on a socketpair
+and holds at most one lease from the stage's
+:class:`~repro.runtime.board.LeaseBoard`, so a failure is charged to
+exactly the shard its worker was running, and recovery replaces exactly
+that worker.  These tests pin the properties the
 fault matrix in ``test_supervisor.py`` does not isolate: one hang costs
 one worker, kernel exceptions are attributable crashes, and no run —
 clean, faulted, or killed — leaves a worker process behind.
@@ -23,8 +24,15 @@ from pathlib import Path
 import pytest
 
 from repro import obs
+from repro.errors import SupervisionError
 from repro.faults.process import ProcessFaultPlan
-from repro.runtime import RuntimeConfig, results_digest, runner_for_world
+from repro.runtime import (
+    RuntimeConfig,
+    client,
+    results_digest,
+    runner_for_world,
+)
+from repro.runtime.server import LeaseServer
 
 pytestmark = pytest.mark.runtime
 
@@ -40,6 +48,20 @@ class _OneHang:
                  attempt: int) -> str | None:
         if (stage, shard_index, attempt) == (self.stage, self.shard_index, 0):
             return "worker-hang"
+        return None
+
+
+@dataclass(frozen=True)
+class _OneCrash:
+    """SIGKILL the worker on the first attempt of one (stage, shard)."""
+
+    stage: str
+    shard_index: int
+
+    def fault_at(self, stage: str, shard_index: int,
+                 attempt: int) -> str | None:
+        if (stage, shard_index, attempt) == (self.stage, self.shard_index, 0):
+            return "worker-crash"
         return None
 
 
@@ -91,6 +113,47 @@ def test_one_hung_shard_costs_only_its_own_worker(world, serial_digest):
     counters = obs.metrics_snapshot()["counters"]
     assert counters["runtime.pool.respawns"] == 1
     assert counters["runtime.shard.failures.hang"] == 1
+
+
+def test_a_sigkilled_worker_is_charged_crash_with_its_exit_code(
+        world, serial_digest):
+    """EOF on a local worker's socket reaps the process: the lease it
+    held is charged ``crash`` with the exit code, and one replacement
+    starts."""
+    runner, results = _run(world, _OneCrash("reboots", 2))
+    assert results_digest(results) == serial_digest
+    failures = [failure for row in runner.report.resilience
+                for failure in row.failures]
+    assert [(f.stage, f.shard_index, f.attempt, f.cause)
+            for f in failures] == [("reboots", 2, 0, "crash")]
+    assert failures[0].detail == "worker exited with code -%d" % (
+        signal.SIGKILL,)
+    assert runner.report.total_reassignments == 1
+    assert obs.metrics_snapshot()["counters"]["runtime.pool.respawns"] == 1
+
+
+def _exit_at_once(*args) -> None:
+    os._exit(3)
+
+
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_a_worker_dead_before_its_hello_raises_and_is_not_replaced(
+        world, monkeypatch, method):
+    started = []
+    spawn = LeaseServer._spawn
+
+    def counted(self, slot):
+        started.append(slot)
+        return spawn(self, slot)
+
+    monkeypatch.setattr(LeaseServer, "_spawn", counted)
+    monkeypatch.setattr(client, "serve_local", _exit_at_once)
+    runner = runner_for_world(world, RuntimeConfig(jobs=2,
+                                                   start_method=method))
+    with pytest.raises(SupervisionError, match="before it was ready"):
+        runner.run()
+    assert sorted(started) == [0, 1]
+    assert multiprocessing.active_children() == []
 
 
 def test_kernel_exception_is_a_crash_that_retries_recover(world,
@@ -163,8 +226,8 @@ def _alive(pid: int) -> bool:
 @pytest.mark.parametrize("method", ["fork", "spawn"])
 def test_workers_exit_when_the_driver_is_killed(tmp_path, method):
     """A SIGKILLed driver runs no cleanup, so its workers must notice by
-    themselves: each sees EOF on its pipe (a forked worker first closes
-    the parent-side pipe ends it inherited) and exits."""
+    themselves: each sees EOF on its socket (a forked worker first
+    closes the parent-side socket ends it inherited) and exits."""
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip("%s is not available" % method)
     script = tmp_path / "driver.py"

@@ -26,8 +26,8 @@ from repro.runtime import (
     results_digest,
     runner_for_world,
 )
-from repro.runtime.board import LeaseBoard
-from repro.runtime.supervisor import SupervisionPolicy, partition_digest
+from repro.runtime.board import LeaseBoard, SupervisionPolicy
+from repro.runtime.supervisor import partition_digest
 from repro.runtime.workers import ShardResult
 
 pytestmark = pytest.mark.runtime
@@ -93,9 +93,9 @@ def test_a_deadline_passing_mid_turn_still_wakes_the_supervisor(
     """Shard 3 hangs on its first attempt while the other worker finishes
     every other shard and goes idle.  In the turn that folds the last
     result, ``wakeup_at`` is slowed until the hung lease's deadline has
-    passed.  The supervisor must still wake for that deadline: asking
+    passed.  The lease loop must still wake for that deadline: asking
     the clock again there would skip it as past, and the stage would
-    block for good on two silent pipes."""
+    block for good on two silent sockets."""
     plan = ProcessFaultPlan(seed=11, worker_hang=0.25)
     assert plan.placements("filter", 4) == {3: FaultKind.WORKER_HANG}
     wakeup_at = LeaseBoard.wakeup_at
@@ -113,12 +113,9 @@ def test_a_deadline_passing_mid_turn_still_wakes_the_supervisor(
     runner = runner_for_world(world, RuntimeConfig(
         fault_plan=plan, jobs=2, shards=4, max_retries=2,
         backoff_base_s=0.0, shard_deadline_s=1.0))
-    supervisor = runner._ensure_supervisor()
     shards = runner._shards_of(runner._connlog.probe_ids())
-    outcomes = []
     stage = threading.Thread(
-        target=lambda: outcomes.append(
-            supervisor.run_stage("filter", "filter", shards)),
+        target=lambda: runner._stage_payloads("filter", shards),
         daemon=True)
     stage.start()
     stage.join(timeout=30.0)
@@ -126,10 +123,9 @@ def test_a_deadline_passing_mid_turn_still_wakes_the_supervisor(
         assert not stage.is_alive(), "the stage blocked past its deadline"
     finally:
         if not stage.is_alive():
-            supervisor.shutdown()
+            runner._server.close()
     assert paused == [True]
-    [outcome] = outcomes
-    row = outcome.resilience
+    [row] = runner.report.resilience
     assert [(failure.shard_index, failure.cause)
             for failure in row.failures] == [(3, "hang")]
     assert not row.abandoned
