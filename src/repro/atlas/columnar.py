@@ -64,18 +64,24 @@ def strict_order(probe, key, bound, report: "IngestReport", dataset: str,
     probe is out of order.  The earliest such row (in input order) fails
     the read: the rows before it were accepted and count as parsed, then
     ``fail(row)`` is raised.  Otherwise every row counts as parsed and
-    the stable by-probe order is returned.
+    the stable by-probe order is returned: ``slice(None)`` when the rows
+    are grouped already (as every written bundle's are), so indexing
+    with it copies nothing.
     """
-    order = np.argsort(probe, kind="stable")
-    same = probe[order][1:] == probe[order][:-1]
-    bad = same & (key[order][1:] < bound[order][:-1])
+    if (probe[1:] >= probe[:-1]).all():
+        order = slice(None)
+    else:
+        order = np.argsort(probe, kind="stable")
+    grouped = probe[order]
+    bad = ((grouped[1:] == grouped[:-1])
+           & (key[order][1:] < bound[order][:-1]))
     if bad.any():
-        first = int(order[1:][bad].min())
+        first = int(np.arange(len(probe))[order][1:][bad].min())
         if first:
             report.parsed(dataset, first)
         raise fail(first)
-    if len(order):
-        report.parsed(dataset, len(order))
+    if len(probe):
+        report.parsed(dataset, len(probe))
     return order
 
 

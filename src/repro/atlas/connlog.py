@@ -35,7 +35,7 @@ from repro.util.ingest import (
     parse_finite,
     parse_probe_id,
 )
-from repro.util.tsvscan import TsvScan
+from repro.util.tsvscan import TsvScan, scan_blocks
 
 #: Dataset label used in ingest accounting and diagnostics.
 DATASET_NAME = "connlog"
@@ -230,29 +230,35 @@ class ConnectionLog:
         entries per probe and quarantines overlapping duplicates,
         accounting every decision in ``report``.
 
-        Plain lines are converted a whole column at a time
-        (:class:`~repro.util.tsvscan.TsvScan`); every other line goes
-        through :meth:`_parse_line`, in file order, so diagnostics and
-        accounting are exactly those of a line-by-line read.
+        Plain lines are converted a whole column at a time, one block
+        of lines after another (:func:`~repro.util.tsvscan.scan_blocks`);
+        every other line goes through :meth:`_parse_line`, in file order,
+        so diagnostics and accounting are exactly those of a line-by-line
+        read.
         """
         source = source or getattr(stream, "name", "<connlog>")
         report = report if report is not None else IngestReport()
-        rows = _Rows.from_scan(TsvScan(stream.read(), 4))
+        parts: list[_Rows] = []
         extra: list[tuple[int, ConnectionLogEntry]] = []
-        for index in rows.other_lines():
-            line_number = index + 1
-            text = rows.scan.line(index).strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                extra.append((line_number, cls._parse_line(text)))
-            except ParseError as error:
-                if policy is ReadPolicy.STRICT:
-                    raise ParseError(
-                        format_line_error(source, line_number, error)
-                    ) from None
-                report.quarantined(DATASET_NAME, source, line_number,
-                                   str(error))
+        for first, scan in scan_blocks(stream, 4):
+            part = _Rows.from_scan(scan, first)
+            parts.append(part)
+            for index in scan.other_lines(part.line - first - 1).tolist():
+                line_number = first + index + 1
+                text = scan.line(index).strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    extra.append((line_number, cls._parse_line(text)))
+                except ParseError as error:
+                    if policy is ReadPolicy.STRICT:
+                        raise ParseError(
+                            format_line_error(source, line_number, error)
+                        ) from None
+                    report.quarantined(DATASET_NAME, source, line_number,
+                                       str(error))
+        rows = _Rows.concat(parts)
+        del parts
         rows.merge(extra)
         if policy is ReadPolicy.STRICT:
             return rows.assemble_strict(report, source)
@@ -284,33 +290,47 @@ class ConnectionLog:
 class _Rows:
     """The parsed rows of one read, as parallel arrays in line order."""
 
-    def __init__(self, scan: TsvScan, line, probe, start, end, addr, v6,
+    def __init__(self, line, probe, start, end, addr, v6,
                  ipv6: dict[int, str]) -> None:
-        self.scan = scan
         self.line, self.probe, self.start, self.end = line, probe, start, end
         self.addr, self.v6 = addr, v6
         #: IPv6 text by line number.
         self.ipv6 = ipv6
 
     @classmethod
-    def from_scan(cls, scan: TsvScan) -> "_Rows":
-        """The plain lines that convert cleanly; the rest left for later."""
+    def from_scan(cls, scan: TsvScan, first: int) -> "_Rows":
+        """The plain lines that convert cleanly; the rest left for later.
+
+        ``first`` is the stream line index of the scan's first line.
+        """
         probe, ok = scan.decimal(0, 18)
         start, start_ok = scan.decimal(1, 15)
         end, end_ok = scan.decimal(2, 15)
         v6 = scan.contains(3, ":")
         addr, addr_ok = scan.dotted_quad(3)
         ok &= start_ok & end_ok & (v6 | addr_ok) & (end >= start)
-        ipv6 = dict(zip((scan.rows[ok & v6] + 1).tolist(),
-                        scan.text(3, ok & v6)))
+        line = scan.rows[ok] + (first + 1)
+        ipv6 = dict(zip(line[v6[ok]].tolist(), scan.text(3, ok & v6)))
         # IPv6 rows fail the dotted-quad check, so their address is 0.
-        return cls(scan, scan.rows[ok] + 1, probe[ok],
-                   start[ok].astype(np.float64), end[ok].astype(np.float64),
-                   addr[ok], v6[ok], ipv6)
+        return cls(line, probe[ok], start[ok].astype(np.float64),
+                   end[ok].astype(np.float64), addr[ok], v6[ok], ipv6)
 
-    def other_lines(self) -> list[int]:
-        """Indexes of the lines the scan left for the per-line parser."""
-        return self.scan.other_lines(self.line - 1).tolist()
+    @classmethod
+    def concat(cls, parts: list["_Rows"]) -> "_Rows":
+        """The rows of consecutive blocks, as one set of columns."""
+        if not parts:
+            empty = np.zeros(0, dtype=np.int64)
+            return cls(empty, empty, empty.astype(np.float64),
+                       empty.astype(np.float64), empty.astype(np.uint32),
+                       empty.astype(bool), {})
+        ipv6: dict[int, str] = {}
+        for part in parts:
+            ipv6.update(part.ipv6)
+        # Each part's column goes as soon as it is copied: at most one
+        # column is held twice.
+        return cls(*(np.concatenate([vars(part).pop(name) for part in parts])
+                     for name in ("line", "probe", "start", "end", "addr",
+                                  "v6")), ipv6)
 
     def merge(self, extra: list[tuple[int, ConnectionLogEntry]]) -> None:
         """Merge in the rows parsed line by line, restoring line order."""
@@ -375,30 +395,34 @@ class _Rows:
         keep = np.ones(len(order), dtype=bool)
         # Probe groups [firsts[g], firsts[g + 1]) of the sorted rows.
         firsts = group_heads(probe)
-        flagged = np.unique(np.searchsorted(
-            firsts, np.flatnonzero(displaced | overlap), side="right") - 1)
-        if len(flagged):
-            lines = self.line[order].tolist()
-            starts, ends = start.tolist(), end.tolist()
-            moved = displaced.tolist()
-            bounds = np.append(firsts, len(order)).tolist()
-            for group in flagged.tolist():
-                lo, hi = bounds[group], bounds[group + 1]
-                pid = int(probe[lo])
-                last_end = float("-inf")
-                for at in range(lo, hi):
-                    if starts[at] < last_end:
-                        keep[at] = False
-                        report.quarantined(
-                            DATASET_NAME, source, lines[at],
-                            "probe %d: connection starting %s overlaps the "
-                            "previous one" % (pid, starts[at]))
-                        continue
-                    last_end = ends[at]
-                    if moved[at]:
-                        report.repaired(
-                            DATASET_NAME, source, lines[at],
-                            "probe %d: out-of-order entry re-sorted" % pid)
+        # The flagged rows ascend, so their groups do too: keep each
+        # run's head (np.unique would import numpy.ma for nothing).
+        flagged = np.searchsorted(
+            firsts, np.flatnonzero(displaced | overlap), side="right") - 1
+        flagged = flagged[group_heads(flagged)]
+        bounds = np.append(firsts, len(order)).tolist()
+        for group in flagged.tolist():
+            # One group's rows as native values at a time: all of them
+            # at once would cost more memory than the columns.
+            lo, hi = bounds[group], bounds[group + 1]
+            pid = int(probe[lo])
+            last_end = float("-inf")
+            for at, line, row_start, row_end, moved in zip(
+                    range(lo, hi), self.line[order[lo:hi]].tolist(),
+                    start[lo:hi].tolist(), end[lo:hi].tolist(),
+                    displaced[lo:hi].tolist()):
+                if row_start < last_end:
+                    keep[at] = False
+                    report.quarantined(
+                        DATASET_NAME, source, line,
+                        "probe %d: connection starting %s overlaps the "
+                        "previous one" % (pid, row_start))
+                    continue
+                last_end = row_end
+                if moved:
+                    report.repaired(
+                        DATASET_NAME, source, line,
+                        "probe %d: out-of-order entry re-sorted" % pid)
         parsed = int(np.count_nonzero(keep & ~displaced))
         if parsed:
             report.parsed(DATASET_NAME, parsed)

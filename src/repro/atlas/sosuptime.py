@@ -32,7 +32,7 @@ from repro.util.ingest import (
     parse_finite,
     parse_probe_id,
 )
-from repro.util.tsvscan import TsvScan
+from repro.util.tsvscan import scan_blocks
 
 #: Dataset label used in ingest accounting and diagnostics.
 DATASET_NAME = "uptime"
@@ -165,49 +165,54 @@ class UptimeDataset:
         accounting every decision in ``report``.
 
         Plain lines with in-range counters are converted a whole column
-        at a time (:class:`~repro.util.tsvscan.TsvScan`); every other
-        line goes through :meth:`_parse_line`, in file order.
+        at a time, one block of lines after another
+        (:func:`~repro.util.tsvscan.scan_blocks`); every other line goes
+        through :meth:`_parse_line`, in file order.
         """
         source = source or getattr(stream, "name", "<uptime>")
         report = report if report is not None else IngestReport()
-        scan = TsvScan(stream.read(), 3)
-        probe, ok = scan.decimal(0, 18)
-        stamp, stamp_ok = scan.decimal(1, 15)
-        uptime, uptime_ok = scan.decimal(2, 15)
-        ok &= stamp_ok & uptime_ok & (uptime < 2 ** 32)
         # Per row: its line number, negated for a counter-wrap repair
         # (already accounted, so assembly does not count it again).
-        lines = [scan.rows[ok] + 1]
-        columns = [(probe[ok], stamp[ok].astype(np.float64),
-                    uptime[ok].astype(np.float64))]
+        lines = [np.zeros(0, dtype=np.int64)]
+        columns = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0))]
         extra: list[tuple[int, UptimeRecord]] = []
-        for index in scan.other_lines(scan.rows[ok]).tolist():
-            line_number = index + 1
-            text = scan.line(index).strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                record = cls._parse_line(text)
-            except ParseError as error:
-                if policy is ReadPolicy.STRICT:
-                    raise ParseError(
-                        format_line_error(source, line_number, error)
-                    ) from None
-                report.quarantined(DATASET_NAME, source, line_number,
-                                   str(error))
-                continue
-            if record.uptime >= UPTIME_WRAP_MODULUS:
-                if policy is ReadPolicy.STRICT:
-                    raise ParseError(format_line_error(
-                        source, line_number,
-                        "uptime counter %r beyond the 32-bit wrap"
-                        % record.uptime))
-                record = UptimeRecord(record.probe_id, record.timestamp,
-                                      record.uptime % UPTIME_WRAP_MODULUS)
-                report.repaired(DATASET_NAME, source, line_number,
-                                "wrapped uptime counter reduced modulo 2**32")
-                line_number = -line_number
-            extra.append((line_number, record))
+        for first, scan in scan_blocks(stream, 3):
+            probe, ok = scan.decimal(0, 18)
+            stamp, stamp_ok = scan.decimal(1, 15)
+            uptime, uptime_ok = scan.decimal(2, 15)
+            ok &= stamp_ok & uptime_ok & (uptime < 2 ** 32)
+            lines.append(scan.rows[ok] + (first + 1))
+            columns.append((probe[ok], stamp[ok].astype(np.float64),
+                            uptime[ok].astype(np.float64)))
+            for index in scan.other_lines(scan.rows[ok]).tolist():
+                line_number = first + index + 1
+                text = scan.line(index).strip()
+                if not text or text.startswith("#"):
+                    continue
+                try:
+                    record = cls._parse_line(text)
+                except ParseError as error:
+                    if policy is ReadPolicy.STRICT:
+                        raise ParseError(
+                            format_line_error(source, line_number, error)
+                        ) from None
+                    report.quarantined(DATASET_NAME, source, line_number,
+                                       str(error))
+                    continue
+                if record.uptime >= UPTIME_WRAP_MODULUS:
+                    if policy is ReadPolicy.STRICT:
+                        raise ParseError(format_line_error(
+                            source, line_number,
+                            "uptime counter %r beyond the 32-bit wrap"
+                            % record.uptime))
+                    record = UptimeRecord(
+                        record.probe_id, record.timestamp,
+                        record.uptime % UPTIME_WRAP_MODULUS)
+                    report.repaired(
+                        DATASET_NAME, source, line_number,
+                        "wrapped uptime counter reduced modulo 2**32")
+                    line_number = -line_number
+                extra.append((line_number, record))
         if extra:
             lines.append(np.asarray([n for n, _ in extra], dtype=np.int64))
             columns.append((

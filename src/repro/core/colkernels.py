@@ -260,20 +260,30 @@ def detect_reboots_col(colup: ColumnarUptime,
         pids = colup.probe_ids.tolist()
     else:
         pids = [int(pid) for pid in probe_ids]
-    total = len(colup.uptimes)
-    resets = np.zeros(total, dtype=bool)
-    if total:
-        resets[1:] = colup.uptimes[1:] < colup.uptimes[:-1]
-        firsts = colup.offsets[:-1]
-        resets[firsts[firsts < total]] = False
+    # Only the requested probes' rows, probe after probe; a row is a
+    # reset when its counter is below the previous row's of its probe.
+    bounds = np.array([colup.slice_of(pid) for pid in pids],
+                      dtype=np.int64).reshape(-1, 2)
+    lengths = bounds[:, 1] - bounds[:, 0]
+    row_offsets = _csr_offsets(lengths)
+    rows = (np.repeat(bounds[:, 0] - row_offsets[:-1], lengths)
+            + np.arange(row_offsets[-1], dtype=np.int64))
+    uptimes = colup.uptimes[rows]
+    resets = np.zeros(len(rows), dtype=bool)
+    resets[1:] = uptimes[1:] < uptimes[:-1]
+    resets[row_offsets[:-1][lengths > 0]] = False
+    at = np.flatnonzero(resets)
+    hits = rows[at]
     # Elementwise f64 subtract matches UptimeRecord.boot_time exactly.
-    boots = (colup.timestamps - colup.uptimes).tolist()
-    stamps = colup.timestamps.tolist()
+    boots = (colup.timestamps[hits] - colup.uptimes[hits]).tolist()
+    stamps = colup.timestamps[hits].tolist()
+    ends = np.searchsorted(at, row_offsets[1:]).tolist()
     out: dict[int, list[Reboot]] = {}
-    for pid in pids:
-        lo, hi = colup.slice_of(pid)
-        hits = (np.nonzero(resets[lo:hi])[0] + lo).tolist()
-        out[pid] = [Reboot(pid, boots[at], stamps[at]) for at in hits]
+    first = 0
+    for pid, last in zip(pids, ends):
+        out[pid] = [Reboot(pid, boots[k], stamps[k])
+                    for k in range(first, last)]
+        first = last
     return out
 
 
@@ -290,6 +300,20 @@ def _first_tick_at_or_after(series: KRootSeries, timestamp: float) -> int:
     if _tick_of(series, index) < timestamp:
         index += 1
     return index
+
+
+def _ticks_of(series: KRootSeries, indexes: np.ndarray) -> np.ndarray:
+    """:func:`_tick_of` elementwise (the same IEEE operations)."""
+    return (series.observed_start + series.phase) + indexes * series.cadence
+
+
+def _first_ticks_at_or_after(series: KRootSeries,
+                             timestamps: np.ndarray) -> np.ndarray:
+    """:func:`_first_tick_at_or_after` elementwise (numpy's float floor
+    division is Python's)."""
+    index = np.floor_divide(timestamps - series.observed_start
+                            - series.phase, series.cadence).astype(np.int64)
+    return index + (_ticks_of(series, index) < timestamps)
 
 
 def _live_tick_between(series: KRootSeries, left: int, right: int) -> bool:
@@ -328,37 +352,48 @@ class KRootOutageIndex:
     __slots__ = ("times", "times_list", "lts", "run", "grow")
 
     def __init__(self, series: KRootSeries) -> None:
-        times: list[float] = []
-        ticks: list[int] = []
-        lts: list[float] = []
-        for outage in series.network_down:
-            start = max(outage.start, series.observed_start)
-            stop = min(outage.end, series.observed_end)
-            if stop <= start:
-                continue
-            index = _first_tick_at_or_after(series, start)
-            tick = _tick_of(series, index)
-            while tick < stop:
-                if not series.power_off.contains(tick):
-                    times.append(tick)
-                    ticks.append(index)
-                    lts.append(HEALTHY_LTS + (tick - outage.start))
-                index += 1
-                tick = _tick_of(series, index)
-        run = [0] * len(times)
-        grow = [0] * len(times)
-        for k in range(1, len(times)):
-            joined = (ticks[k] == ticks[k - 1] + 1
-                      or not _live_tick_between(series, ticks[k - 1],
-                                                ticks[k]))
-            run[k] = run[k - 1] if joined else run[k - 1] + 1
-            grow[k] = (grow[k - 1] if joined and lts[k] > lts[k - 1]
-                       else k)
-        self.times = np.asarray(times, dtype=np.float64)
-        self.times_list = times
-        self.lts = lts
-        self.run = run
-        self.grow = grow
+        down = series.network_down
+        window_lo = np.maximum(down.starts, series.observed_start)
+        window_hi = np.minimum(down.ends, series.observed_end)
+        inside = window_hi > window_lo
+        outage_starts = down.starts[inside]
+        window_hi = window_hi[inside]
+        # Each clipped outage's ticks, from its first tick at or after
+        # the clipped start up to one past its stop: a superset of the
+        # ticks before the stop, which the mask below keeps.
+        first = _first_ticks_at_or_after(series, window_lo[inside])
+        counts = _first_ticks_at_or_after(series, window_hi) + 2 - first
+        owner = np.repeat(np.arange(len(first)), counts)
+        ticks = (np.arange(len(owner), dtype=np.int64)
+                 + np.repeat(first - _csr_offsets(counts)[:-1], counts))
+        times = _ticks_of(series, ticks)
+        keep = times < window_hi[owner]
+        power = series.power_off
+        if len(power):
+            # Present ticks only: drop those a power-off interval covers.
+            covering = np.searchsorted(power.starts, times,
+                                       side="right") - 1
+            keep &= ((covering < 0)
+                     | (times >= power.ends[np.maximum(covering, 0)]))
+        times, ticks = times[keep], ticks[keep]
+        lts = HEALTHY_LTS + (times - outage_starts[owner[keep]])
+        tick_list = ticks.tolist()
+        joined = np.ones(len(times), dtype=bool)
+        for k in np.flatnonzero(ticks[1:] != ticks[:-1] + 1).tolist():
+            joined[k + 1] = not _live_tick_between(
+                series, tick_list[k], tick_list[k + 1])
+        # A run breaks where a live tick separates two lost ones; the LTS
+        # chain also breaks where the LTS does not grow.
+        positions = np.arange(len(times))
+        grows = joined.copy()
+        grows[1:] &= lts[1:] > lts[:-1]
+        grows[:1] = False
+        self.times = times
+        self.times_list = times.tolist()
+        self.lts = lts.tolist()
+        self.run = np.cumsum(~joined).tolist()
+        self.grow = np.maximum.accumulate(
+            np.where(grows, 0, positions)).tolist() if len(times) else []
 
 
 def _classify_slow(gap_start: float, gap_end: float,

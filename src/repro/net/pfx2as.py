@@ -32,7 +32,7 @@ from repro.util.ingest import (
     ReadPolicy,
     format_line_error,
 )
-from repro.util.tsvscan import TsvScan
+from repro.util.tsvscan import scan_blocks
 
 #: Dataset label used in ingest accounting and diagnostics.
 DATASET_NAME = "pfx2as"
@@ -264,48 +264,56 @@ class Pfx2AsSnapshot:
         line; ``REPAIR`` quarantines bad lines (those prefixes simply go
         unmapped) and accounts them in ``report``.
 
-        Plain lines are converted a whole column at a time
-        (:class:`~repro.util.tsvscan.TsvScan`); every other line goes
-        through :meth:`_parse_line`, in file order, so diagnostics and
-        accounting are exactly those of a line-by-line read.
+        Plain lines are converted a whole column at a time, one block
+        of lines after another (:func:`~repro.util.tsvscan.scan_blocks`);
+        every other line goes through :meth:`_parse_line`, in file order,
+        so diagnostics and accounting are exactly those of a line-by-line
+        read.
         """
         source = source or getattr(stream, "name", "<pfx2as>")
         report = report if report is not None else IngestReport()
-        scan = TsvScan(stream.read(), 3)
-        network, ok = scan.dotted_quad(0)
-        network = network.astype(np.int64)
-        length, length_ok = scan.decimal(1, 2)
-        asn, asn_ok = scan.decimal(2, 10)
-        ok &= length_ok & asn_ok & (length <= 32) & (asn >= 1)
-        ok &= asn <= MAX_ASN
-        host_bits = (1 << (32 - np.minimum(length, 32))) - 1
-        ok &= (network & host_bits) == 0
-        plain = scan.rows[ok]
+        # Per block: the plain rows' line indexes and their columns.
+        parts = [(_NO_ROWS, (_NO_ROWS, _NO_ROWS, _NO_ROWS))]
         extra: list[tuple[int, int, int, int]] = []
-        for index in scan.other_lines(plain).tolist():
-            text = scan.line(index).strip()
-            if not text or text.startswith("#"):
-                continue
-            try:
-                mapping = cls._parse_line(text)
-            except ParseError as error:
-                if policy is ReadPolicy.STRICT:
-                    raise ParseError(
-                        format_line_error(source, index + 1, error)
-                    ) from None
-                report.quarantined(DATASET_NAME, source, index + 1,
-                                   str(error))
-                continue
-            extra.append((index, mapping.prefix.network,
-                          mapping.prefix.length, mapping.asn))
-        report.parsed(DATASET_NAME, len(plain) + len(extra))
+        for first, scan in scan_blocks(stream, 3):
+            network, ok = scan.dotted_quad(0)
+            network = network.astype(np.int64)
+            length, length_ok = scan.decimal(1, 2)
+            asn, asn_ok = scan.decimal(2, 10)
+            ok &= length_ok & asn_ok & (length <= 32) & (asn >= 1)
+            ok &= asn <= MAX_ASN
+            host_bits = (1 << (32 - np.minimum(length, 32))) - 1
+            ok &= (network & host_bits) == 0
+            plain = scan.rows[ok]
+            parts.append((plain + first,
+                          (network[ok], length[ok], asn[ok])))
+            for index in scan.other_lines(plain).tolist():
+                text = scan.line(index).strip()
+                if not text or text.startswith("#"):
+                    continue
+                line_number = first + index + 1
+                try:
+                    mapping = cls._parse_line(text)
+                except ParseError as error:
+                    if policy is ReadPolicy.STRICT:
+                        raise ParseError(
+                            format_line_error(source, line_number, error)
+                        ) from None
+                    report.quarantined(DATASET_NAME, source, line_number,
+                                       str(error))
+                    continue
+                extra.append((line_number - 1, mapping.prefix.network,
+                              mapping.prefix.length, mapping.asn))
         lines, *columns = np.array(extra, dtype=np.int64).reshape(-1, 4).T
+        parts.append((lines, tuple(columns)))
+        report.parsed(DATASET_NAME, sum(len(lines) for lines, _ in parts))
+        lines = np.concatenate([lines for lines, _ in parts])
         # File order decides which duplicate prefix wins.
-        order = np.argsort(np.concatenate((plain, lines)))
+        order = np.argsort(lines)
         snapshot = cls()
         snapshot._columns = _by_prefix(*(
-            np.concatenate((parsed[ok], more))[order]
-            for parsed, more in zip((network, length, asn), columns)))
+            np.concatenate(column)[order]
+            for column in zip(*(columns for _, columns in parts))))
         return snapshot
 
 

@@ -43,6 +43,7 @@ from repro.obs.spans import (
     collector,
     current_spans,
     drain_spans,
+    maxrss_mb,
     span,
 )
 from repro.obs.trace import (
@@ -65,6 +66,7 @@ __all__ = [
     "drain_spans",
     "gauge",
     "load_trace",
+    "maxrss_mb",
     "metrics",
     "metrics_snapshot",
     "record_cache",

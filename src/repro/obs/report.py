@@ -15,8 +15,11 @@ traced run exported:
   with one line per served fan-out stage;
 * lease-protocol accounting when shards were leased to workers (workers
   seen, leases granted, per-worker lease skew, bytes over the wire);
-* ingest accounting (parsed / repaired / quarantined per dataset, with
-  the loss fraction) and injected-fault counts when present.
+* ingest: each dataset's load (``ingest``-category spans) with its
+  seconds and the process's peak RSS when it ended, so the dataset that
+  set the peak shows; then the accounting (parsed / repaired /
+  quarantined per dataset, with the loss fraction) and injected-fault
+  counts when present.
 
 Everything here is pure rendering over the loaded payload; the numbers
 were fixed when the trace was written.
@@ -120,16 +123,25 @@ def _cache_lines(counters: dict[str, float],
     return lines
 
 
-def _ingest_lines(counters: dict[str, float]) -> list[str]:
+def _ingest_lines(events: list[dict],
+                  counters: dict[str, float]) -> list[str]:
+    lines = ["%-16s  %9s  %s" % ("load", "seconds", "peak rss (MB)")]
+    for event in events:
+        if event.get("cat") == "ingest":
+            lines.append("%-16s  %9.3f  %.1f" % (
+                event["name"], event["dur"] / _MICROSECONDS,
+                float(event.get("args", {}).get("maxrss_mb", 0.0))))
+    if len(lines) == 1:
+        lines = []
     datasets: dict[str, dict[str, float]] = {}
     for name, value in counters.items():
         parts = name.split(".")
         if len(parts) == 3 and parts[0] == "ingest":
             datasets.setdefault(parts[2], {})[parts[1]] = value
     if not datasets:
-        return []
-    lines = ["%-12s %8s %9s %12s %7s"
-             % ("dataset", "parsed", "repaired", "quarantined", "loss")]
+        return lines
+    lines.append("%-12s %8s %9s %12s %7s"
+                 % ("dataset", "parsed", "repaired", "quarantined", "loss"))
     for dataset in sorted(datasets):
         row = datasets[dataset]
         parsed = row.get("parsed", 0)
@@ -268,7 +280,7 @@ def render_report(payload: dict) -> str:
         ("cache", _cache_lines(counters, gauges)),
         ("resilience", _resilience_lines(events, counters, gauges)),
         ("dist", _dist_lines(counters)),
-        ("ingest", _ingest_lines(counters)),
+        ("ingest", _ingest_lines(events, counters)),
         ("faults injected", _fault_lines(counters)),
     ]
     blocks = []

@@ -27,6 +27,7 @@ the guard fails it.
 from __future__ import annotations
 
 import os
+import resource
 import threading
 import time
 from contextlib import contextmanager
@@ -180,3 +181,12 @@ def drain_spans() -> list[Span]:
 def absorb_spans(spans: Iterable[Span]) -> None:
     """Merge shipped spans into this process's collector."""
     collector().absorb(spans)
+
+
+def maxrss_mb() -> float:
+    """This process's peak resident set size so far, in MB.
+
+    ``ru_maxrss`` is a high-water mark: a span that records it at its
+    end shows whether the peak was set before or inside it.
+    """
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0

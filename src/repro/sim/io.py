@@ -17,14 +17,19 @@ Bundle layout::
 
 from __future__ import annotations
 
+import contextlib
 import json
+import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
+
+import numpy as np
 
 from repro import obs
 from repro.atlas.archive import ProbeArchive
 from repro.atlas.connlog import ConnectionLog
-from repro.atlas.kroot import KRootDataset, KRootSeries
+from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ProbeMeta, ProbeVersion
 from repro.errors import DatasetError, ParseError
@@ -32,6 +37,7 @@ from repro.net.pfx2as import IpToAsDataset, Pfx2AsSnapshot
 from repro.sim.world import WorldData
 from repro.util import timeutil
 from repro.util import fingerprint as fp
+from repro.util.heap import collector_paused
 from repro.util.ingest import (
     IngestReport,
     ReadPolicy,
@@ -40,6 +46,10 @@ from repro.util.ingest import (
 from repro.util.intervals import Interval, IntervalSet
 
 BUNDLE_VERSION = 1
+
+#: What ``json`` skips as whitespace between tokens.
+_JSON_SPACE = re.compile(r"[ \t\n\r]*")
+_NO_SPANS = np.zeros((0, 2), dtype=np.float64)
 
 #: Bundle files a load consults besides ``meta.json`` (which is always
 #: required: without the window and seed nothing can be interpreted).
@@ -85,37 +95,6 @@ def bundle_fingerprint(directory: str | Path) -> str:
     return fp.hash_files(path for path in paths if path.exists())
 
 
-def _series_state(series: KRootSeries) -> dict:
-    return {
-        "probe_id": series.probe_id,
-        "start": series.observed_start,
-        "end": series.observed_end,
-        "cadence": series.cadence,
-        "phase": series.phase,
-        "power_off": [[iv.start, iv.end] for iv in series.power_off],
-        "network_down": [[iv.start, iv.end] for iv in series.network_down],
-    }
-
-
-def _series_from_state(state: dict, source: str = "<kroot>",
-                       index: int = 0) -> KRootSeries:
-    try:
-        return KRootSeries(
-            int(state["probe_id"]), float(state["start"]),
-            float(state["end"]),
-            power_off=IntervalSet(Interval(a, b)
-                                  for a, b in state["power_off"]),
-            network_down=IntervalSet(Interval(a, b)
-                                     for a, b in state["network_down"]),
-            cadence=float(state["cadence"]),
-            phase=float(state["phase"]),
-        )
-    except (KeyError, TypeError, ValueError) as error:
-        raise ParseError(format_line_error(
-            source, index, "malformed k-root series state: %s" % error
-        )) from None
-
-
 def write_world(world: WorldData, directory: str | Path) -> Path:
     """Write a world's datasets as a bundle; returns the directory.
 
@@ -155,9 +134,8 @@ def _write_bundle(world: WorldData, root: Path) -> Path:
     with open(root / "uptime.tsv", "w") as stream:
         world.uptime.write(stream)
 
-    states = [_series_state(world.kroot.series(pid))
-              for pid in world.kroot.probe_ids()]
-    (root / "kroot.json").write_text(json.dumps(states))
+    (root / "kroot.json").write_text(
+        json.dumps(world.kroot.columns().states()))
 
     pfx_dir = root / "pfx2as"
     pfx_dir.mkdir(exist_ok=True)
@@ -251,37 +229,184 @@ def _load_meta(root: Path) -> dict:
     return meta
 
 
+def _array_items(text: str) -> Iterator[object]:
+    """The items of the JSON array ``text``, decoded one at a time.
+
+    Raises ``ValueError`` (a :class:`json.JSONDecodeError`, or a bare
+    ``ValueError`` where the text is not one JSON array) on the first
+    thing ``json.loads`` might not accept as an array.
+    """
+    decoder = json.JSONDecoder()
+    at = _JSON_SPACE.match(text).end()
+    if not text.startswith("[", at):
+        raise ValueError("not a JSON array")
+    at = _JSON_SPACE.match(text, at + 1).end()
+    if text.startswith("]", at):
+        at += 1
+    else:
+        while True:
+            item, at = decoder.raw_decode(text, at)
+            yield item
+            at = _JSON_SPACE.match(text, at).end()
+            if text.startswith("]", at):
+                at += 1
+                break
+            if not text.startswith(",", at):
+                raise ValueError("no ',' or ']' after an array item")
+            at = _JSON_SPACE.match(text, at + 1).end()
+    if _JSON_SPACE.match(text, at).end() != len(text):
+        raise ValueError("extra data after the array")
+
+
+def _float_spans(intervals: IntervalSet) -> np.ndarray:
+    """A set's members as ``(n, 2)`` float64 rows; ValueError unless
+    every endpoint is a number float64 holds."""
+    rows = []
+    for member in intervals:
+        for value in (member.start, member.end):
+            if not isinstance(value, (int, float)) or value != value:
+                raise ValueError(
+                    "interval endpoint %r is not a float64 number" % (value,))
+        try:
+            rows.append((float(member.start), float(member.end)))
+        except OverflowError:
+            raise ValueError("interval endpoint %r is not a float64 number"
+                             % (member.start,)) from None
+    return np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def _plain_state(state: object) -> tuple | None:
+    """:func:`_state_fields` for a state written by :func:`write_world`.
+
+    None when the state holds anything else: every value of the right
+    JSON type, and every interval ``[start, end]`` with ``start <= end``.
+    """
+    if type(state) is not dict:
+        return None
+    try:
+        fields = (int(state["probe_id"]), float(state["start"]),
+                  float(state["end"]), float(state["cadence"]),
+                  float(state["phase"]))
+        power, network = state["power_off"], state["network_down"]
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None  # the exact path raises it, in order
+    if type(power) is not list or type(network) is not list:
+        return None
+    try:
+        spans = np.array(power + network)
+    except (TypeError, ValueError, OverflowError):  # ragged, say
+        return None
+    if not len(spans):
+        spans = _NO_SPANS
+    elif spans.shape != (len(spans), 2) or spans.dtype.kind not in "biuf":
+        return None
+    elif spans.dtype.kind in "iu" and np.abs(spans).max() > 2 ** 53:
+        return None
+    spans = spans.astype(np.float64, copy=False)
+    if not (spans[:, 1] >= spans[:, 0]).all():
+        return None
+    return fields + (spans[:len(power)], spans[len(power):])
+
+
+def _state_fields(state: object, source: str, index: int) -> tuple:
+    """One k-root series state as ``(probe id, start, end, cadence,
+    phase, power spans, network spans)``, spans as ``(n, 2)`` float64.
+
+    Raises what building an
+    :class:`~repro.util.intervals.IntervalSet` per interval list and a
+    :class:`~repro.atlas.kroot.KRootSeries` from the state raises, in
+    the same order, as :class:`ParseError` naming the state; it also
+    rejects endpoints that are not float64 numbers.
+    """
+    fields = _plain_state(state)
+    if fields is not None:
+        return fields
+    try:
+        probe_id = int(state["probe_id"])
+        start, end = float(state["start"]), float(state["end"])
+        power = IntervalSet(Interval(a, b) for a, b in state["power_off"])
+        network = IntervalSet(Interval(a, b)
+                              for a, b in state["network_down"])
+        return (probe_id, start, end, float(state["cadence"]),
+                float(state["phase"]), _float_spans(power),
+                _float_spans(network))
+    except (KeyError, TypeError, ValueError) as error:
+        raise ParseError(format_line_error(
+            source, index, "malformed k-root series state: %s" % error
+        )) from None
+
+
 def _load_kroot(path: Path | None, policy: ReadPolicy,
                 report: IngestReport) -> KRootDataset:
-    """Load the per-probe k-root series states."""
+    """Load the per-probe k-root series states.
+
+    The array is decoded one state at a time, each straight into span
+    arrays.  Where the walk meets anything but a plain JSON array,
+    ``json.loads`` reads the text instead, so malformed JSON fails (or
+    is noted) with exactly its message.  Nothing is accounted before
+    the whole text has decoded.
+    """
     kroot = KRootDataset()
     if path is None:
         return kroot
     source = str(path)
+    text = path.read_text()
     try:
-        states = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        if policy is ReadPolicy.STRICT:
-            raise DatasetError("%s: malformed JSON: %s"
-                               % (source, error)) from None
-        report.note("kroot", source,
-                    "malformed JSON (%s); continuing with an empty "
-                    "dataset" % error)
-        return kroot
-    if not isinstance(states, list):
-        raise DatasetError("%s: expected a JSON array of series states"
-                           % source)
-    for index, state in enumerate(states, start=1):
+        decoded = [_outcome(state, source, index) for index, state
+                   in enumerate(_array_items(text), start=1)]
+    except ValueError:
         try:
-            # KRootDataset.add_series rejects duplicates (DatasetError).
-            kroot.add_series(_series_from_state(state, source, index))
-        except (ParseError, DatasetError) as error:
+            states = json.loads(text)
+        except json.JSONDecodeError as error:
             if policy is ReadPolicy.STRICT:
-                raise
+                raise DatasetError("%s: malformed JSON: %s"
+                                   % (source, error)) from None
+            report.note("kroot", source,
+                        "malformed JSON (%s); continuing with an empty "
+                        "dataset" % error)
+            return kroot
+        if not isinstance(states, list):
+            raise DatasetError("%s: expected a JSON array of series states"
+                               % source) from None
+        decoded = [_outcome(state, source, index)
+                   for index, state in enumerate(states, start=1)]
+    del text
+    for index, fields in enumerate(decoded, start=1):
+        error = fields if isinstance(fields, Exception) else None
+        if error is None:
+            probe_id, start, end, cadence, phase, power, network = fields
+            try:
+                # stage rejects an empty window, a bad cadence and a
+                # duplicate probe (DatasetError).
+                kroot.stage(probe_id, start, end, power, network,
+                            cadence, phase)
+            except DatasetError as failure:
+                # Without its traceback, holding it makes no cycle.
+                error = failure.with_traceback(None)
+        if error is not None:
+            if (policy is ReadPolicy.STRICT
+                    or not isinstance(error, (ParseError, DatasetError))):
+                raise error
             report.quarantined("kroot", source, index, str(error))
             continue
         report.parsed("kroot")
+    kroot.columns()
     return kroot
+
+
+def _outcome(state: object, source: str, index: int) -> tuple | Exception:
+    """:func:`_state_fields`, or the exception it raised (to be raised
+    in file order, once the whole array has decoded).
+
+    An ``OverflowError`` (a probe id of ``Infinity``, say) stays
+    unwrapped: the load raises it under both policies, as it always did.
+    """
+    try:
+        return _state_fields(state, source, index)
+    except (ParseError, OverflowError) as error:
+        # Without its traceback and context, holding it makes no cycle.
+        error.__context__ = None
+        return error.with_traceback(None)
 
 
 def _load_ip2as(root: Path, meta: dict, policy: ReadPolicy,
@@ -337,35 +462,58 @@ def load_bundle(directory: str | Path,
     :class:`~repro.util.ingest.IngestReport` to inspect it).
     ``meta.json`` problems are fatal under both policies — without the
     observation window and seed the bundle cannot be interpreted.
+
+    Runs with the cyclic collector paused: a load makes no cyclic
+    garbage, so a collection could only re-walk what is already alive
+    (a world built in the same process, say).  Records one
+    ``ingest:<dataset>`` span (category ``ingest``) per dataset, each
+    with the process's peak RSS when it ended (``maxrss_mb``).
     """
-    root = Path(directory)
-    report = report if report is not None else IngestReport()
+    with collector_paused():
+        return _load_bundle(Path(directory), policy,
+                            report if report is not None else IngestReport())
+
+
+@contextlib.contextmanager
+def _ingest_span(dataset: str) -> Iterator[None]:
+    with obs.span("ingest:" + dataset, category="ingest") as handle:
+        yield
+        handle.set(maxrss_mb=obs.maxrss_mb())
+
+
+def _load_bundle(root: Path, policy: ReadPolicy,
+                 report: IngestReport) -> DatasetBundle:
     meta = _load_meta(root)
 
-    archive_path = _require_file(root, "archive.tsv", policy, report)
-    archive = (ProbeArchive() if archive_path is None
-               else _read_archive(archive_path, policy, report))
+    with _ingest_span("archive"):
+        archive_path = _require_file(root, "archive.tsv", policy, report)
+        archive = (ProbeArchive() if archive_path is None
+                   else _read_archive(archive_path, policy, report))
 
-    connlog_path = _require_file(root, "connlog.tsv", policy, report)
-    if connlog_path is None:
-        connlog = ConnectionLog()
-    else:
-        with open(connlog_path) as stream:
-            connlog = ConnectionLog.read(stream, policy, report,
-                                         source=str(connlog_path))
+    with _ingest_span("connlog"):
+        connlog_path = _require_file(root, "connlog.tsv", policy, report)
+        if connlog_path is None:
+            connlog = ConnectionLog()
+        else:
+            with open(connlog_path) as stream:
+                connlog = ConnectionLog.read(stream, policy, report,
+                                             source=str(connlog_path))
 
-    uptime_path = _require_file(root, "uptime.tsv", policy, report)
-    if uptime_path is None:
-        uptime = UptimeDataset()
-    else:
-        with open(uptime_path) as stream:
-            uptime = UptimeDataset.read(stream, policy, report,
-                                        source=str(uptime_path))
+    with _ingest_span("uptime"):
+        uptime_path = _require_file(root, "uptime.tsv", policy, report)
+        if uptime_path is None:
+            uptime = UptimeDataset()
+        else:
+            with open(uptime_path) as stream:
+                uptime = UptimeDataset.read(stream, policy, report,
+                                            source=str(uptime_path))
 
-    kroot_path = _require_file(root, "kroot.json", policy, report)
-    kroot = _load_kroot(kroot_path, policy, report)
+    with _ingest_span("kroot"):
+        kroot_path = _require_file(root, "kroot.json", policy, report)
+        kroot = _load_kroot(kroot_path, policy, report)
 
-    ip2as = _load_ip2as(root, meta, policy, report)
+    with _ingest_span("pfx2as"):
+        ip2as = _load_ip2as(root, meta, policy, report)
 
     return DatasetBundle(
         start=meta["start"], end=meta["end"], seed=meta["seed"],
@@ -374,5 +522,3 @@ def load_bundle(directory: str | Path,
         as_names=meta["as_names"], as_countries=meta["as_countries"],
         fingerprint=bundle_fingerprint(root),
     )
-
-

@@ -29,7 +29,7 @@ from typing import Callable, NoReturn
 from repro import obs
 from repro.atlas.archive import ProbeArchive, continent_of
 from repro.atlas.connlog import ConnectionLog
-from repro.atlas.kroot import KRootDataset, KRootSeries
+from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ProbeMeta, ProbeVersion
 from repro.errors import SimulationError
@@ -283,10 +283,8 @@ class _WorldBuilder:
             row.truth.version, plan.tags))
         self.connlog.stage(probe_id, row.output.connections)
         self.uptime.stage(probe_id, row.output.uptimes)
-        self.kroot.add_series(KRootSeries(
-            probe_id, row.observed_start, config.end,
-            power_off=row.output.power_off,
-            network_down=row.output.network_down))
+        self.kroot.stage(probe_id, row.observed_start, config.end,
+                         row.output.power_off, row.output.network_down)
         self.truth[probe_id] = row.truth
 
     # -- finishing ----------------------------------------------------------
@@ -332,6 +330,7 @@ def _build_world(config: ScenarioConfig) -> WorldData:
         # Seal the staged rows into columns before the world is shared.
         builder.connlog.columns()
         builder.uptime.columns()
+        builder.kroot.columns()
     with obs.span("sim:ip2as", category="sim"):
         ip2as = builder.build_ip2as()
     return WorldData(

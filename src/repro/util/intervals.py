@@ -4,7 +4,9 @@ Outage processes, connection sessions and dataset window queries all reason
 about half-open time intervals ``[start, end)``.  :class:`IntervalSet` keeps
 a normalized (sorted, disjoint) list of such intervals and supports the small
 set of operations the pipeline needs: insertion with coalescing, membership,
-overlap queries, intersection, and total measure.
+overlap queries, intersection, and total measure.  :class:`IntervalArray`
+holds the same normalized members as two sorted float64 arrays, so many
+sets can share one CSR column and be queried with ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -169,6 +173,88 @@ class IntervalSet:
             if member.start > cursor:
                 holes.append(Interval(cursor, min(member.start, end)))
             cursor = max(cursor, member.end)
+        if cursor < end:
+            holes.append(Interval(cursor, end))
+        return holes
+
+
+_NO_POINTS = np.zeros(0, dtype=np.float64)
+
+
+class IntervalArray:
+    """The members of a normalized :class:`IntervalSet` as two arrays.
+
+    ``starts`` and ``ends`` are float64 arrays of the members in order:
+    sorted, disjoint, never touching, never empty.  The constructor
+    trusts its arrays (they may be views into a larger CSR column);
+    :meth:`of` normalizes anything else.  Point queries bisect native
+    float lists built once, on the first query.
+    """
+
+    __slots__ = ("starts", "ends", "_lists")
+
+    def __init__(self, starts: np.ndarray = _NO_POINTS,
+                 ends: np.ndarray = _NO_POINTS) -> None:
+        self.starts = starts
+        self.ends = ends
+        self._lists: tuple[list[float], list[float]] | None = None
+
+    @classmethod
+    def of(cls, intervals: Iterable[Interval] | None) -> "IntervalArray":
+        """The normalized members of any intervals (None: no intervals)."""
+        if isinstance(intervals, IntervalArray):
+            return intervals
+        if not isinstance(intervals, IntervalSet):
+            intervals = IntervalSet(intervals or ())
+        members = list(intervals)
+        return cls(np.array([member.start for member in members],
+                            dtype=np.float64),
+                   np.array([member.end for member in members],
+                            dtype=np.float64))
+
+    def _bounds(self) -> tuple[list[float], list[float]]:
+        if self._lists is None:
+            self._lists = (self.starts.tolist(), self.ends.tolist())
+        return self._lists
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __iter__(self) -> Iterator[Interval]:
+        return (Interval(start, end) for start, end in zip(*self._bounds()))
+
+    def contains(self, point: float) -> bool:
+        """True when some member interval contains ``point``."""
+        starts, ends = self._bounds()
+        index = bisect.bisect_right(starts, point) - 1
+        return index >= 0 and point < ends[index]
+
+    def at(self, point: float) -> Interval | None:
+        """Return the member interval containing ``point``, if any."""
+        starts, ends = self._bounds()
+        index = bisect.bisect_right(starts, point) - 1
+        if index >= 0 and point < ends[index]:
+            return Interval(starts[index], ends[index])
+        return None
+
+    def gaps_within(self, start: float, end: float) -> list[Interval]:
+        """Return the complement of the set inside ``[start, end)``.
+
+        The same holes :meth:`IntervalSet.gaps_within` returns.
+        """
+        window = Interval(start, end)
+        starts, ends = self._bounds()
+        cursor = start
+        holes: list[Interval] = []
+        if not window.is_empty():
+            index = max(bisect.bisect_right(starts, start) - 1, 0)
+            while index < len(starts) and starts[index] < end:
+                if start < ends[index]:
+                    if starts[index] > cursor:
+                        holes.append(Interval(cursor,
+                                              min(starts[index], end)))
+                    cursor = max(cursor, ends[index])
+                index += 1
         if cursor < end:
             holes.append(Interval(cursor, end))
         return holes

@@ -19,9 +19,16 @@ semantics.
 
 Line numbering matches iterating the stream: the text is split on
 ``"\\n"`` only, and line index ``i`` is line number ``i + 1``.
+
+Readers do not scan a whole file at once: :func:`scan_blocks` reads
+:data:`BLOCK_CHARS` characters at a time and scans each block of whole
+lines on its own, so a read's temporaries stay bounded by the block, not
+the file.  Only the parsed columns grow with the file.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -31,6 +38,10 @@ _PLAIN = b"0123456789.:abcdefABCDEF\t\n"
 #: line holds, and plain bytes that may not appear inside a decimal field.
 _ODD = bytes(int(byte not in _PLAIN) for byte in range(256))
 _NON_DIGIT = bytes(int(chr(byte) in ".:abcdefABCDEF") for byte in range(256))
+#: Characters a block scan reads at a time.  A block holds the whole
+#: lines in what was read so far; a line longer than a block carries over
+#: into the next one.
+BLOCK_CHARS = 64 * 1024
 #: Longest decimal field :meth:`TsvScan.decimal` converts.
 MAX_DIGITS = 18
 #: ``48 * 11...1`` (k ones): the ASCII ``'0'`` offsets Horner's rule
@@ -166,3 +177,31 @@ class TsvScan:
             position += 1
         values -= _ZERO_OFFSETS[np.where(ok, lengths, 0)]
         return values, ok
+
+
+def scan_blocks(stream: TextIO, field_count: int
+                ) -> Iterator[tuple[int, "TsvScan"]]:
+    """``(first line index, scan)`` per block of whole lines of ``stream``.
+
+    Line ``i`` of a block's scan is line index ``first + i`` of the
+    stream.  Together the blocks hold every line iterating the stream
+    yields, in order; a stream ending in a newline yields no empty last
+    line (a whole-text :class:`TsvScan` would show one, blank).
+    """
+    first = 0
+    carry = ""
+    while True:
+        chunk = stream.read(BLOCK_CHARS)
+        if not chunk:
+            break
+        text = carry + chunk
+        cut = text.rfind("\n")
+        if cut < 0:
+            carry = text
+            continue
+        carry = text[cut + 1:]
+        scan = TsvScan(text[:cut], field_count)
+        yield first, scan
+        first += scan.line_count
+    if carry:
+        yield first, TsvScan(carry, field_count)

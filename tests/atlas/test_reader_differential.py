@@ -1,11 +1,14 @@
 """Differential fuzz: the vectorized readers vs the line-by-line oracle.
 
-``ConnectionLog.read`` and ``UptimeDataset.read`` convert plain lines a
-column at a time and send every other line to the per-line parser.  The
-line-by-line readers in ``tests/oracle.py`` define the contract: for any
-file, under STRICT and REPAIR, both must build the same container (bit
-for bit), leave the same ``IngestReport`` (totals and diagnostics, in
-order) and raise the same exception with the same message.
+``ConnectionLog.read``, ``UptimeDataset.read`` and ``Pfx2AsSnapshot.read``
+convert plain lines a column at a time, one block of lines after another,
+and send every other line to the per-line parser.  The line-by-line
+readers in ``tests/oracle.py`` define the contract: for any file, under
+STRICT and REPAIR, both must build the same container (bit for bit),
+leave the same ``IngestReport`` (totals and diagnostics, in order) and
+raise the same exception with the same message.  Every reader runs at
+the real block size and with blocks of 1, 7 and 64 characters, so a
+block boundary falls at every position of the generated files.
 
 The generated files mix well-formed rows with the inputs the two paths
 could plausibly disagree on: IPv6 rows, blank and comment lines, wrong
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 import io
 import pickle
+from contextlib import nullcontext
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -30,11 +35,27 @@ from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ConnectionLogEntry, UptimeRecord
 from repro.errors import DatasetError
 from repro.net.ipv4 import IPv4Address
+from repro.net.pfx2as import Pfx2AsSnapshot
 from repro.runtime.workers import WorkerContext
+from repro.util import tsvscan
 from repro.util.ingest import IngestReport, ReadPolicy
-from tests.oracle import read_connlog_lines, read_uptime_lines
+from tests.net.test_lpm_differential import pfx2as_texts, read_outcome
+from tests.oracle import (
+    read_connlog_lines,
+    read_pfx2as_lines,
+    read_uptime_lines,
+)
 
 POLICIES = [ReadPolicy.STRICT, ReadPolicy.REPAIR]
+#: Block sizes in characters; None keeps the real one.
+BLOCKS = [None, 1, 7, 64]
+
+
+def blocks_of(size):
+    """Scan blocks of ``size`` characters inside the ``with`` body."""
+    if size is None:
+        return nullcontext()
+    return mock.patch.object(tsvscan, "BLOCK_CHARS", size)
 
 PROBES = st.sampled_from(["1", "2", "3", "17"])
 TIMES = st.integers(0, 60)
@@ -122,20 +143,49 @@ def outcome(reader, state, text: str, policy: ReadPolicy):
     return result, report.to_dict()
 
 
+def assert_blocks_match(reader, oracle, text: str, policy: ReadPolicy):
+    """``reader`` at every block size leaves what ``oracle`` leaves;
+    both are ``(text, policy) -> outcome``."""
+    expected = oracle(text, policy)
+    for block in BLOCKS:
+        with blocks_of(block):
+            assert reader(text, policy) == expected, "block %s" % block
+
+
+def connlog_outcome(reader):
+    return lambda text, policy: outcome(reader, connlog_state, text, policy)
+
+
+def uptime_outcome(reader):
+    return lambda text, policy: outcome(reader, uptime_state, text, policy)
+
+
+def pfx2as_outcome(reader):
+    return lambda text, policy: read_outcome(reader, text, policy)
+
+
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
 @settings(max_examples=300, deadline=None)
 @given(text=texts(connlog_lines()))
 def test_connlog_reader_matches_line_by_line(policy, text):
-    assert (outcome(ConnectionLog.read, connlog_state, text, policy)
-            == outcome(read_connlog_lines, connlog_state, text, policy))
+    assert_blocks_match(connlog_outcome(ConnectionLog.read),
+                        connlog_outcome(read_connlog_lines), text, policy)
 
 
 @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
 @settings(max_examples=300, deadline=None)
 @given(text=texts(uptime_lines()))
 def test_uptime_reader_matches_line_by_line(policy, text):
-    assert (outcome(UptimeDataset.read, uptime_state, text, policy)
-            == outcome(read_uptime_lines, uptime_state, text, policy))
+    assert_blocks_match(uptime_outcome(UptimeDataset.read),
+                        uptime_outcome(read_uptime_lines), text, policy)
+
+
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+@settings(max_examples=300, deadline=None)
+@given(text=pfx2as_texts())
+def test_pfx2as_reader_matches_line_by_line(policy, text):
+    assert_blocks_match(pfx2as_outcome(Pfx2AsSnapshot.read),
+                        pfx2as_outcome(read_pfx2as_lines), text, policy)
 
 
 class TestKnownCases:
@@ -152,8 +202,8 @@ class TestKnownCases:
     ])
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
     def test_connlog(self, text, policy):
-        assert (outcome(ConnectionLog.read, connlog_state, text, policy)
-                == outcome(read_connlog_lines, connlog_state, text, policy))
+        assert_blocks_match(connlog_outcome(ConnectionLog.read),
+                            connlog_outcome(read_connlog_lines), text, policy)
 
     @pytest.mark.parametrize("text", [
         "1\t5\t1\n1\t3\t4294967300\n1\t4\t2\n",
@@ -162,8 +212,31 @@ class TestKnownCases:
     ])
     @pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
     def test_uptime(self, text, policy):
-        assert (outcome(UptimeDataset.read, uptime_state, text, policy)
-                == outcome(read_uptime_lines, uptime_state, text, policy))
+        assert_blocks_match(uptime_outcome(UptimeDataset.read),
+                            uptime_outcome(read_uptime_lines), text, policy)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: p.value)
+def test_crlf_file_reads_as_its_lines(tmp_path, policy, block):
+    """A CRLF file opened in text mode: its newlines translate, also when
+    a block ends between the carriage return and the line feed."""
+    path = tmp_path / "connlog.tsv"
+    path.write_bytes(b"1\t0\t10\t10.0.0.1\r\n\r\n# note\r\n"
+                     b"1\t10\t20\t10.0.0.2\r\n2\tx\t3\t1.2.3.4\r\n"
+                     b"2\t0\t5\t2001:db8::1")
+
+    def read(reader):
+        report = IngestReport()
+        with open(path) as stream:
+            try:
+                result = connlog_state(reader(stream, policy, report))
+            except Exception as error:  # the exception is the outcome
+                result = (type(error).__name__, str(error))
+        return result, report.to_dict()
+
+    with blocks_of(block):
+        assert read(ConnectionLog.read) == read(read_connlog_lines)
 
 
 class TestSealing:

@@ -111,12 +111,12 @@ class TestKrootFaults:
         assert faults[0].records_delta == -1
 
     def test_malform_strips_a_required_key(self):
-        from repro.sim.io import _series_from_state
+        from repro.sim.io import _state_fields
         states = self.states()
         malform_kroot_series(states, [0], rng(), "f")
         assert len(states) == 3
         try:
-            _series_from_state(states[0])
+            _state_fields(states[0], "f", 1)
         except ParseError:
             pass
         else:

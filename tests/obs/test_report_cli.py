@@ -85,6 +85,23 @@ def test_report_simulate_section_shows_both_walk_sides():
                for line in lines)
 
 
+def test_report_ingest_section_shows_each_load_and_its_peak():
+    spans = [
+        Span("ingest:connlog", "ingest", 0.0, 0.25, 1,
+             (("maxrss_mb", 55.5),)),
+        Span("ingest:kroot", "ingest", 0.25, 0.3, 1,
+             (("maxrss_mb", 58.0),)),
+    ]
+    text = render_report(trace_payload(spans, {"counters": {},
+                                               "gauges": {}}))
+    assert "== ingest" in text
+    lines = text.splitlines()
+    assert any(line.split() == ["ingest:connlog", "0.250", "55.5"]
+               for line in lines)
+    assert any(line.split() == ["ingest:kroot", "0.050", "58.0"]
+               for line in lines)
+
+
 def test_report_of_empty_payload_degrades_gracefully():
     text = render_report(trace_payload([], {"counters": {}, "gauges": {}}))
     assert "(no stage spans recorded)" in text

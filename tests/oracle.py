@@ -15,7 +15,10 @@ rendering the production ``results_digest`` must reproduce byte for byte.
 The ingest section holds the line-by-line connection-log, SOS-uptime and
 pfx2as readers the vectorized readers replaced: the same per-line parsers
 (``_parse_line``), driven one line at a time, with the per-record REPAIR
-assembly, building the containers through ``add``.
+assembly, building the containers through ``add``.  It also holds the
+k-root loader the streaming one replaced: ``json.loads`` of the whole
+file, then one ``IntervalSet`` per interval list
+(:func:`load_kroot_states`).
 
 The prefix section holds the binary radix trie that answered every
 longest-prefix match before the pfx2as snapshots became sorted arrays
@@ -31,6 +34,7 @@ changes what "correct" means for the production kernels.
 from __future__ import annotations
 
 import enum
+import json
 from collections import defaultdict
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Generic, Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -81,6 +85,7 @@ from repro.util.ingest import IngestReport, ReadPolicy, format_line_error
 from repro.util.ordering import ordered
 from repro.util.stats import fraction
 from repro.util.fingerprint import hash_text
+from repro.util.intervals import Interval, IntervalSet
 from repro.util.timeutil import DAY, YEAR_2015_START, day_of_year
 
 
@@ -547,6 +552,66 @@ def read_pfx2as_lines(stream, policy: ReadPolicy = ReadPolicy.STRICT,
             continue
         report.parsed(PFX2AS)
     return snapshot
+
+
+def _kroot_state(state, source: str, index: int) -> tuple:
+    """One series state as ``(probe id, start, end, cadence, phase,
+    power_off, network_down)`` with the interval lists as IntervalSets,
+    raising as the loader did while building a ``KRootSeries``."""
+    try:
+        fields = (
+            int(state["probe_id"]), float(state["start"]),
+            float(state["end"]),
+            IntervalSet(Interval(a, b) for a, b in state["power_off"]),
+            IntervalSet(Interval(a, b) for a, b in state["network_down"]),
+            float(state["cadence"]), float(state["phase"]))
+    except (KeyError, TypeError, ValueError) as error:
+        raise ParseError(format_line_error(
+            source, index, "malformed k-root series state: %s" % error
+        )) from None
+    probe_id, start, end, power_off, network_down, cadence, phase = fields
+    if end <= start:
+        raise DatasetError("observation window is empty")
+    if cadence <= 0:
+        raise DatasetError("cadence must be positive")
+    return probe_id, start, end, cadence, phase, power_off, network_down
+
+
+def load_kroot_states(path, policy: ReadPolicy = ReadPolicy.STRICT,
+                      report: IngestReport | None = None) -> dict:
+    """Whole-text reference for ``repro.sim.io._load_kroot``.
+
+    Returns the accepted states by probe id (see :func:`_kroot_state`).
+    """
+    report = report if report is not None else IngestReport()
+    series: dict[int, tuple] = {}
+    source = str(path)
+    try:
+        states = json.loads(path.read_text())
+    except json.JSONDecodeError as error:
+        if policy is ReadPolicy.STRICT:
+            raise DatasetError("%s: malformed JSON: %s"
+                               % (source, error)) from None
+        report.note("kroot", source,
+                    "malformed JSON (%s); continuing with an empty "
+                    "dataset" % error)
+        return series
+    if not isinstance(states, list):
+        raise DatasetError("%s: expected a JSON array of series states"
+                           % source)
+    for index, state in enumerate(states, start=1):
+        try:
+            fields = _kroot_state(state, source, index)
+            if fields[0] in series:
+                raise DatasetError("probe %d already present" % fields[0])
+        except (ParseError, DatasetError) as error:
+            if policy is ReadPolicy.STRICT:
+                raise
+            report.quarantined("kroot", source, index, str(error))
+            continue
+        series[fields[0]] = fields[1:]
+        report.parsed("kroot")
+    return series
 
 
 # -- longest-prefix match -----------------------------------------------------

@@ -174,6 +174,41 @@ class TestRepairLoad:
             load_bundle(root, policy=ReadPolicy.REPAIR)
 
 
+class TestLoadHeap:
+    """The load runs with the collector paused (``collector_paused``):
+    that frees nothing late only because a load makes no cycles."""
+
+    @pytest.mark.parametrize("faulted", [False, True])
+    def test_load_leaves_no_cyclic_garbage(self, world, tmp_path, faulted):
+        import gc
+
+        from repro.faults.plan import FaultPlan
+        from repro.util.ingest import IngestReport, ReadPolicy
+        root = write_world(world, tmp_path / "b")
+        policy = ReadPolicy.STRICT
+        if faulted:
+            FaultPlan.uniform(world.config.seed, 0.02).apply(root)
+            policy = ReadPolicy.REPAIR
+        gc.collect()
+        report = IngestReport()
+        bundle = load_bundle(root, policy=policy, report=report)
+        assert gc.collect() == 0
+        assert bundle.connlog.entry_count()
+        assert report.clean is not faulted
+
+    def test_load_records_an_ingest_span_per_dataset(self, bundle_dir):
+        from repro import obs
+        before = len(obs.current_spans())
+        load_bundle(bundle_dir)
+        spans = [span for span in obs.current_spans()[before:]
+                 if span.category == "ingest"]
+        assert [span.name for span in spans] == [
+            "ingest:archive", "ingest:connlog", "ingest:uptime",
+            "ingest:kroot", "ingest:pfx2as"]
+        peaks = [span.attr("maxrss_mb") for span in spans]
+        assert peaks == sorted(peaks) and peaks[0] > 0
+
+
 class TestAnalysisEquivalence:
     def test_pipeline_over_bundle_matches_direct(self, bundle_dir, world):
         direct = pipeline_for_world(world).run()
