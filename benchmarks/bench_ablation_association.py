@@ -39,13 +39,12 @@ def reboot_first_cause(entries, series, reboots):
 
 
 def test_ablation_association_priority(world, results, benchmark):
-    from repro.core.reboots import (
-        detect_all_reboots,
-        firmware_filtered_reboots,
-    )
+    from repro.atlas.columnar import ColumnarUptime
+    from repro.core.colkernels import detect_reboots_col
+    from repro.core.reboots import firmware_filtered_reboots
     from repro.util import timeutil
 
-    raw = detect_all_reboots(world.uptime)
+    raw = detect_reboots_col(ColumnarUptime.from_uptime(world.uptime))
     campaigns = [timeutil.YEAR_2015_START + (d - 1) * timeutil.DAY
                  for d in results.firmware_days]
     filtered = firmware_filtered_reboots(raw, campaigns)

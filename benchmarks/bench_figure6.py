@@ -6,17 +6,16 @@ days (the paper matched three of five documented dates exactly and two
 approximately).
 """
 
-from repro.core.reboots import (
-    detect_all_reboots,
-    detect_firmware_days,
-    reboots_per_day,
-)
+from repro.atlas.columnar import ColumnarUptime
+from repro.core.colkernels import detect_reboots_col
+from repro.core.reboots import detect_firmware_days, reboots_per_day
 from repro.util import timeutil
 
 
 def test_figure6_firmware_spikes(world, benchmark):
     def run():
-        by_probe = detect_all_reboots(world.uptime)
+        by_probe = detect_reboots_col(
+            ColumnarUptime.from_uptime(world.uptime))
         per_day = reboots_per_day(by_probe)
         return per_day, detect_firmware_days(per_day)
 

@@ -6,14 +6,15 @@ attribution process step by step, printing the evidence at each stage:
 1. the connection-log gaps and the address on each side;
 2. the k-root ping rounds inside each gap (loss + LTS);
 3. any uptime-counter reset (reboot) inside the gap;
-4. the resulting classification: network outage, power outage, or none.
+4. the pipeline's classification: network outage, power outage, or none
+   (Section 5.2 discards firmware-update reboots before this step).
 
 Run with::
 
     python examples/outage_forensics.py
 """
 
-from repro.core.association import GapCause, associate_probe_gaps
+from repro.core.association import GapCause
 from repro.core.changes import strip_testing_entry
 from repro.core.pipeline import pipeline_for_world
 from repro.core.reboots import detect_reboots
@@ -40,7 +41,8 @@ def main() -> None:
                                      TESTING_ADDRESS)
     series = world.kroot.series(probe_id)
     reboots = detect_reboots(world.uptime.records(probe_id))
-    events = associate_probe_gaps(entries, series, reboots)
+    # The pipeline's verdicts, one per gap between these entries.
+    events = results.gap_events_by_probe[probe_id]
 
     shown = 0
     for previous, current, event in zip(entries, entries[1:], events):

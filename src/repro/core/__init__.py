@@ -1,6 +1,6 @@
 """Analysis core: the paper's address-change attribution pipeline."""
 
-from repro.core.association import GapCause, GapEvent, associate_probe_gaps
+from repro.core.association import GapCause, GapEvent
 from repro.core.changes import (
     AddressChange,
     AddressSpan,
@@ -57,7 +57,6 @@ from repro.core.prefixes import (
 )
 from repro.core.reboots import (
     Reboot,
-    detect_all_reboots,
     detect_firmware_days,
     detect_reboots,
     firmware_filtered_reboots,
@@ -94,7 +93,6 @@ __all__ = [
     "Reboot",
     "all_probes_row",
     "as_periodicity_table",
-    "associate_probe_gaps",
     "bin_duration",
     "binned_time",
     "bucket_outages",
@@ -103,7 +101,6 @@ __all__ = [
     "conditional_cdf_network",
     "conditional_cdf_power",
     "country_as_breakdown",
-    "detect_all_reboots",
     "detect_firmware_days",
     "detect_network_outages",
     "detect_probe_period",

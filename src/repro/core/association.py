@@ -6,18 +6,18 @@ one, else to a *power outage* when an uptime reset coincides with missing
 ping rounds, else to *no outage* (e.g. a periodic renumbering or a benign
 TCP break).  The gap's address-change flag comes from comparing the peer
 addresses on either side.
+
+This module holds the gap vocabulary and the ping-round bracketing both
+classifiers share.  The pipeline classifies gaps in batches
+(:func:`repro.core.colkernels.gap_events_col`); the per-gap record
+classifier it is pinned to lives in ``tests/oracle.py``.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence
-
 from repro.atlas.kroot import DEFAULT_CADENCE, KRootSeries
-from repro.atlas.types import ConnectionLogEntry
-from repro.core.outages import detect_network_outages
-from repro.core.reboots import Reboot
 
 #: How far beyond the gap we look for corroborating measurements.
 WINDOW_MARGIN = 2 * DEFAULT_CADENCE
@@ -60,49 +60,3 @@ def _missing_rounds_around(series: KRootSeries, timestamp: float
     if spacing > 1.5 * series.cadence:
         return True, spacing
     return False, 0.0
-
-
-def classify_gap(previous: ConnectionLogEntry, current: ConnectionLogEntry,
-                 series: KRootSeries,
-                 reboots: Sequence[Reboot]) -> GapEvent:
-    """Attribute one gap using the paper's priority order."""
-    gap_start = previous.end
-    gap_end = current.start
-    address_changed = (not previous.is_ipv6 and not current.is_ipv6
-                       and previous.address != current.address)
-
-    records = series.records(gap_start - WINDOW_MARGIN,
-                             gap_end + WINDOW_MARGIN)
-    outages = detect_network_outages(records)
-    for outage in outages:
-        if outage.overlaps(gap_start, gap_end):
-            return GapEvent(previous.probe_id, gap_start, gap_end,
-                            GapCause.NETWORK, address_changed,
-                            outage.duration)
-
-    for reboot in reboots:
-        if gap_start - WINDOW_MARGIN <= reboot.time <= gap_end:
-            missing, duration = _missing_rounds_around(series, reboot.time)
-            if missing:
-                return GapEvent(previous.probe_id, gap_start, gap_end,
-                                GapCause.POWER, address_changed, duration)
-
-    return GapEvent(previous.probe_id, gap_start, gap_end, GapCause.NONE,
-                    address_changed, 0.0)
-
-
-def associate_probe_gaps(entries: Sequence[ConnectionLogEntry],
-                         series: KRootSeries,
-                         reboots: Sequence[Reboot]) -> list[GapEvent]:
-    """Classify every gap in one probe's connection log.
-
-    ``reboots`` should already be firmware-filtered (Section 5.2).
-    Gaps bounded by IPv6 connections are classified, but their
-    address-change flag is False since no IPv4 comparison exists.
-    """
-    events: list[GapEvent] = []
-    ordered_reboots = sorted(reboots, key=lambda r: r.time)
-    for previous, current in zip(entries, entries[1:]):
-        events.append(classify_gap(previous, current, series,
-                                   ordered_reboots))
-    return events

@@ -254,7 +254,7 @@ def detect_reboots_col(colup: ColumnarUptime,
     """:func:`~repro.core.reboots.detect_reboots` over a batch of probes.
 
     Every requested probe gets a key (possibly an empty list), matching
-    :func:`~repro.core.reboots.detect_all_reboots`.
+    ``detect_all_reboots`` in ``tests/oracle.py``.
     """
     if probe_ids is None:
         pids = colup.probe_ids.tolist()
@@ -430,7 +430,7 @@ def _classify_slow(gap_start: float, gap_end: float,
 def gap_events_col(col: ColumnarConnlog, kroot,
                    items: Sequence[tuple[int, list[Reboot]]]
                    ) -> ColumnarGapEventMap:
-    """:func:`~repro.core.association.associate_probe_gaps` over a batch.
+    """``associate_probe_gaps`` of ``tests/oracle.py`` over a batch.
 
     ``items`` pairs each probe id with its firmware-filtered reboots,
     exactly like the gap shard payloads.  The fast path proves NONE for

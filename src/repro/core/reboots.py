@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import UptimeRecord
 from repro.util.stats import median
 from repro.util.timeutil import DAY
@@ -47,12 +46,6 @@ def detect_reboots(records: Sequence[UptimeRecord]) -> list[Reboot]:
                                   record.timestamp))
         previous = record
     return reboots
-
-
-def detect_all_reboots(dataset: UptimeDataset) -> dict[int, list[Reboot]]:
-    """Reboots per probe over the whole dataset."""
-    return {probe_id: detect_reboots(dataset.records(probe_id))
-            for probe_id in dataset.probe_ids()}
 
 
 def reboots_per_day(reboots_by_probe: Mapping[int, Sequence[Reboot]]

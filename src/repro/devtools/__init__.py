@@ -23,10 +23,10 @@ and worker state are not lint rules: tests watch them as the code runs
 (``tests/runtime/guards.py``, DESIGN §10).
 
 Run it as ``repro-lint src/repro`` (or ``python -m repro.devtools``); findings
-on a line can be suppressed with a ``# repro: noqa[RPR001]`` comment.  The
-driver supports incremental runs (``--cache``), SARIF output for CI
-annotations (``--format sarif``) and regression gating against a
-checked-in baseline (``--baseline`` / ``--update-baseline``).
+on a line can be suppressed with a ``# repro: noqa[RPR001]`` comment.
+``--json`` prints a versioned payload, ``--rules`` runs a subset, and
+``--contracts`` / ``--update-contracts`` pin and regenerate the RPR010
+contract file.
 
 This package sits outside the runtime layer DAG: nothing imports it, and it
 imports only the leaf layers (``repro.errors``, ``repro.util``) so that it
@@ -34,13 +34,7 @@ can lint a broken tree.
 """
 
 from repro.devtools.diagnostics import Diagnostic, Severity
-from repro.devtools.driver import (
-    FileContext,
-    LintResult,
-    lint_paths,
-    lint_source,
-    run_lint,
-)
+from repro.devtools.driver import FileContext, lint_paths, lint_source
 from repro.devtools.registry import (
     Checker,
     ProjectChecker,
@@ -53,7 +47,6 @@ __all__ = [
     "Checker",
     "Diagnostic",
     "FileContext",
-    "LintResult",
     "ProjectChecker",
     "Severity",
     "all_checkers",
@@ -61,5 +54,4 @@ __all__ = [
     "lint_paths",
     "lint_source",
     "register",
-    "run_lint",
 ]

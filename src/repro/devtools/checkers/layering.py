@@ -54,7 +54,7 @@ layer or a lower one:
 
 ``repro.devtools`` (this lint framework) sits outside the DAG entirely:
 nothing may import it, and it may import only the leaf layers ``errors``
-and ``util`` (the incremental lint cache reuses ``repro.util.fingerprint``
+and ``util`` (the wire-contract digests reuse ``repro.util.fingerprint``
 rather than growing a second hashing implementation).  The root facade
 module ``repro/__init__.py`` re-exports the public API and is exempt.
 

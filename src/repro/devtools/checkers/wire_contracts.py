@@ -32,7 +32,7 @@ from repro.devtools.wire import (
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.devtools.diagnostics import Diagnostic
-    from repro.devtools.incremental import FileRecord
+    from repro.devtools.driver import FileRecord
 
 _REGENERATE = ("run `repro-lint --contracts wire-contracts.json "
                "--update-contracts` and commit the diff")

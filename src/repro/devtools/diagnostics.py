@@ -54,15 +54,3 @@ class Diagnostic:
             "severity": self.severity.value,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Diagnostic":
-        """Inverse of :meth:`to_dict`; the incremental cache round-trip."""
-        return cls(
-            path=str(payload["path"]),
-            line=int(payload["line"]),
-            col=int(payload["col"]),
-            rule=str(payload["rule"]),
-            message=str(payload["message"]),
-            severity=Severity(payload["severity"]),
-        )

@@ -1,12 +1,12 @@
-"""Lint driver: per-file pass, whole-project pass, incremental reuse.
+"""Lint driver: one per-file pass, then the whole-project pass.
 
 The driver owns everything that is not rule-specific: discovering Python
 files, parsing them, deriving dotted module names, attaching parent links to
 AST nodes (several checkers need to know the context a node appears in),
-honouring ``# repro: noqa[RULE]`` suppression comments, handing every
-file's record to the whole-project rule (RPR010), and reusing cached
-per-file results for files whose content fingerprint has not changed
-(:mod:`repro.devtools.incremental`).
+honouring ``# repro: noqa[RULE]`` suppression comments, and handing every
+file's record to the whole-project rule (RPR010).  :func:`lint_source` and
+:func:`lint_paths` share the per-file pass (:func:`check_file`) and the
+suppression filter.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.devtools.diagnostics import Diagnostic
-from repro.devtools.registry import ProjectChecker, select_checkers
+from repro.devtools.registry import Checker, ProjectChecker, select_checkers
+from repro.devtools.wire import WireDecl, extract_wire_decls
 
 #: Suppression comment: ``# repro: noqa`` silences every rule on the line,
 #: ``# repro: noqa[RPR001]`` / ``# repro: noqa[RPR001,RPR003]`` only those.
@@ -48,6 +49,24 @@ class FileContext:
         if len(parts) >= 2 and parts[0] == "repro":
             return parts[1]
         return None
+
+
+@dataclass
+class FileRecord:
+    """What the per-file pass learned from one file.
+
+    ``diagnostics`` are pre-suppression; ``noqa`` maps 1-based line
+    numbers to suppressed rule ids (``"*"`` meaning all); ``wire_decls``
+    are the file's wire-contract declarations, which the whole-project
+    pass (RPR010) reads.  A file that failed to parse has an RPR000
+    diagnostic and nothing else.
+    """
+
+    path: str
+    module: str
+    diagnostics: list[Diagnostic]
+    noqa: dict[int, frozenset[str]] = field(default_factory=dict)
+    wire_decls: tuple[WireDecl, ...] = ()
 
 
 def module_name_for(path: Path) -> str:
@@ -105,31 +124,6 @@ def noqa_rules(context: FileContext) -> dict[int, frozenset[str]]:
     return suppressed
 
 
-def lint_source(source: str, path: str = "<string>",
-                module: str | None = None,
-                rules: Iterable[str] | None = None,
-                is_package: bool = False) -> list[Diagnostic]:
-    """Lint a source string; the workhorse behind :func:`lint_paths` and tests."""
-    try:
-        context = parse_source(source, path=path, module=module,
-                               is_package=is_package)
-    except SyntaxError as exc:
-        return [Diagnostic(
-            path=path, line=exc.lineno or 1, col=exc.offset or 0,
-            rule="RPR000", message="syntax error: %s" % (exc.msg,),
-        )]
-    suppressed = noqa_rules(context)
-    findings: list[Diagnostic] = []
-    for checker in select_checkers(rules):
-        for diagnostic in checker.check(context):
-            on_line = suppressed.get(diagnostic.line)
-            if on_line is not None and (on_line is _ALL_RULES
-                                        or diagnostic.rule in on_line):
-                continue
-            findings.append(diagnostic)
-    return sorted(findings)
-
-
 def iter_python_files(paths: Sequence[str | Path]) -> Iterable[Path]:
     """Expand files/directories into a sorted, de-duplicated .py file list."""
     seen: set[Path] = set()
@@ -151,51 +145,59 @@ def iter_python_files(paths: Sequence[str | Path]) -> Iterable[Path]:
     return collected
 
 
-@dataclass
-class LintResult:
-    """Outcome of one :func:`run_lint` invocation."""
+def check_file(source: str, path: str, module: str, is_package: bool,
+               checkers: Sequence[Checker]) -> FileRecord:
+    """Parse one file and run ``checkers`` over it.
 
-    diagnostics: list[Diagnostic]
-    files_analyzed: int = 0
-    files_skipped: int = 0
-
-
-def _analyze_file(path: Path, source: str, source_hash: str):
-    """Full per-file analysis: diagnostics (pre-noqa, all rules) + decls."""
-    from repro.devtools.incremental import FileRecord
-    from repro.devtools.wire import extract_wire_decls
-
-    display = str(path)
-    module = module_name_for(path)
-    is_package = path.name == "__init__.py"
+    A file that does not parse yields a single RPR000 diagnostic, whatever
+    ``checkers`` holds, and no ``noqa`` map or wire declarations.
+    """
     try:
-        context = parse_source(source, path=display, module=module,
+        context = parse_source(source, path=path, module=module,
                                is_package=is_package)
     except SyntaxError as exc:
-        return FileRecord(
-            path=display, source_hash=source_hash, module=module,
-            diagnostics=[Diagnostic(
-                path=display, line=exc.lineno or 1, col=exc.offset or 0,
-                rule="RPR000", message="syntax error: %s" % (exc.msg,))])
-    diagnostics: list[Diagnostic] = []
-    for checker in select_checkers(None):
-        diagnostics.extend(checker.check(context))
-    return FileRecord(path=display, source_hash=source_hash, module=module,
-                      diagnostics=sorted(diagnostics),
-                      noqa=dict(noqa_rules(context)),
-                      wire_decls=tuple(extract_wire_decls(context.tree,
-                                                          module)))
+        return FileRecord(path=path, module=module, diagnostics=[Diagnostic(
+            path=path, line=exc.lineno or 1, col=exc.offset or 0,
+            rule="RPR000", message="syntax error: %s" % (exc.msg,))])
+    return FileRecord(
+        path=path, module=module,
+        diagnostics=[diagnostic for checker in checkers
+                     for diagnostic in checker.check(context)],
+        noqa=noqa_rules(context),
+        wire_decls=tuple(extract_wire_decls(context.tree, module)))
 
 
-def _visible(diagnostic: Diagnostic, selected: frozenset[str] | None,
-             noqa: dict[int, frozenset[str]]) -> bool:
-    """Apply rule selection and noqa suppression to one diagnostic."""
-    if (selected is not None and diagnostic.rule != "RPR000"
-            and diagnostic.rule not in selected):
-        return False
-    on_line = noqa.get(diagnostic.line)
-    return not (on_line is not None
-                and ("*" in on_line or diagnostic.rule in on_line))
+def file_records(paths: Sequence[str | Path],
+                 checkers: Sequence[Checker]) -> list[FileRecord]:
+    """:func:`check_file` over every Python file reachable from ``paths``."""
+    return [check_file(path.read_text(encoding="utf-8"), str(path),
+                       module_name_for(path), path.name == "__init__.py",
+                       checkers)
+            for path in iter_python_files(paths)]
+
+
+def _unsuppressed(diagnostics: Iterable[Diagnostic],
+                  noqa_by_path: dict[str, dict[int, frozenset[str]]]
+                  ) -> list[Diagnostic]:
+    """``diagnostics`` minus those a ``noqa`` comment on their line
+    silences, sorted."""
+    kept = []
+    for diagnostic in diagnostics:
+        on_line = noqa_by_path.get(diagnostic.path, {}).get(diagnostic.line,
+                                                            frozenset())
+        if "*" not in on_line and diagnostic.rule not in on_line:
+            kept.append(diagnostic)
+    return sorted(kept)
+
+
+def lint_source(source: str, path: str = "<string>",
+                module: str | None = None,
+                rules: Iterable[str] | None = None,
+                is_package: bool = False) -> list[Diagnostic]:
+    """Lint a source string with the per-file rules (the checker tests)."""
+    record = check_file(source, path, module or Path(path).stem, is_package,
+                        select_checkers(rules))
+    return _unsuppressed(record.diagnostics, {record.path: record.noqa})
 
 
 def _discover_contracts(paths: Sequence[str | Path]) -> str | None:
@@ -209,70 +211,27 @@ def _discover_contracts(paths: Sequence[str | Path]) -> str | None:
     return None
 
 
-def run_lint(paths: Sequence[str | Path],
-             rules: Iterable[str] | None = None,
-             cache_path: str | Path | None = None,
-             contracts_path: str | Path | None = None) -> LintResult:
-    """Lint ``paths``: per-file rules, then the whole-project pass.
+def lint_paths(paths: Sequence[str | Path],
+               rules: Iterable[str] | None = None,
+               contracts_path: str | Path | None = None
+               ) -> list[Diagnostic]:
+    """Lint every Python file reachable from ``paths``.
 
-    With ``cache_path`` set, per-file results are reused for files whose
-    content fingerprint is unchanged (see
-    :mod:`repro.devtools.incremental`); the project-wide pass always
-    re-runs over every file's record.  Cached entries hold pre-noqa,
-    all-rule diagnostics, so ``rules`` narrows the *report*, never the
-    cache.  ``contracts_path`` pins the ``wire-contracts.json`` RPR010
-    checks against; when omitted, the nearest one at or above a linted
-    path is used.
+    Runs the per-file rules over each file, then the whole-project pass
+    over every file's record.  ``contracts_path`` pins the
+    ``wire-contracts.json`` RPR010 checks against; when omitted, the
+    nearest one at or above a linted path is used.
     """
-    import repro.util.fingerprint as fp
-
-    cache = None
-    if cache_path is not None:
-        from repro.devtools.incremental import LintCache
-        cache = LintCache.load(cache_path)
-
-    records = []
-    analyzed = skipped = 0
-    for path in iter_python_files(paths):
-        source = path.read_text(encoding="utf-8")
-        source_hash = fp.hash_text(source)
-        key = str(path.resolve())
-        record = cache.lookup(key, source_hash) if cache is not None else None
-        if record is not None:
-            skipped += 1
-        else:
-            record = _analyze_file(path, source, source_hash)
-            analyzed += 1
-            if cache is not None:
-                cache.store(key, record)
-        records.append(record)
-    if cache is not None:
-        cache.save()
-
+    checkers = select_checkers(rules)
+    records = file_records(paths, checkers)
     if contracts_path is None:
         contracts_path = _discover_contracts(paths)
     if contracts_path is not None:
         contracts_path = str(contracts_path)
-    project_diagnostics: list[Diagnostic] = []
-    for checker in select_checkers(rules):
+    findings = [diagnostic for record in records
+                for diagnostic in record.diagnostics]
+    for checker in checkers:
         if isinstance(checker, ProjectChecker):
-            project_diagnostics.extend(
-                checker.check_project(records, contracts_path))
-
-    selected = None if rules is None else frozenset(rules)
-    noqa_by_path = {record.path: record.noqa for record in records}
-    findings: list[Diagnostic] = []
-    for record in records:
-        findings.extend(d for d in record.diagnostics
-                        if _visible(d, selected, record.noqa))
-    findings.extend(
-        d for d in project_diagnostics
-        if _visible(d, selected, noqa_by_path.get(d.path, {})))
-    return LintResult(diagnostics=sorted(findings),
-                      files_analyzed=analyzed, files_skipped=skipped)
-
-
-def lint_paths(paths: Sequence[str | Path],
-               rules: Iterable[str] | None = None) -> list[Diagnostic]:
-    """Lint every Python file reachable from ``paths``."""
-    return run_lint(paths, rules=rules).diagnostics
+            findings.extend(checker.check_project(records, contracts_path))
+    return _unsuppressed(findings,
+                         {record.path: record.noqa for record in records})

@@ -4,7 +4,8 @@ Each checker is a class with a ``rule`` id (``RPR###``), a one-line
 ``summary`` and a ``check(context)`` generator.  Decorating the class with
 :func:`register` instantiates it and adds it to the global registry; the
 driver then runs every registered checker (or a requested subset) over each
-parsed file.
+parsed file, and each :class:`ProjectChecker` once over the records of
+every file in the run.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Type, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.devtools.diagnostics import Diagnostic
-    from repro.devtools.driver import FileContext
-    from repro.devtools.incremental import FileRecord
+    from repro.devtools.driver import FileContext, FileRecord
 
 
 class Checker:
@@ -48,7 +48,7 @@ class ProjectChecker(Checker):
     """Base class for whole-project checkers.
 
     Runs once per lint run over every linted file's
-    :class:`~repro.devtools.incremental.FileRecord` instead of per file.
+    :class:`~repro.devtools.driver.FileRecord` instead of per file.
     The per-file :meth:`Checker.check` hook is a no-op; subclasses
     implement :meth:`check_project`.  ``noqa`` suppression still applies:
     the driver filters project diagnostics against the suppression map of

@@ -67,11 +67,6 @@ class WireField:
     def to_dict(self) -> list[object]:
         return [self.name, self.annotation, self.default]
 
-    @classmethod
-    def from_dict(cls, payload: list) -> "WireField":
-        return cls(name=str(payload[0]), annotation=str(payload[1]),
-                   default=None if payload[2] is None else str(payload[2]))
-
 
 @dataclass(frozen=True)
 class WireDecl:
@@ -94,24 +89,6 @@ class WireDecl:
             body["constants"] = {name: value
                                  for name, value in self.constants}
         return body
-
-    def to_dict(self) -> dict[str, object]:
-        return {"contract": self.contract, "kind": self.kind,
-                "qualname": self.qualname, "line": self.line,
-                "fields": [field.to_dict() for field in self.fields],
-                "constants": [[name, value]
-                              for name, value in self.constants]}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WireDecl":
-        return cls(
-            contract=str(payload["contract"]), kind=str(payload["kind"]),
-            qualname=str(payload["qualname"]), line=int(payload["line"]),
-            fields=tuple(WireField.from_dict(entry)
-                         for entry in payload.get("fields", ())),
-            constants=tuple((str(name), str(value))
-                            for name, value in payload.get("constants",
-                                                           ())))
 
 
 def _marker_string(node: ast.stmt) -> str | None:

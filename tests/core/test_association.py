@@ -1,16 +1,14 @@
-"""Tests for repro.core.association."""
+"""Tests for the per-gap classifier the gaps kernel is pinned to
+(``tests/oracle.py``), over the vocabulary of repro.core.association."""
 
 from repro.atlas.kroot import KRootSeries
 from repro.atlas.types import ConnectionLogEntry
-from repro.core.association import (
-    GapCause,
-    associate_probe_gaps,
-    classify_gap,
-)
+from repro.core.association import GapCause
 from repro.core.reboots import Reboot
 from repro.net.ipv4 import IPv4Address
 from repro.util.intervals import Interval, IntervalSet
 from repro.util.timeutil import DAY, HOUR
+from tests.oracle import associate_probe_gaps, classify_gap
 
 A = IPv4Address.parse("192.0.2.1")
 B = IPv4Address.parse("192.0.2.2")

@@ -4,7 +4,6 @@ from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import UptimeRecord
 from repro.core.reboots import (
     Reboot,
-    detect_all_reboots,
     detect_firmware_days,
     detect_reboots,
     firmware_filtered_reboots,
@@ -13,6 +12,7 @@ from repro.core.reboots import (
 )
 from repro.util import timeutil
 from repro.util.timeutil import DAY
+from tests.oracle import detect_all_reboots
 
 T0 = timeutil.YEAR_2015_START
 

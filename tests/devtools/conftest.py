@@ -28,7 +28,7 @@ def write_tree(root: Path, files: dict[str, str]) -> Path:
 
 @pytest.fixture
 def make_tree(tmp_path):
-    """Factory: ``make_tree({"pkg/mod.py": "..."}) -> Path`` (for run_lint)."""
+    """Factory: ``make_tree({"pkg/mod.py": "..."}) -> Path`` (for lint_paths)."""
     def build(files: dict[str, str]) -> Path:
         return write_tree(tmp_path, files)
     return build

@@ -388,6 +388,9 @@ def test_blanket_noqa_suppresses_every_rule():
 def test_syntax_error_reported_as_rpr000():
     findings = lint("def broken(:\n    pass\n")
     assert rules_of(findings) == {"RPR000"}
+    # A file that does not parse is reported whatever rules were asked for.
+    findings = lint("def broken(:\n    pass\n", rules=["RPR003"])
+    assert rules_of(findings) == {"RPR000"}
 
 
 def test_diagnostics_are_sorted_and_structured():

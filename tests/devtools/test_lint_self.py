@@ -47,7 +47,7 @@ def test_cli_reports_deliberate_violations(tmp_path, capsys):
 
     assert main(["--json", str(bad)]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["schema_version"] == 2
+    assert payload["schema_version"] == 3
     findings = payload["findings"]
     assert {entry["rule"] for entry in findings} == {"RPR001", "RPR002"}
     assert all(entry["path"] == str(bad) for entry in findings)

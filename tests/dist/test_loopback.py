@@ -5,12 +5,15 @@ Every test here drives the complete stage graph through real sockets
 ``results_digest`` to the ``jobs=1`` reference — the tentpole contract.
 """
 
+import dataclasses
 import pickle
 import threading
+import time
 
 import pytest
 
-from repro.runtime import protocol
+from repro.faults.network import NetworkFaultPlan, reconcile_network
+from repro.runtime import executor, protocol
 from repro.dist.coordinator import DistConfig, dist_runner_for_bundle
 from repro.runtime.client import LeaseClient
 from repro.errors import DistError
@@ -180,3 +183,43 @@ def test_worker_cache_short_circuit_unit(tmp_path):
     fallthrough = worker._compute(bad_lease)
     assert not fallthrough.cache_hit
     assert "worker context" in fallthrough.error
+
+
+def test_workers_idle_past_their_socket_timeout_between_stages(
+        dist_run, serial_digest, monkeypatch):
+    """Nothing reads the worker sockets while the coordinator runs an
+    inline stage.  One slowed past the workers' socket timeout makes
+    their parked pulls time out; they redial, serve the later stages,
+    and the run keeps the serial digest and an exact account."""
+    stall_s = 1.5
+    ordered = executor.topological_order()
+
+    def slowed(spec):
+        def func(*inputs):
+            time.sleep(stall_s)
+            return spec.func(*inputs)
+        return dataclasses.replace(spec, func=func)
+
+    monkeypatch.setattr(executor, "topological_order", lambda: tuple(
+        slowed(spec) if spec.name == "changes" else spec
+        for spec in ordered))
+    outcome: dict = {}
+
+    def run() -> None:
+        outcome["run"] = dist_run(worker_count=2, socket_timeout_s=0.5)
+
+    deadline_s = 60.0
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=deadline_s)
+    assert not thread.is_alive(), "loopback run outlived %.0f s" % deadline_s
+    run, runner = outcome["run"]
+    assert run.worker_errors == {}
+    # The stall outlasted the timeout: some pull timed out and redialed.
+    assert sum(s.reconnects for s in run.summaries.values()) > 0
+    assert run.digest == serial_digest
+    report = reconcile_network(
+        NetworkFaultPlan(), [s.injected for s in run.summaries.values()],
+        runner.report.resilience)
+    assert report.accounted and not report.degraded
+    assert report.total_items > 0

@@ -8,9 +8,11 @@ deliberately simple, so they serve as the reference the production
 kernels are pinned bit-identical to: the differential suites compare
 verdicts, spans, reboots, gap events and whole-run digests.  The record
 versions of the stage ``stats`` tally, the Figure 6 ``reboots_per_day``
-count and the churn extension's ``daily_active_addresses`` live here too,
-as does :func:`canonical_payload`, the recursive record-by-record
-rendering the production ``results_digest`` must reproduce byte for byte.
+count and the churn extension's ``daily_active_addresses`` live here too.
+So do the whole-dataset reboot scan (:func:`detect_all_reboots`), the
+per-gap classifier (:func:`classify_gap`, :func:`associate_probe_gaps`)
+and :func:`canonical_payload`, the recursive record-by-record rendering
+the production ``results_digest`` must reproduce byte for byte.
 
 The ingest section holds the line-by-line connection-log, SOS-uptime and
 pfx2as readers the vectorized readers replaced: the same per-line parsers
@@ -44,7 +46,13 @@ from repro.atlas.connlog import ConnectionLog
 from repro.atlas.kroot import KRootDataset
 from repro.atlas.sosuptime import UptimeDataset
 from repro.atlas.types import ConnectionLogEntry
-from repro.core.association import GapEvent, associate_probe_gaps
+from repro.atlas.kroot import KRootSeries
+from repro.core.association import (
+    WINDOW_MARGIN,
+    GapCause,
+    GapEvent,
+    _missing_rounds_around,
+)
 from repro.core.changes import (
     AddressChange,
     AddressSpan,
@@ -69,10 +77,11 @@ from repro.core.pipeline import (
 from repro.atlas.sosuptime import UPTIME_WRAP_MODULUS
 from repro.atlas.types import UptimeRecord
 from repro.core.conditional import ProbeOutageStats, probe_outage_stats
+from repro.core.outages import detect_network_outages
 from repro.core.reboots import (
     Reboot,
-    detect_all_reboots,
     detect_firmware_days,
+    detect_reboots,
     firmware_filtered_reboots,
 )
 from repro.errors import DatasetError, ParseError
@@ -254,6 +263,12 @@ def aggregate_reboots(raw_reboots: Mapping[int, list]
     return day_counts, firmware_days, filtered
 
 
+def detect_all_reboots(dataset: UptimeDataset) -> dict[int, list[Reboot]]:
+    """Reboots per probe over the whole dataset."""
+    return {probe_id: detect_reboots(dataset.records(probe_id))
+            for probe_id in dataset.probe_ids()}
+
+
 def stage_reboots(uptime: UptimeDataset
                   ) -> tuple[dict[int, int], list[int], dict[int, list]]:
     """Stage ``reboots``: day counts, firmware days, filtered reboots."""
@@ -261,6 +276,52 @@ def stage_reboots(uptime: UptimeDataset
 
 
 # -- stage ``gaps`` -----------------------------------------------------------
+
+def classify_gap(previous: ConnectionLogEntry, current: ConnectionLogEntry,
+                 series: KRootSeries,
+                 reboots: Sequence[Reboot]) -> GapEvent:
+    """Attribute one gap using the paper's priority order."""
+    gap_start = previous.end
+    gap_end = current.start
+    address_changed = (not previous.is_ipv6 and not current.is_ipv6
+                       and previous.address != current.address)
+
+    records = series.records(gap_start - WINDOW_MARGIN,
+                             gap_end + WINDOW_MARGIN)
+    outages = detect_network_outages(records)
+    for outage in outages:
+        if outage.overlaps(gap_start, gap_end):
+            return GapEvent(previous.probe_id, gap_start, gap_end,
+                            GapCause.NETWORK, address_changed,
+                            outage.duration)
+
+    for reboot in reboots:
+        if gap_start - WINDOW_MARGIN <= reboot.time <= gap_end:
+            missing, duration = _missing_rounds_around(series, reboot.time)
+            if missing:
+                return GapEvent(previous.probe_id, gap_start, gap_end,
+                                GapCause.POWER, address_changed, duration)
+
+    return GapEvent(previous.probe_id, gap_start, gap_end, GapCause.NONE,
+                    address_changed, 0.0)
+
+
+def associate_probe_gaps(entries: Sequence[ConnectionLogEntry],
+                         series: KRootSeries,
+                         reboots: Sequence[Reboot]) -> list[GapEvent]:
+    """Classify every gap in one probe's connection log.
+
+    ``reboots`` should already be firmware-filtered (Section 5.2).
+    Gaps bounded by IPv6 connections are classified, but their
+    address-change flag is False since no IPv4 comparison exists.
+    """
+    events: list[GapEvent] = []
+    ordered_reboots = sorted(reboots, key=lambda r: r.time)
+    for previous, current in zip(entries, entries[1:]):
+        events.append(classify_gap(previous, current, series,
+                                   ordered_reboots))
+    return events
+
 
 def probe_gap_events(entries, series, reboots) -> list[GapEvent]:
     """Per-probe kernel for stage ``gaps``: classify one probe's gaps."""
